@@ -525,6 +525,7 @@ def cmd_fidelity_sweep(config: ExperimentConfig, out_dir, threads: int = 1) -> d
                 "j_opt": pt.j_opt,
                 "converged": pt.converged,
                 "mns_params": None if pt.mns_params is None else _params_dict(pt.mns_params),
+                "error": pt.error,
             }
             for pt in points
         ],
@@ -559,5 +560,6 @@ def cmd_show_result(path) -> dict:
             print(
                 f"    param={format_float(pt['param'])} "
                 f"fi_mns={format_float(pt['fi_mns'])} fi_dfs={format_float(pt['fi_dfs'])}"
+                + (f" error={pt['error']}" if pt.get("error") else "")
             )
     return payload

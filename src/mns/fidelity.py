@@ -22,6 +22,7 @@ Nelder-Mead refinement.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from .errors import ValidationError
-from .linalg import dagger, tensor
+from .linalg import dagger, partial_trace_2, tensor
 from .noise import LindbladModel, default_dt, lindblad_to_kraus
 from .parametrization import realize
 from .search import SearchConfig, find_mns
@@ -146,7 +147,7 @@ def decode(
     u = np.asarray(u, dtype=np.complex128)
     m = n1 * n2
     block = (u @ rho @ dagger(u))[:m, :m]
-    out = np.einsum("iajb->ij", block.reshape(n1, n2, n1, n2))
+    out = partial_trace_2(block, n1, n2)
     trace = float(np.trace(out).real)
     leakage = 1.0 - trace
     if renormalize and 0.0 < trace < 1.0:
@@ -264,7 +265,9 @@ def worst_case_fidelity(
 @dataclass(frozen=True)
 class FidelityPoint:
     """One sweep point: worst-case fidelities of the searched and the
-    reference encodings, plus the search outcome that produced the former."""
+    reference encodings, plus the search outcome that produced the former.
+    A failed point carries NaNs and ``error`` = "Type: message" of the
+    exception that stopped it."""
 
     param: float
     fi_mns: float
@@ -272,6 +275,7 @@ class FidelityPoint:
     j_opt: float
     converged: bool
     mns_params: object = None
+    error: str | None = None
 
 
 def fidelity_sweep(
@@ -292,8 +296,8 @@ def fidelity_sweep(
     evolution time is fixed at ``t_f``; in mode "tf" the model is fixed (the
     factory is called once with the first grid value ignored -- pass a
     closure over the fixed perturbation), the search runs once, and the grid
-    values are evolution times.  Per-point search failures are flagged, not
-    raised.
+    values are evolution times.  In mode "delta" a point that raises is
+    flagged (NaN row, ``error`` set, logged to the "mns" logger), not raised.
     """
     if mode not in ("delta", "tf"):
         raise ValidationError(f"sweep mode must be 'delta' or 'tf', got {mode!r}")
@@ -342,7 +346,9 @@ def fidelity_sweep(
                     mns_params=result.best_params,
                 )
             )
-        except Exception:
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            logging.getLogger("mns").warning("sweep point %r failed: %s", value, error)
             points.append(
                 FidelityPoint(
                     param=value,
@@ -350,6 +356,7 @@ def fidelity_sweep(
                     fi_dfs=float("nan"),
                     j_opt=float("nan"),
                     converged=False,
+                    error=error,
                 )
             )
     return points

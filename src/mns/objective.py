@@ -21,6 +21,12 @@ Because the basis is orthonormal, the inner sum telescopes by Parseval to
 which is what ``objective`` evaluates; ``coefficients`` exposes the full
 coefficient tensor, and ``reduced_channel`` rebuilds the logical channel by
 direct action, giving an independent route to p1.
+
+The gradient has one implementation, ``value_and_gradient``: it realizes U
+once, evaluates J from the traced blocks T_k, forms the matrix A with
+dJ = Re tr(A dU) (``conjugation_adjoint``), and pulls A back through the
+chart (``parametrization.realize_vjp``).  ``gradient`` (central finite
+differences) is the independent check it is tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 from .errors import NumericalConsistencyError, ValidationError
 from .linalg import dagger, partial_trace_2, pauli_basis, tensor
 from .noise import KrausChannel
-from .parametrization import UnitaryParams, pack, realize, realize_with_partials, unpack
+from .parametrization import UnitaryParams, pack, realize, realize_vjp, unpack
 
 __all__ = [
     "EncodingCandidate",
@@ -44,6 +50,8 @@ __all__ = [
     "coefficients",
     "reduced_channel",
     "reduced_channel_of_unitary",
+    "conjugation_adjoint",
+    "value_and_gradient",
     "gradient",
     "gradient_analytic",
 ]
@@ -99,8 +107,12 @@ def _traced_blocks(ops: np.ndarray, u: np.ndarray, n1: int, n2: int) -> np.ndarr
     """Tr_H1 of the leading (n1*n2) block of U E_k U^dag, for all k at once."""
     m = n1 * n2
     rows = u[:m]
-    blocks = np.einsum("in,knm,jm->kij", rows, ops, rows.conj(), optimize=True)
+    blocks = rows @ ops @ rows.conj().T
     return np.einsum("kiaib->kab", blocks.reshape(-1, n1, n2, n1, n2))
+
+
+def _objective_of_traced(traced: np.ndarray, n1: int, n2: int) -> float:
+    return float(np.sum(np.abs(traced) ** 2) / (n1 * n1 * n2))
 
 
 def objective_of_unitary(channel: KrausChannel, u: np.ndarray, n1: int, n2: int) -> float:
@@ -108,7 +120,7 @@ def objective_of_unitary(channel: KrausChannel, u: np.ndarray, n1: int, n2: int)
     if n1 * n2 > channel.dim:
         raise ValidationError(f"encoded block {n1}x{n2} exceeds channel dim {channel.dim}")
     traced = _traced_blocks(channel.stack(), np.asarray(u, dtype=np.complex128), n1, n2)
-    return float(np.sum(np.abs(traced) ** 2) / (n1 * n1 * n2))
+    return _objective_of_traced(traced, n1, n2)
 
 
 def objective(channel: KrausChannel, cand: EncodingCandidate) -> float:
@@ -238,28 +250,50 @@ def gradient(channel: KrausChannel, cand: EncodingCandidate, h: float = 1e-6) ->
     return out
 
 
-def gradient_analytic(channel: KrausChannel, cand: EncodingCandidate) -> np.ndarray:
-    """dJ/dx from exact per-factor chart derivatives (fast path).
+def conjugation_adjoint(ops: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The matrix A with Re tr(A dU) = sum_k Re tr(w_k^dag dC_k) for every dU.
 
-    Agrees with the central finite-difference ``gradient`` to the level the
-    difference quotient itself is accurate.
+    C_k = U E_k U^dag changes by dU E_k U^dag + U E_k dU^dag, so
+    A = sum_k (E_k U^dag w_k^dag + E_k^dag U^dag w_k), summed as one matrix
+    product over the stacked Kraus operators and their adjoints.  Any
+    functional of the C_k whose differential is sum_k Re tr(w_k^dag dC_k) gets
+    its chart gradient as ``pullback(conjugation_adjoint(ops, u, w))``.
+    """
+    dim = u.shape[0]
+    left = np.concatenate([ops, ops.conj().transpose(0, 2, 1)]) @ dagger(u)
+    right = np.concatenate([w.conj().transpose(0, 2, 1), w])
+    return left.transpose(1, 0, 2).reshape(dim, -1) @ right.reshape(-1, dim)
+
+
+def value_and_gradient(
+    channel: KrausChannel, params: UnitaryParams, n1: int, n2: int
+) -> tuple[float, np.ndarray]:
+    """J and dJ/dx at a chart point, from one realization of U.
+
+    J is the same float ``objective_of_unitary`` returns for ``realize(params)``.
+    With T_k the traced blocks, dJ = (2/(n1^2 n2)) sum_k Re tr(T_k^dag dT_k),
+    and Re tr(T^dag Tr_H1 X) = Re tr((I (x) T)^dag X_block), so the weights
+    handed to ``conjugation_adjoint`` are the embedded I (x) T_k.
+    """
+    dim = channel.dim
+    if n1 < 1 or n2 < 1 or n1 * n2 > dim:
+        raise ValidationError(f"encoded block {n1}x{n2} does not fit in channel dim {dim}")
+    if params.dim != dim:
+        raise ValidationError(f"chart dim {params.dim} does not match channel dim {dim}")
+    m = n1 * n2
+    u, pullback = realize_vjp(params)
+    ops = channel.stack()
+    traced = _traced_blocks(ops, u, n1, n2)
+    w = np.zeros((ops.shape[0], dim, dim), dtype=np.complex128)
+    w[:, :m, :m] = np.einsum("ij,kab->kiajb", np.eye(n1), traced).reshape(-1, m, m)
+    w *= 2.0 / (n1 * n1 * n2)
+    return _objective_of_traced(traced, n1, n2), pullback(conjugation_adjoint(ops, u, w))
+
+
+def gradient_analytic(channel: KrausChannel, cand: EncodingCandidate) -> np.ndarray:
+    """dJ/dx at a candidate: the gradient half of ``value_and_gradient``.
+
+    Tests check it against the finite-difference ``gradient`` oracle.
     """
     _check_channel_candidate(channel, cand)
-    n1, n2 = cand.n1, cand.n2
-    dim = channel.dim
-    m = n1 * n2
-    u, du = realize_with_partials(cand.params)
-    ops = channel.stack()
-    traced = _traced_blocks(ops, u, n1, n2)  # (p, n2, n2)
-    ud = dagger(u)
-    eye1 = np.eye(n1, dtype=np.complex128)
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(ops.shape[0]):
-        w = np.zeros((dim, dim), dtype=np.complex128)
-        w[:m, :m] = np.kron(eye1, dagger(traced[k]))
-        acc += ops[k] @ ud @ w
-        w2 = np.zeros((dim, dim), dtype=np.complex128)
-        w2[:m, :m] = np.kron(eye1, traced[k])
-        acc += dagger(ops[k]) @ ud @ w2
-    scale = 2.0 / (n1 * n1 * n2)
-    return scale * np.real(np.einsum("uv,pvu->p", acc, du, optimize=True))
+    return value_and_gradient(channel, cand.params, cand.n1, cand.n2)[1]

@@ -18,10 +18,31 @@ and periodic, and ``realize`` of the all-zero vector is exactly the identity.
 
 Packed vector layout (used by the optimizer and finite differences):
 ``[diagonal phases | pair phases (lex) | angles (lex)]``.
+
+Gradients go through the chart's pullback (``realize_vjp``): for any N x N
+matrix A it returns g[p] = Re tr(A dU/dx_p) for every packed coordinate, the
+chain-rule step from a derivative with respect to U to one with respect to the
+chart.  Write F_q for the q-th Givens factor (K = N(N-1)/2 of them) and
+S_q = F_q F_{q+1} ... F_{K-1}, so U = D S_0.  Then
+
+    dU/dphi_d   = i E_dd U                      ->  g = Re(i (U A)_dd),
+    dU/dx (F_q) = D S_0 S_q^dag (dF_q) S_{q+1}  ->  g = Re tr(dF_q C_q),
+
+with C_q = S_{q+1} (A U) S_q^dag.  Only the (i, j) block of C_q enters, and
+it is Y_q (A U) Y_q^dag f_q^dag, where Y_q holds rows i and j of S_{q+1} and
+f_q is the 2 x 2 block of F_q.  Those rows are exactly what ``realize``
+overwrites when it applies F_q (it builds U right to left), so it records
+them as it goes.  The pullback is then a few whole-array products (O(N^4)
+flops, but no Python loop over the K factors) and never forms a dU/dx_p.
+This is the forward/backward propagator trick of GRAPE (Khaneja et al.,
+J. Magn. Reson. 172, 296 (2005)) applied to the Givens chart.
+``realize_with_partials`` builds every dU/dx_p explicitly and is kept as
+the test oracle for the pullback.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +58,7 @@ __all__ = [
     "zero_params",
     "random_params",
     "realize",
+    "realize_vjp",
     "realize_with_partials",
     "pack",
     "unpack",
@@ -132,32 +154,96 @@ def random_params(
     return UnitaryParams(dim, sphere(num_phases(dim), phase_norm), sphere(num_angles(dim), angle_norm))
 
 
-def realize(params: UnitaryParams) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _antidiagonals(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The Givens factors grouped into layers of disjoint pairs.
+
+    Factors that share an index are applied in lexicographically descending
+    order, and along any such chain i + j strictly decreases, so applying the
+    anti-diagonals i + j = 2N-3, ..., 1 one after another, each as a single
+    vectorized step, gives the same product.  Returns (order, i, j, edges):
+    the factor indices sorted by layer, their row pairs, and the layer
+    boundaries in that order.
+    """
+    pairs = plane_pairs(dim)
+    order = np.array(
+        sorted(range(len(pairs)), key=lambda q: -(pairs[q][0] + pairs[q][1])), dtype=np.intp
+    )
+    ii = np.array([pairs[q][0] for q in order], dtype=np.intp)
+    jj = np.array([pairs[q][1] for q in order], dtype=np.intp)
+    edges = (0, *(np.flatnonzero(np.diff(ii + jj)) + 1).tolist(), len(pairs))
+    for shared in (order, ii, jj):  # cached: every caller gets the same arrays
+        shared.flags.writeable = False
+    return order, ii, jj, edges
+
+
+def realize(params: UnitaryParams, tape: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the chart: return the N x N unitary for these coordinates.
 
     realize(zero_params(N)) is exactly the identity (entries 0 and 1, no
-    rounding); in general ||U^dag U - I||_F stays at the 1e-14 level.
+    rounding); in general ||U^dag U - I||_F stays at the 1e-14 level.  If a
+    ``tape`` of shape (K, 2, N) is given, tape[q] receives rows (i, j) of the
+    partial product just before factor q = (i, j) is applied to it, which is
+    what ``realize_vjp`` needs; the returned unitary is the same either way.
     """
     n = params.dim
-    pairs = plane_pairs(n)
-    diag_phases = params.phases[:n]
-    pair_phases = params.phases[n:]
     u = np.eye(n, dtype=np.complex128)
-    # Right-to-left: the lexicographically last factor is applied first.
-    for idx in range(len(pairs) - 1, -1, -1):
-        i, j = pairs[idx]
-        th = params.angles[idx]
-        c, s = np.cos(th), np.sin(th)
-        if s == 0.0 and c == 1.0:
-            continue
-        e = np.exp(1j * pair_phases[idx])
-        ri = u[i].copy()
-        rj = u[j]
-        u[i] = c * ri - e * s * rj
-        u[j] = np.conj(e) * s * ri + c * rj
+    if n > 1:
+        # Right to left: the lexicographically last factor is applied first,
+        # one anti-diagonal layer of disjoint row pairs at a time.
+        order, ii, jj, edges = _antidiagonals(n)
+        th = params.angles[order]
+        c, s = np.cos(th)[:, None], np.sin(th)[:, None]
+        e = np.exp(1j * params.phases[n:][order])[:, None]
+        es, ecs = e * s, np.conj(e) * s
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            i, j = ii[lo:hi], jj[lo:hi]
+            ri, rj = u[i], u[j]
+            if tape is not None:
+                tape[order[lo:hi], 0] = ri
+                tape[order[lo:hi], 1] = rj
+            u[i] = c[lo:hi] * ri - es[lo:hi] * rj
+            u[j] = ecs[lo:hi] * ri + c[lo:hi] * rj
+    diag_phases = params.phases[:n]
     if np.any(diag_phases != 0.0):
         u = np.exp(1j * diag_phases)[:, None] * u
     return u
+
+
+def realize_vjp(
+    params: UnitaryParams,
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Realize the chart once and return (U, pullback).
+
+    ``pullback(a)`` maps an N x N matrix A to the packed vector
+    g[p] = Re tr(A dU/dx_p) (see the module docstring), so a caller can build
+    A from U and then take the gradient without realizing U again.  U is
+    bit-for-bit ``realize(params)``.
+    """
+    n = params.dim
+    k = num_angles(n)
+    tape = np.empty((k, 2, n), dtype=np.complex128)
+    u = realize(params, tape)
+
+    def pullback(a: np.ndarray) -> np.ndarray:
+        a = np.asarray(a, dtype=np.complex128)
+        if a.shape != (n, n):
+            raise ValidationError(f"pullback needs a {n}x{n} matrix, got shape {a.shape}")
+        out = np.empty(n * n)
+        out[:n] = -np.einsum("dv,vd->d", u, a).imag  # Re(i (U A)_dd)
+        # z[q] = Y_q (A U) Y_q^dag, so g = Re tr(f_q^dag df_q z[q]); for the
+        # angle f_q^dag df_q is [[0, -e], [conj(e), 0]].
+        z = np.einsum(
+            "qan,qbn->qab", (tape.reshape(2 * k, n) @ (a @ u)).reshape(k, 2, n), tape.conj()
+        )
+        c, s = np.cos(params.angles), np.sin(params.angles)
+        e = np.exp(1j * params.phases[n:])
+        z_ij, z_ji = e.conj() * z[:, 0, 1], e * z[:, 1, 0]
+        out[n : n + k] = s * s * (z[:, 0, 0] - z[:, 1, 1]).imag + s * c * (z_ji + z_ij).imag
+        out[n + k :] = (z_ij - z_ji).real
+        return out
+
+    return u, pullback
 
 
 def _factor_matrices(params: UnitaryParams) -> list[np.ndarray]:
@@ -180,8 +266,9 @@ def _factor_matrices(params: UnitaryParams) -> list[np.ndarray]:
 def realize_with_partials(params: UnitaryParams) -> tuple[np.ndarray, np.ndarray]:
     """Return (U, dU) with dU[k] = dU/dx_k in packed-vector order.
 
-    Partials are exact per-factor derivatives assembled from prefix/suffix
-    products of the chart factors.
+    Test oracle for ``realize_vjp``: the partials are exact per-factor
+    derivatives assembled from dense prefix/suffix products of the chart
+    factors, an (N^2, N, N) tensor the search itself never builds.
     """
     n = params.dim
     pairs = plane_pairs(n)

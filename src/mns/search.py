@@ -10,6 +10,7 @@ results do not depend on scheduling order.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,14 +20,14 @@ from scipy.optimize import line_search
 from .errors import ValidationError
 from .linalg import block_projector, dagger
 from .noise import KrausChannel
-from .objective import candidate, gradient_analytic, objective_of_unitary
+from .objective import conjugation_adjoint, objective_of_unitary, value_and_gradient
 from .parametrization import (
     UnitaryParams,
     num_angles,
     num_phases,
     pack,
     realize,
-    realize_with_partials,
+    realize_vjp,
     unpack,
 )
 
@@ -113,7 +114,10 @@ def bfgs_maximize(
     Stops when the gradient norm falls below ``gradient_tolerance``, when an
     accepted step improves J by less than ``objective_tolerance``, or at
     ``max_iterations``.  A failed line search returns the best point found so
-    far with ``degraded=True`` instead of raising.
+    far with ``degraded=True`` instead of raising.  The objective and its
+    gradient come from one ``value_and_gradient`` call per distinct point of
+    an iteration: the line search asks for J and dJ at the same trial points,
+    and the gradient at the accepted point is the one it already computed.
     """
     n1, n2 = dims
     if n1 * n2 > channel.dim:
@@ -122,12 +126,15 @@ def bfgs_maximize(
         raise ValidationError("initial parameters live on the wrong dimension")
 
     dim = channel.dim
+    evaluate, forget = _point_cache(
+        lambda x: value_and_gradient(channel, unpack(dim, x), n1, n2)
+    )
 
     def f(x: np.ndarray) -> float:
-        return -objective_of_unitary(channel, realize(unpack(dim, x)), n1, n2)
+        return -evaluate(x)[0]
 
     def g(x: np.ndarray) -> np.ndarray:
-        return -gradient_analytic(channel, candidate(n1, n2, unpack(dim, x)))
+        return -evaluate(x)[1]
 
     x = pack(initial)
     fx = f(x)
@@ -140,6 +147,7 @@ def bfgs_maximize(
     iterations = 0
 
     for it in range(1, config.max_iterations + 1):
+        forget()
         if np.linalg.norm(gx) <= config.gradient_tolerance:
             converged = True
             break
@@ -192,6 +200,25 @@ def bfgs_maximize(
     )
 
 
+def _point_cache(fn):
+    """``fn`` of a point, computed at most once per point until ``forget()``.
+
+    Returns (cached, forget).  An optimizer asks for the value and the
+    gradient separately at the same trial points, and a backtracking fallback
+    retries the step lengths a failed line search already tried; forgetting
+    once per iteration keeps only the current iteration's points.
+    """
+    seen = {}
+
+    def cached(x: np.ndarray):
+        key = x.tobytes()
+        if key not in seen:
+            seen[key] = fn(x)
+        return seen[key]
+
+    return cached, seen.clear
+
+
 def _backtrack(f, x, p, fx, gx, shrink: float = 0.5, max_steps: int = 40):
     slope = gx @ p
     alpha = 1.0
@@ -209,7 +236,7 @@ def _dfs_residual(ops: np.ndarray, u: np.ndarray, n1: int, n2: int) -> np.ndarra
     component of the encoded block.  Zero for all k iff the encoding is
     exactly decoherence-free."""
     m = n1 * n2
-    c = np.einsum("in,knm,jm->kij", u, ops, u.conj(), optimize=True)
+    c = u @ ops @ dagger(u)
     r = c.copy()
     blocks = c[:, :m, :m].reshape(-1, n1, n2, n1, n2)
     mk = np.einsum("kiaib->kab", blocks) / n1
@@ -218,6 +245,20 @@ def _dfs_residual(ops: np.ndarray, u: np.ndarray, n1: int, n2: int) -> np.ndarra
     r[:, :m, :m] -= kept
     r[:, m:, m:] = 0.0
     return r
+
+
+def _residual_with_gradient(
+    ops: np.ndarray, dims: tuple[int, int], x: np.ndarray
+) -> tuple[float, Callable[[], np.ndarray]]:
+    """sum_k ||r_k||^2 of ``_dfs_residual`` at packed ``x``, and a function
+    that returns its gradient there without realizing U again.
+
+    r_k is the part of C_k orthogonal to the operators that act as I (x) M on
+    the encoded block, so d sum_k ||r_k||^2 = 2 sum_k Re tr(r_k^dag dC_k).
+    """
+    u, pullback = realize_vjp(unpack(ops.shape[1], x))
+    r = _dfs_residual(ops, u, *dims)
+    return float(np.sum(np.abs(r) ** 2)), lambda: pullback(conjugation_adjoint(ops, u, 2.0 * r))
 
 
 def _polish_dfs(
@@ -234,20 +275,18 @@ def _polish_dfs(
     it keeps full relative accuracy and the refined encoding passes the
     commutation check with orders of magnitude to spare.
     """
-    n1, n2 = dims
-    dim = channel.dim
     ops = channel.stack()
+    # The backtracking evaluates values only; the gradient at the accepted
+    # point, its last trial, then reuses that point's realization.
+    evaluate, forget = _point_cache(lambda x: _residual_with_gradient(ops, dims, x))
+
+    def value(x: np.ndarray) -> float:
+        forget()  # trials never repeat, so only the latest is worth keeping
+        return evaluate(x)[0]
 
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        u, du = realize_with_partials(unpack(dim, x))
-        r = _dfs_residual(ops, u, n1, n2)
-        val = float(np.sum(np.abs(r) ** 2))
-        ud = dagger(u)
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range(ops.shape[0]):
-            acc += ops[k] @ ud @ dagger(r[k]) + dagger(ops[k]) @ ud @ r[k]
-        grad = 2.0 * np.real(np.einsum("uv,pvu->p", acc, du, optimize=True))
-        return val, grad
+        fx, gradient = evaluate(x)
+        return fx, gradient()
 
     x = pack(start)
     fx, gx = fg(x)
@@ -260,7 +299,7 @@ def _polish_dfs(
         if p @ gx >= 0:
             h = np.eye(n)
             p = -gx
-        alpha, _ = _backtrack(lambda z: fg(z)[0], x, p, fx, gx)
+        alpha, _ = _backtrack(value, x, p, fx, gx)
         if alpha is None:
             break
         x_new = x + alpha * p
@@ -276,7 +315,7 @@ def _polish_dfs(
                 rho * (y @ hs) + 1.0
             ) * np.outer(s, s)
         x, fx, gx = x_new, f_new, g_new
-    return unpack(dim, x)
+    return unpack(channel.dim, x)
 
 
 def _initial_point(dim: int, rng: np.random.Generator) -> UnitaryParams:

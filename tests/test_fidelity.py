@@ -150,6 +150,20 @@ def test_decode_leakage_bookkeeping():
     assert np.abs(renormed - rho1).max() <= 1e-12
 
 
+def test_decode_traces_out_gauge_coherences():
+    # rho1 (x) sigma with a coherent gauge state: tracing H2 out returns rho1,
+    # while summing the H2 block over every index pair would return 2 rho1
+    rng = np.random.default_rng(8)
+    rho1 = random_density_matrix(2, rng)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    u = haar_random_unitary(8, 9)
+    block = np.zeros((8, 8), dtype=complex)
+    block[:4, :4] = tensor(rho1, plus)
+    out, leakage = decode(dagger(u) @ block @ u, u, (2, 2), renormalize=False)
+    assert np.abs(out - rho1).max() <= 1e-12
+    assert abs(leakage) <= 1e-12
+
+
 def test_worst_case_fidelity_identity_evolution():
     ev = evolve(collective_xz(3, 1.0, 1.0), 0.0)
     fi = worst_case_fidelity(haar_random_unitary(8, 6), (2, 2), ev)
@@ -266,6 +280,21 @@ def test_fidelity_sweep_flags_failed_points():
     assert points[0].converged
     assert not points[1].converged
     assert np.isnan(points[1].fi_mns)
+
+
+def test_fidelity_sweep_records_why_a_point_failed(caplog):
+    config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((2, 2),))
+
+    def model_for(delta):
+        raise TypeError(f"no model for {delta}")
+
+    with caplog.at_level("WARNING", logger="mns"):
+        points = fidelity_sweep(
+            model_for, [0.05], "delta", collective_dfs_encoding(3), (2, 2), config
+        )
+    assert not points[0].converged and np.isnan(points[0].fi_mns)
+    assert points[0].error == "TypeError: no model for 0.05"
+    assert "TypeError: no model for 0.05" in caplog.text
 
 
 def test_fidelity_sweep_validation():

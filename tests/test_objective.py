@@ -29,8 +29,16 @@ from mns.objective import (
     reduced_channel,
     reduced_channel_of_unitary,
     transformed_kraus,
+    value_and_gradient,
 )
-from mns.parametrization import UnitaryParams, num_angles, num_phases, random_params, zero_params
+from mns.parametrization import (
+    UnitaryParams,
+    num_angles,
+    num_phases,
+    random_params,
+    realize,
+    zero_params,
+)
 
 DT = 1e-3
 
@@ -219,6 +227,31 @@ def test_gradient_analytic_matches_finite_differences(collective_channel):
         ga = gradient_analytic(collective_channel, cand)
         gf = gradient(collective_channel, cand, h=1e-6)
         assert np.linalg.norm(ga - gf) <= 1e-6 * max(1.0, np.linalg.norm(gf))
+
+
+def test_value_and_gradient_objective_is_bitwise_objective_of_unitary(collective_channel):
+    for seed, dims in ((16, (2, 2)), (17, (2, 1)), (18, (1, 3)), (19, (2, 4))):
+        params = _random_point(8, seed)
+        j, _ = value_and_gradient(collective_channel, params, *dims)
+        assert j == objective_of_unitary(collective_channel, realize(params), *dims)
+
+
+def test_value_and_gradient_matches_finite_differences():
+    rng = np.random.default_rng(20)
+    ch = random_kraus_channel(8, 4, rng)
+    for seed, dims in ((21, (2, 2)), (22, (2, 3)), (23, (3, 1))):
+        cand = candidate(*dims, _random_point(8, seed, scale=0.3))
+        _, ga = value_and_gradient(ch, cand.params, *dims)
+        gf = gradient(ch, cand, h=1e-6)
+        assert np.linalg.norm(ga - gf) <= 1e-6 * max(1.0, np.linalg.norm(gf))
+        assert np.array_equal(gradient_analytic(ch, cand), ga)
+
+
+def test_value_and_gradient_validation(collective_channel):
+    with pytest.raises(ValidationError):
+        value_and_gradient(collective_channel, zero_params(4), 2, 2)
+    with pytest.raises(ValidationError):
+        value_and_gradient(collective_channel, zero_params(8), 3, 3)
 
 
 def test_gradient_zero_along_global_phase(collective_channel):

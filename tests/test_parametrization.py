@@ -11,6 +11,7 @@ from mns.parametrization import (
     plane_pairs,
     random_params,
     realize,
+    realize_vjp,
     realize_with_partials,
     unpack,
     zero_params,
@@ -141,3 +142,50 @@ def test_realize_with_partials_matches_finite_differences():
             xm[i] -= h
             fd = (realize(unpack(dim, xp)) - realize(unpack(dim, xm))) / (2 * h)
             assert np.abs(du[i] - fd).max() <= 1e-8
+
+
+def _realize_one_factor_at_a_time(params):
+    """The chart product applied factor by factor, right to left."""
+    n = params.dim
+    u = np.eye(n, dtype=np.complex128)
+    pairs = plane_pairs(n)
+    for idx in range(len(pairs) - 1, -1, -1):
+        i, j = pairs[idx]
+        th = params.angles[idx]
+        c, s = np.cos(th), np.sin(th)
+        e = np.exp(1j * params.phases[n + idx])
+        ri = u[i].copy()
+        rj = u[j]
+        u[i] = c * ri - e * s * rj
+        u[j] = np.conj(e) * s * ri + c * rj
+    return np.exp(1j * params.phases[:n])[:, None] * u
+
+
+def test_realize_layers_match_factor_by_factor_product():
+    # realize applies disjoint factors together, one anti-diagonal at a time;
+    # each row still sees the same operations, so the result is bit-identical
+    rng = np.random.default_rng(6)
+    for dim in (2, 3, 4, 5, 8, 16):
+        for scale in (1.0, 1e-3):
+            params = UnitaryParams(
+                dim,
+                scale * rng.uniform(-7, 7, num_phases(dim)),
+                scale * rng.uniform(-7, 7, num_angles(dim)),
+            )
+            assert np.array_equal(realize(params), _realize_one_factor_at_a_time(params))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+def test_realize_vjp_matches_partials_oracle(dim):
+    rng = np.random.default_rng(10 + dim)
+    angles = rng.uniform(-np.pi, np.pi, num_angles(dim))
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    # zero angles make identity factors, whose angle partials still count
+    for angles in (angles, np.where(np.arange(angles.size) % 2, angles, 0.0)):
+        params = UnitaryParams(dim, rng.uniform(-np.pi, np.pi, num_phases(dim)), angles)
+        u, pullback = realize_vjp(params)
+        assert np.array_equal(u, realize(params))
+        want = np.real(np.einsum("uv,pvu->p", a, realize_with_partials(params)[1]))
+        assert np.abs(pullback(a) - want).max() <= 1e-12
+    with pytest.raises(ValidationError):
+        pullback(np.eye(dim + 1))

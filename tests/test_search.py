@@ -10,7 +10,7 @@ from mns.noise import (
     random_perturbation_unitary,
 )
 from mns.objective import objective_of_unitary
-from mns.parametrization import realize, zero_params
+from mns.parametrization import pack, realize, unpack, zero_params
 from mns.search import (
     SearchConfig,
     bfgs_maximize,
@@ -20,7 +20,8 @@ from mns.search import (
     projector_distance,
     subspace_projector,
 )
-from mns.search import _initial_point
+import mns.search
+from mns.search import _dfs_residual, _initial_point, _residual_with_gradient
 
 from conftest import P_ONE_EXCITED, P_TWO_EXCITED, TIGHT
 
@@ -55,6 +56,57 @@ def test_bfgs_traces_non_decreasing(collective_search, local_dephasing_search):
             diffs = np.diff(rec.trace)
             assert diffs.min() >= -1e-15
             assert rec.trace[-1] == rec.final_j
+
+
+def test_bfgs_evaluates_each_point_once(
+    collective_channel, local_dephasing_channel, monkeypatch
+):
+    seen: list[bytes] = []
+    fused = mns.search.value_and_gradient
+
+    def counted(channel, params, n1, n2):
+        seen.append(pack(params).tobytes())
+        return fused(channel, params, n1, n2)
+
+    monkeypatch.setattr(mns.search, "value_and_gradient", counted)
+    # the collective restart converges through the line search alone; the
+    # flat local-dephasing landscape also sends steps to the backtracking
+    # fallback, which retries step lengths the line search already tried
+    cases = (
+        (collective_channel, (2, 2), SearchConfig(num_restarts=1)),
+        (local_dephasing_channel, (2, 1), SearchConfig(num_restarts=1, **TIGHT)),
+    )
+    for channel, dims, config in cases:
+        seen.clear()
+        rng = np.random.default_rng(np.random.SeedSequence((1, 0, 0)))
+        out = bfgs_maximize(channel, dims, _initial_point(8, rng), config)
+        assert out.converged and not out.degraded
+        assert len(set(seen)) == len(seen)
+        if dims == (2, 2):
+            # one evaluation per iteration plus the start and the rare extra
+            # line-search trial (the unfused loop made about three)
+            assert len(seen) <= 1.1 * out.iterations + 1
+
+
+def test_residual_gradient_matches_finite_differences():
+    channel = lindblad_to_kraus(
+        perturbed_collective(3, 1.0, 1.0, random_perturbation_unitary(8, 0.1, "global", seed=2)),
+        1e-3,
+    )
+    ops = channel.stack()
+    x0 = pack(_initial_point(8, np.random.default_rng(5)))
+
+    def residual(x):
+        return float(np.sum(np.abs(_dfs_residual(ops, realize(unpack(8, x)), 2, 2)) ** 2))
+
+    value, gradient = _residual_with_gradient(ops, (2, 2), x0)
+    assert value == residual(x0)
+    grad = gradient()
+    h = 1e-6
+    fd = np.array(
+        [(residual(x0 + h * e) - residual(x0 - h * e)) / (2 * h) for e in np.eye(x0.size)]
+    )
+    assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
 
 def test_bfgs_identity_channel_converges_at_start():
