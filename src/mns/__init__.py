@@ -7,178 +7,3 @@ encodings by their worst-case state fidelity under continuous evolution.
 """
 
 __version__ = "0.1.0"
-
-from .errors import ConfigError, NumericalConsistencyError, ValidationError
-from .linalg import (
-    PauliBasis,
-    block_projector,
-    dagger,
-    direct_sum_embed,
-    haar_random_unitary,
-    partial_trace_1,
-    partial_trace_2,
-    pauli_basis,
-    random_density_matrix,
-    random_pure_state,
-    tensor,
-)
-from .parametrization import (
-    UnitaryParams,
-    num_angles,
-    num_phases,
-    pack,
-    random_params,
-    realize,
-    realize_with_partials,
-    unpack,
-    zero_params,
-)
-from .noise import (
-    KrausChannel,
-    LindbladModel,
-    collective_dfs_encoding,
-    collective_operator,
-    collective_xz,
-    collective_z_with_local_dephasing,
-    default_dt,
-    dfs_check,
-    identity_channel,
-    lindblad_to_kraus,
-    perturbed_collective,
-    qubit_operator,
-    random_kraus_channel,
-    random_perturbation_unitary,
-)
-from .objective import (
-    EncodingCandidate,
-    ReducedChannel,
-    candidate,
-    coefficients,
-    gradient,
-    gradient_analytic,
-    objective,
-    objective_of_unitary,
-    reduced_channel,
-    reduced_channel_of_unitary,
-    transformed_kraus,
-)
-from .search import (
-    RestartRecord,
-    SearchConfig,
-    SearchResult,
-    bfgs_maximize,
-    containment_defect,
-    default_candidate_dims,
-    find_mns,
-    projector_distance,
-    subspace_projector,
-)
-from .fidelity import (
-    EvolvedChannel,
-    FidelityPoint,
-    choi_matrix,
-    decode,
-    encode,
-    evolve,
-    fidelity_sweep,
-    liouvillian,
-    worst_case_fidelity,
-)
-from .experiments import (
-    ExperimentConfig,
-    ModelSpec,
-    SearchSpec,
-    SweepSpec,
-    build_channel,
-    build_model,
-    cmd_fidelity_sweep,
-    cmd_find_mns,
-    cmd_show_result,
-    cmd_verify_dfs,
-    config_to_dict,
-    load_config,
-    parse_config,
-)
-
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "NumericalConsistencyError",
-    "ValidationError",
-    "PauliBasis",
-    "block_projector",
-    "dagger",
-    "direct_sum_embed",
-    "haar_random_unitary",
-    "partial_trace_1",
-    "partial_trace_2",
-    "pauli_basis",
-    "random_density_matrix",
-    "random_pure_state",
-    "tensor",
-    "UnitaryParams",
-    "num_angles",
-    "num_phases",
-    "pack",
-    "random_params",
-    "realize",
-    "realize_with_partials",
-    "unpack",
-    "zero_params",
-    "KrausChannel",
-    "LindbladModel",
-    "collective_dfs_encoding",
-    "collective_operator",
-    "collective_xz",
-    "collective_z_with_local_dephasing",
-    "default_dt",
-    "dfs_check",
-    "identity_channel",
-    "lindblad_to_kraus",
-    "perturbed_collective",
-    "qubit_operator",
-    "random_kraus_channel",
-    "random_perturbation_unitary",
-    "EncodingCandidate",
-    "ReducedChannel",
-    "candidate",
-    "coefficients",
-    "gradient",
-    "gradient_analytic",
-    "objective",
-    "objective_of_unitary",
-    "reduced_channel",
-    "reduced_channel_of_unitary",
-    "transformed_kraus",
-    "RestartRecord",
-    "SearchConfig",
-    "SearchResult",
-    "bfgs_maximize",
-    "containment_defect",
-    "default_candidate_dims",
-    "find_mns",
-    "projector_distance",
-    "subspace_projector",
-    "EvolvedChannel",
-    "FidelityPoint",
-    "choi_matrix",
-    "decode",
-    "encode",
-    "evolve",
-    "fidelity_sweep",
-    "liouvillian",
-    "worst_case_fidelity",
-    "ExperimentConfig",
-    "ModelSpec",
-    "SearchSpec",
-    "SweepSpec",
-    "build_channel",
-    "build_model",
-    "cmd_fidelity_sweep",
-    "cmd_find_mns",
-    "cmd_show_result",
-    "cmd_verify_dfs",
-    "config_to_dict",
-    "load_config",
-    "parse_config",
-]

@@ -2,9 +2,9 @@
 
 Subcommands::
 
-    mns find-mns       --config cfg.json [--seed N] [--out-dir DIR] [--threads K]
+    mns find-mns       --config cfg.json [--seed N] [--out-dir DIR]
     mns verify-dfs     --config cfg.json --encoding enc.json [--threshold X]
-    mns fidelity-sweep --config cfg.json [--seed N] [--out-dir DIR] [--threads K]
+    mns fidelity-sweep --config cfg.json [--seed N] [--out-dir DIR]
     mns show-result    RESULT_JSON
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime failure.
@@ -36,7 +36,6 @@ def _add_common(parser: argparse.ArgumentParser, with_out_dir: bool = True) -> N
     parser.add_argument("--seed", type=int, default=None, help="override search.seed")
     if with_out_dir:
         parser.add_argument("--out-dir", default="results", help="output directory")
-        parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,11 +77,11 @@ def main(argv=None) -> int:
         else:
             config = _with_seed(load_config(args.config), args.seed)
             if args.command == "find-mns":
-                cmd_find_mns(config, args.out_dir, threads=args.threads)
+                cmd_find_mns(config, args.out_dir)
             elif args.command == "verify-dfs":
                 cmd_verify_dfs(config, args.encoding, threshold=args.threshold)
             elif args.command == "fidelity-sweep":
-                cmd_fidelity_sweep(config, args.out_dir, threads=args.threads)
+                cmd_fidelity_sweep(config, args.out_dir)
         return EXIT_OK
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

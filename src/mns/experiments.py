@@ -41,7 +41,7 @@ from .noise import (
     perturbed_collective,
     random_perturbation_unitary,
 )
-from .parametrization import UnitaryParams
+from .parametrization import UnitaryParams, realize
 from .search import SearchConfig, SearchResult, find_mns
 
 __all__ = [
@@ -383,13 +383,13 @@ def _write_result(out_dir: Path, payload: dict) -> Path:
     return path
 
 
-def cmd_find_mns(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
+def cmd_find_mns(config: ExperimentConfig, out_dir) -> dict:
     """Run the search and write result.json plus one replayable encoding file
     per candidate dimension pair."""
     out_dir = Path(out_dir)
     started = time.monotonic()
     channel = build_channel(config)
-    results = find_mns(channel, config.search.to_search_config(), threads=threads)
+    results = find_mns(channel, config.search.to_search_config())
     entries = [_result_entry(dims, res) for dims, res in results.items()]
     out_dir.mkdir(parents=True, exist_ok=True)
     for dims, res in results.items():
@@ -421,29 +421,15 @@ def cmd_find_mns(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
 
 def cmd_verify_dfs(config: ExperimentConfig, encoding_path, threshold: float = 1e-8) -> dict:
     """Check the decoherence-free condition for a stored encoding."""
-    from .linalg import commutator, direct_sum_embed, random_density_matrix, tensor as _tensor
-    from .parametrization import realize
-
     params, (n1, n2) = load_encoding(encoding_path)
     channel = build_channel(config)
     if params.dim != channel.dim:
         raise ConfigError(
             f"encoding dim {params.dim} does not match model dim {channel.dim}"
         )
-    u = realize(params)
-    # Per-operator defects over a fixed bundle of random encoded states.
-    rng = np.random.default_rng(0)
-    states = []
-    for _ in range(6):
-        rho1 = random_density_matrix(n1, rng)
-        block = _tensor(rho1, np.eye(n2) / n2)
-        states.append(u.conj().T @ direct_sum_embed(block, channel.dim) @ u)
-    per_op = []
-    for k, op in enumerate(channel.operators):
-        defect = max(float(np.linalg.norm(commutator(op, rho))) for rho in states)
-        per_op.append(defect)
-        print(f"E[{k}]: commutation defect {defect:.3e}")
-    ok, defect = dfs_check(channel, u, n1, n2, threshold=threshold)
+    ok, defect, per_op = dfs_check(channel, realize(params), n1, n2, threshold=threshold)
+    for k, op_defect in enumerate(per_op):
+        print(f"E[{k}]: commutation defect {op_defect:.3e}")
     verdict = "PASS" if ok else "FAIL"
     print(f"max defect {defect:.3e} vs threshold {threshold:.1e}: {verdict}")
     return {
@@ -454,7 +440,7 @@ def cmd_verify_dfs(config: ExperimentConfig, encoding_path, threshold: float = 1
     }
 
 
-def cmd_fidelity_sweep(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
+def cmd_fidelity_sweep(config: ExperimentConfig, out_dir) -> dict:
     """Run the sweep and write sweep.csv (byte-stable) and result.json."""
     if config.sweep is None:
         raise ConfigError("config has no 'sweep' section")
@@ -489,7 +475,6 @@ def cmd_fidelity_sweep(config: ExperimentConfig, out_dir, threads: int = 1) -> d
         config.search.to_search_config(),
         t_f=sweep.t_f,
         dt=config.search.dt,
-        threads=threads,
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)

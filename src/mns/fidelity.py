@@ -32,7 +32,7 @@ from scipy.optimize import minimize
 from .errors import ValidationError
 from .linalg import dagger, partial_trace_2, tensor
 from .noise import LindbladModel, default_dt, lindblad_to_kraus
-from .parametrization import realize
+from .parametrization import UnitaryParams, realize
 from .search import SearchConfig, find_mns
 
 __all__ = [
@@ -274,7 +274,7 @@ class FidelityPoint:
     fi_dfs: float
     j_opt: float
     converged: bool
-    mns_params: object = None
+    mns_params: UnitaryParams | None = None
     error: str | None = None
 
 
@@ -287,17 +287,16 @@ def fidelity_sweep(
     config: SearchConfig,
     t_f: float = 1.0,
     dt: float | None = None,
-    threads: int = 1,
 ) -> list[FidelityPoint]:
     """Worst-case fidelity of searched vs reference encodings over a grid.
 
     ``model_for(value)`` builds the Lindblad model for one grid value.  In
     mode "delta" the model (and the searched encoding) changes per point and
     evolution time is fixed at ``t_f``; in mode "tf" the model is fixed (the
-    factory is called once with the first grid value ignored -- pass a
-    closure over the fixed perturbation), the search runs once, and the grid
-    values are evolution times.  In mode "delta" a point that raises is
-    flagged (NaN row, ``error`` set, logged to the "mns" logger), not raised.
+    factory is called once, with ``None`` -- pass a closure over the fixed
+    perturbation), the search runs once, and the grid values are evolution
+    times.  In mode "delta" a point that raises is flagged (NaN row,
+    ``error`` set, logged to the "mns" logger), not raised.
     """
     if mode not in ("delta", "tf"):
         raise ValidationError(f"sweep mode must be 'delta' or 'tf', got {mode!r}")
@@ -308,7 +307,7 @@ def fidelity_sweep(
 
     def search_best(model):
         channel = lindblad_to_kraus(model, dt if dt is not None else default_dt(model))
-        result = find_mns(channel, config, threads=threads)[dims]
+        result = find_mns(channel, config)[dims]
         ok = result.per_restart[result.best_restart].converged
         return result, ok
 

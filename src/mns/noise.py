@@ -272,13 +272,13 @@ def dfs_check(
     threshold: float = 1e-8,
     n_states: int = 6,
     seed: int = 0,
-) -> tuple[bool, float]:
+) -> tuple[bool, float, list[float]]:
     """Test the decoherence-free condition [E_k, rho] = 0 for encoded states.
 
     Draws ``n_states`` random logical density matrices rho_1, encodes each as
     rho = U^dag (rho_1 (x) I/n2 (+) 0) U, and returns (defect <= threshold,
-    defect) where defect is the largest Frobenius norm of any commutator
-    [E_k, rho].
+    defect, per_operator): per_operator[k] is the largest Frobenius norm of
+    [E_k, rho] over the states, and defect the largest of those.
     """
     u = as_matrix(u, "encoding unitary")
     dim = channel.dim
@@ -289,14 +289,17 @@ def dfs_check(
     if n1 * n2 > dim:
         raise ValidationError(f"encoded dimensions ({n1},{n2}) exceed channel dim {dim}")
     rng = np.random.default_rng(seed)
-    defect = 0.0
+    states = []
     for _ in range(n_states):
         rho1 = random_density_matrix(n1, rng)
         block = tensor(rho1, np.eye(n2) / n2)
-        rho = dagger(u) @ direct_sum_embed(block, dim) @ u
-        for op in channel.operators:
-            defect = max(defect, float(np.linalg.norm(commutator(op, rho))))
-    return defect <= threshold, defect
+        states.append(dagger(u) @ direct_sum_embed(block, dim) @ u)
+    per_operator = [
+        max((float(np.linalg.norm(commutator(op, rho))) for rho in states), default=0.0)
+        for op in channel.operators
+    ]
+    defect = max(per_operator)
+    return defect <= threshold, defect, per_operator
 
 
 def excitation_subspace(n_qubits: int, n_excited: int) -> np.ndarray:

@@ -2,16 +2,17 @@
 
 Maximizes J over the unitary chart by running BFGS (inverse-Hessian update,
 strong-Wolfe line search with c1=1e-4, c2=0.9) from ``num_restarts`` random
-initial points per candidate dimension pair.  Restart seeds are derived
-deterministically from the master seed and the (dims, restart) indices, so
-results do not depend on scheduling order.
+initial points per candidate dimension pair, one restart after another.
+Restart seeds are derived deterministically from the master seed and the
+(dims, restart) indices, so each restart can be reproduced on its own.  A
+near-decoherence-free winner is then polished by the same BFGS loop run on
+the squared commutation residual.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,7 @@ def bfgs_maximize(
     ``max_iterations``.  A failed line search returns the best point found so
     far with ``degraded=True`` instead of raising.  The objective and its
     gradient come from one ``value_and_gradient`` call per distinct point of
-    an iteration: the line search asks for J and dJ at the same trial points,
-    and the gradient at the accepted point is the one it already computed.
+    an iteration.
     """
     n1, n2 = dims
     if n1 * n2 > channel.dim:
@@ -126,29 +126,74 @@ def bfgs_maximize(
         raise ValidationError("initial parameters live on the wrong dimension")
 
     dim = channel.dim
-    evaluate, forget = _point_cache(
-        lambda x: value_and_gradient(channel, unpack(dim, x), n1, n2)
+
+    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+        j, gradient = value_and_gradient(channel, unpack(dim, x), n1, n2)
+        return -j, -gradient
+
+    x, trace, iterations, converged, degraded = _bfgs_minimize(
+        fg,
+        pack(initial),
+        config.max_iterations,
+        config.gradient_tolerance,
+        config.objective_tolerance,
+    )
+    return BfgsOutcome(
+        j_final=-trace[-1],
+        params_final=unpack(dim, x),
+        trace=tuple(-f for f in trace),
+        iterations=iterations,
+        converged=converged,
+        degraded=degraded,
     )
 
+
+def _bfgs_minimize(
+    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x: np.ndarray,
+    max_iterations: int,
+    gradient_tolerance: float,
+    objective_tolerance: float,
+) -> tuple[np.ndarray, list[float], int, bool, bool]:
+    """BFGS descent of f from ``x``, where ``fg(x)`` returns (f(x), grad f(x)).
+
+    Each iteration takes a strong-Wolfe line search along the quasi-Newton
+    direction, falling back to Armijo backtracking when it fails.  Stops when
+    |grad f| <= ``gradient_tolerance``, when an accepted step lowers f by no
+    more than ``objective_tolerance``, or after ``max_iterations``; a failed
+    backtracking stops with ``degraded``.  Returns (x, the f value after each
+    iteration starting from the initial one, iterations, converged, degraded).
+
+    ``fg`` runs at most once per distinct point of an iteration: the line
+    search asks for f and grad f separately at the same trial points, the
+    gradient at the accepted point is one it already computed, and the
+    backtracking retries step lengths a failed line search already tried.
+    """
+    seen: dict[bytes, tuple[float, np.ndarray]] = {}
+
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+        key = x.tobytes()
+        if key not in seen:
+            seen[key] = fg(x)
+        return seen[key]
+
     def f(x: np.ndarray) -> float:
-        return -evaluate(x)[0]
+        return evaluate(x)[0]
 
     def g(x: np.ndarray) -> np.ndarray:
-        return -evaluate(x)[1]
+        return evaluate(x)[1]
 
-    x = pack(initial)
-    fx = f(x)
-    gx = g(x)
+    fx, gx = evaluate(x)
     n = x.size
     h = np.eye(n)
-    trace = [-fx]
+    trace = [fx]
     converged = False
     degraded = False
     iterations = 0
 
-    for it in range(1, config.max_iterations + 1):
-        forget()
-        if np.linalg.norm(gx) <= config.gradient_tolerance:
+    for it in range(1, max_iterations + 1):
+        seen.clear()  # keep only the current iteration's points
+        if np.linalg.norm(gx) <= gradient_tolerance:
             converged = True
             break
         iterations = it
@@ -162,7 +207,7 @@ def bfgs_maximize(
                 f, g, x, p, gfk=gx, old_fval=fx, c1=WOLFE_C1, c2=WOLFE_C2, maxiter=25
             )
         if alpha is None:
-            # Armijo backtracking fallback; keeps the ascent monotone.
+            # Armijo backtracking fallback; keeps the descent monotone.
             alpha, f_new = _backtrack(f, x, p, fx, gx)
             if alpha is None:
                 degraded = True
@@ -182,41 +227,14 @@ def bfgs_maximize(
             ) * np.outer(s, s)
         improvement = fx - f_new
         x, fx, gx = x_new, f_new, g_new
-        trace.append(-fx)
-        if 0 <= improvement <= config.objective_tolerance:
+        trace.append(fx)
+        if 0 <= improvement <= objective_tolerance:
             converged = True
             break
 
-    if np.linalg.norm(gx) <= config.gradient_tolerance:
+    if np.linalg.norm(gx) <= gradient_tolerance:
         converged = True
-
-    return BfgsOutcome(
-        j_final=-fx,
-        params_final=unpack(dim, x),
-        trace=tuple(trace),
-        iterations=iterations,
-        converged=converged,
-        degraded=degraded,
-    )
-
-
-def _point_cache(fn):
-    """``fn`` of a point, computed at most once per point until ``forget()``.
-
-    Returns (cached, forget).  An optimizer asks for the value and the
-    gradient separately at the same trial points, and a backtracking fallback
-    retries the step lengths a failed line search already tried; forgetting
-    once per iteration keeps only the current iteration's points.
-    """
-    seen = {}
-
-    def cached(x: np.ndarray):
-        key = x.tobytes()
-        if key not in seen:
-            seen[key] = fn(x)
-        return seen[key]
-
-    return cached, seen.clear
+    return x, trace, iterations, converged, degraded
 
 
 def _backtrack(f, x, p, fx, gx, shrink: float = 0.5, max_steps: int = 40):
@@ -249,72 +267,34 @@ def _dfs_residual(ops: np.ndarray, u: np.ndarray, n1: int, n2: int) -> np.ndarra
 
 def _residual_with_gradient(
     ops: np.ndarray, dims: tuple[int, int], x: np.ndarray
-) -> tuple[float, Callable[[], np.ndarray]]:
-    """sum_k ||r_k||^2 of ``_dfs_residual`` at packed ``x``, and a function
-    that returns its gradient there without realizing U again.
+) -> tuple[float, np.ndarray]:
+    """sum_k ||r_k||^2 of ``_dfs_residual`` at packed ``x``, and its gradient.
 
     r_k is the part of C_k orthogonal to the operators that act as I (x) M on
     the encoded block, so d sum_k ||r_k||^2 = 2 sum_k Re tr(r_k^dag dC_k).
     """
     u, pullback = realize_vjp(unpack(ops.shape[1], x))
     r = _dfs_residual(ops, u, *dims)
-    return float(np.sum(np.abs(r) ** 2)), lambda: pullback(conjugation_adjoint(ops, u, 2.0 * r))
+    return float(np.sum(np.abs(r) ** 2)), pullback(conjugation_adjoint(ops, u, 2.0 * r))
 
 
 def _polish_dfs(
-    channel: KrausChannel,
-    dims: tuple[int, int],
-    start: UnitaryParams,
-    max_iterations: int = 400,
+    channel: KrausChannel, dims: tuple[int, int], start: UnitaryParams
 ) -> UnitaryParams:
     """Refine a near-decoherence-free encoding by minimizing the squared
-    commutation residual.
+    commutation residual with the search's BFGS loop.
 
     Near the optimum J saturates float64 resolution around 1.0, leaving a
     parameter error ~1e-5; the residual instead vanishes at the optimum, so
     it keeps full relative accuracy and the refined encoding passes the
-    commutation check with orders of magnitude to spare.
+    commutation check with orders of magnitude to spare.  The loop runs until
+    a step stops lowering the residual at all, the gradient norm reaches
+    1e-14, or 400 iterations.
     """
     ops = channel.stack()
-    # The backtracking evaluates values only; the gradient at the accepted
-    # point, its last trial, then reuses that point's realization.
-    evaluate, forget = _point_cache(lambda x: _residual_with_gradient(ops, dims, x))
-
-    def value(x: np.ndarray) -> float:
-        forget()  # trials never repeat, so only the latest is worth keeping
-        return evaluate(x)[0]
-
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        fx, gradient = evaluate(x)
-        return fx, gradient()
-
-    x = pack(start)
-    fx, gx = fg(x)
-    n = x.size
-    h = np.eye(n)
-    for _ in range(max_iterations):
-        if fx <= 1e-26 or np.linalg.norm(gx) <= 1e-14:
-            break
-        p = -h @ gx
-        if p @ gx >= 0:
-            h = np.eye(n)
-            p = -gx
-        alpha, _ = _backtrack(value, x, p, fx, gx)
-        if alpha is None:
-            break
-        x_new = x + alpha * p
-        f_new, g_new = fg(x_new)
-        if f_new >= fx:
-            break
-        s, y = x_new - x, g_new - gx
-        sy = s @ y
-        if sy > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
-            rho = 1.0 / sy
-            hs = h @ y
-            h = h - rho * (np.outer(s, hs) + np.outer(hs, s)) + rho * (
-                rho * (y @ hs) + 1.0
-            ) * np.outer(s, s)
-        x, fx, gx = x_new, f_new, g_new
+    x, *_ = _bfgs_minimize(
+        lambda x: _residual_with_gradient(ops, dims, x), pack(start), 400, 1e-14, 0.0
+    )
     return unpack(channel.dim, x)
 
 
@@ -332,13 +312,11 @@ def default_candidate_dims(dim: int, n1: int = 2) -> tuple[tuple[int, int], ...]
 def find_mns(
     channel: KrausChannel,
     config: SearchConfig,
-    threads: int = 1,
 ) -> dict[tuple[int, int], SearchResult]:
     """Multi-start search over every candidate dimension pair in the config.
 
     Returns one SearchResult per (n1, n2); the best restart wins, ties by
-    lowest restart index.  With ``threads > 1`` restarts run in a thread
-    pool; the outcome is identical to the serial order.
+    lowest restart index.
     """
     dims_list = config.candidate_dims or default_candidate_dims(channel.dim)
     results: dict[tuple[int, int], SearchResult] = {}
@@ -347,33 +325,30 @@ def find_mns(
             raise ValidationError(
                 f"candidate dims ({n1},{n2}) exceed channel dim {channel.dim}"
             )
-
-        def run_one(r: int, di=di, n1=n1, n2=n2) -> tuple[RestartRecord, UnitaryParams]:
+        records = []
+        final_params = []
+        for r in range(config.num_restarts):
             seed_key = (config.seed, di, r)
             rng = np.random.default_rng(np.random.SeedSequence(seed_key))
             outcome = bfgs_maximize(channel, (n1, n2), _initial_point(channel.dim, rng), config)
-            return RestartRecord(
-                index=r,
-                seed=seed_key,
-                final_j=outcome.j_final,
-                iterations=outcome.iterations,
-                converged=outcome.converged,
-                degraded=outcome.degraded,
-                trace=outcome.trace,
-            ), outcome.params_final
+            records.append(
+                RestartRecord(
+                    index=r,
+                    seed=seed_key,
+                    final_j=outcome.j_final,
+                    iterations=outcome.iterations,
+                    converged=outcome.converged,
+                    degraded=outcome.degraded,
+                    trace=outcome.trace,
+                )
+            )
+            final_params.append(outcome.params_final)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(run_one, range(config.num_restarts)))
-        else:
-            outcomes = [run_one(r) for r in range(config.num_restarts)]
-
-        records = tuple(rec for rec, _ in outcomes)
-        finals = np.array([rec.final_j for rec in records])
-        best = int(np.argmax(finals))
-        best_j = float(finals[best])
-        agreement = float(np.mean(finals >= best_j - 1e-6))
-        best_params = outcomes[best][1]
+        final_j = np.array([rec.final_j for rec in records])
+        best = int(np.argmax(final_j))
+        best_j = float(final_j[best])
+        agreement = float(np.mean(final_j >= best_j - 1e-6))
+        best_params = final_params[best]
         if best_j >= 1.0 - config.dfs_threshold:
             # Near-DFS winner: polish against the commutation residual, which
             # stays resolvable long after J has saturated near 1.
@@ -387,7 +362,7 @@ def find_mns(
             best_params=best_params,
             best_restart=best,
             is_dfs=best_j >= 1.0 - config.dfs_threshold,
-            per_restart=records,
+            per_restart=tuple(records),
             agreement_fraction=agreement,
         )
     return results

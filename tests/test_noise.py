@@ -224,20 +224,22 @@ def test_default_dt():
 
 def test_dfs_check_exact_encoding_passes():
     ch = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), 1e-3)
-    ok, defect = dfs_check(ch, collective_dfs_encoding(3), 2, 2)
+    ok, defect, _ = dfs_check(ch, collective_dfs_encoding(3), 2, 2)
     assert ok
     assert defect <= 1e-12
 
 
 def test_dfs_check_random_encoding_fails():
     ch = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), 1e-3)
-    ok, defect = dfs_check(ch, haar_random_unitary(8, 42), 2, 2)
+    ok, defect, per_operator = dfs_check(ch, haar_random_unitary(8, 42), 2, 2)
     assert not ok
     assert defect > 1e-4
+    assert len(per_operator) == len(ch.operators)
+    assert defect == max(per_operator)
 
 
 def test_dfs_check_identity_channel_trivially_passes():
-    ok, defect = dfs_check(identity_channel(8), haar_random_unitary(8, 0), 2, 2)
+    ok, defect, _ = dfs_check(identity_channel(8), haar_random_unitary(8, 0), 2, 2)
     assert ok
     assert defect == 0.0
     with pytest.raises(ValidationError):

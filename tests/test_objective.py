@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -280,3 +282,9 @@ def test_dimension_mismatch_raises():
         objective(ch, candidate(2, 2, zero_params(8)))
     with pytest.raises(ValidationError):
         objective_of_unitary(ch, np.eye(4), 3, 2)
+
+
+def test_package_does_not_shadow_the_objective_module():
+    import mns.objective as module
+
+    assert isinstance(module, types.ModuleType)

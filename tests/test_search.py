@@ -4,6 +4,9 @@ import pytest
 from mns.errors import ValidationError
 from mns.linalg import block_projector, dagger
 from mns.noise import (
+    collective_xz,
+    default_dt,
+    dfs_check,
     identity_channel,
     lindblad_to_kraus,
     perturbed_collective,
@@ -21,7 +24,7 @@ from mns.search import (
     subspace_projector,
 )
 import mns.search
-from mns.search import _dfs_residual, _initial_point, _residual_with_gradient
+from mns.search import _dfs_residual, _initial_point, _polish_dfs, _residual_with_gradient
 
 from conftest import P_ONE_EXCITED, P_TWO_EXCITED, TIGHT
 
@@ -63,12 +66,18 @@ def test_bfgs_evaluates_each_point_once(
 ):
     seen: list[bytes] = []
     fused = mns.search.value_and_gradient
+    residual = mns.search._residual_with_gradient
 
     def counted(channel, params, n1, n2):
         seen.append(pack(params).tobytes())
         return fused(channel, params, n1, n2)
 
+    def counted_residual(ops, dims, x):
+        seen.append(x.tobytes())
+        return residual(ops, dims, x)
+
     monkeypatch.setattr(mns.search, "value_and_gradient", counted)
+    monkeypatch.setattr(mns.search, "_residual_with_gradient", counted_residual)
     # the collective restart converges through the line search alone; the
     # flat local-dephasing landscape also sends steps to the backtracking
     # fallback, which retries step lengths the line search already tried
@@ -86,6 +95,12 @@ def test_bfgs_evaluates_each_point_once(
             # one evaluation per iteration plus the start and the rare extra
             # line-search trial (the unfused loop made about three)
             assert len(seen) <= 1.1 * out.iterations + 1
+            near_dfs = out.params_final
+    # the polish runs the same loop on the commutation residual
+    seen.clear()
+    _polish_dfs(collective_channel, (2, 2), near_dfs)
+    assert len(seen) > 1
+    assert len(set(seen)) == len(seen)
 
 
 def test_residual_gradient_matches_finite_differences():
@@ -99,9 +114,8 @@ def test_residual_gradient_matches_finite_differences():
     def residual(x):
         return float(np.sum(np.abs(_dfs_residual(ops, realize(unpack(8, x)), 2, 2)) ** 2))
 
-    value, gradient = _residual_with_gradient(ops, (2, 2), x0)
+    value, grad = _residual_with_gradient(ops, (2, 2), x0)
     assert value == residual(x0)
-    grad = gradient()
     h = 1e-6
     fd = np.array(
         [(residual(x0 + h * e) - residual(x0 - h * e)) / (2 * h) for e in np.eye(x0.size)]
@@ -231,15 +245,14 @@ def test_projector_distance_and_containment():
     assert containment_defect(q, p) == 1.0
 
 
-def test_find_mns_threads_match_serial(collective_channel):
-    cfg = SearchConfig(num_restarts=2, seed=3, candidate_dims=((2, 2),))
-    serial = find_mns(collective_channel, cfg, threads=1)[(2, 2)]
-    parallel = find_mns(collective_channel, cfg, threads=2)[(2, 2)]
-    assert serial.best_j == parallel.best_j
-    assert serial.best_restart == parallel.best_restart
-    assert np.array_equal(serial.best_params.phases, parallel.best_params.phases)
-    assert np.array_equal(serial.best_params.angles, parallel.best_params.angles)
-    assert [r.final_j for r in serial.per_restart] == [r.final_j for r in parallel.per_restart]
+def test_find_mns_four_qubit_collective_encoding_is_exact():
+    model = collective_xz(4, 1.0, 1.0)
+    channel = lindblad_to_kraus(model, default_dt(model))
+    config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((2, 1),))
+    result = find_mns(channel, config)[(2, 1)]
+    assert result.is_dfs
+    ok, defect, _ = dfs_check(channel, realize(result.best_params), 2, 1, threshold=1e-8)
+    assert ok, defect
 
 
 def test_find_mns_rejects_oversized_dims(collective_channel):
