@@ -16,8 +16,8 @@ Fidelity of an encoding U with dims (n1, n2) for a logical pure state psi:
 
 where decode keeps the raw (unrenormalized) projected partial trace, so
 population that leaks out of the encoded block counts as infidelity.  The
-worst case minimizes f over pure states by a dense chart grid followed by
-Nelder-Mead refinement.
+worst case minimizes f over pure states: exactly for a qubit (a quadratic on
+the Bloch sphere), by multi-start BFGS descent for larger logical dimensions.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize
+from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .linalg import dagger, partial_trace_2, tensor
 from .noise import LindbladModel, default_dt, lindblad_to_kraus
 from .parametrization import UnitaryParams, realize
-from .search import SearchConfig, find_mns
+from .search import SearchConfig, _bfgs_minimize, find_mns
 
 __all__ = [
     "EvolvedChannel",
@@ -169,61 +169,69 @@ def _logical_map(u: np.ndarray, dims: tuple[int, int], evolved: EvolvedChannel) 
     return out
 
 
-def _qubit_grid(n_theta: int = 64, n_phi: int = 128) -> np.ndarray:
-    theta = np.linspace(0.0, np.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    return np.stack([tt.reshape(-1), pp.reshape(-1)], axis=1)
+# Columns vec(sigma_mu)/2 for sigma = (I, X, Y, Z): vec((I + r.sigma)/2) = _BLOCH @ (1, r).
+_BLOCH = 0.5 * np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]]).T
 
 
-def _qubit_state(chart: np.ndarray) -> np.ndarray:
-    theta, phi = chart[..., 0], chart[..., 1]
-    return np.stack(
-        [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1
-    )
+def _sphere_minimum(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Unit r minimizing b.r + r^T c r for symmetric 3x3 c: the trust-region
+    boundary problem (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553
+    (1983)).  With c = V diag(lam) V^T and beta = V^T b, r = V y where
+    y_i = -beta_i / (2 (lam_i - mu)) and mu < lam_0 is the root of |y| = 1, or
+    mu = lam_0 in the hard case (beta_0 = 0 and |y(lam_0)| <= 1).  y_0 comes
+    from |y| = 1, which stays accurate where mu sits next to lam_0."""
+    lam, v = np.linalg.eigh(c)
+    beta = v.T @ b
+
+    def y(mu: float) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(beta == 0.0, 0.0, -beta / (2.0 * (lam - mu)))
+
+    mu = lam[0]
+    if np.linalg.norm(y(mu)) > 1.0:  # |y| <= 1/2 at lam_0 - |b|; nextafter keeps that below lam_0
+        low = np.nextafter(lam[0] - np.linalg.norm(b), -np.inf)
+        mu = brentq(lambda m: 1.0 / np.linalg.norm(y(m)) - 1.0, low, lam[0], xtol=1e-300)
+    # mu can round onto a degenerate lam_i with beta_i != 0; that pole is a flat direction
+    rest = np.nan_to_num(y(mu)[1:], posinf=0.0, neginf=0.0)
+    r = v @ np.concatenate([[-np.copysign(np.sqrt(max(0.0, 1.0 - rest @ rest)), beta[0])], rest])
+    return r / np.linalg.norm(r)
 
 
-def _qutrit_grid(n: int = 8) -> np.ndarray:
-    a = np.linspace(0.0, np.pi / 2.0, n)
-    b = np.linspace(0.0, np.pi / 2.0, n)
-    c = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    d = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    gg = np.meshgrid(a, b, c, d, indexing="ij")
-    return np.stack([g.reshape(-1) for g in gg], axis=1)
+def _descent_minimum(gmat: np.ndarray, n1: int) -> float:
+    """Least f(z/|z|) reached by BFGS over (Re z, Im z) from every basis state
+    and every equal-weight pair of basis states with relative phase 1 or i.
+    f = v^H S v / 2 with v = vec(z z^dag) and S = G + G^H; its z-gradient is
+    K z with K = unvec(S v).  BFGS stops on saddles, and the starts are saddles
+    of every map that commutes with diagonal phases, so the best point leaves
+    along negative curvature until there is none or it lowers f no further."""
+    s = gmat + dagger(gmat)
+
+    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+        z = x[:n1] + 1j * x[n1:]
+        kz = (s @ np.outer(z, z.conj()).reshape(-1)).reshape(n1, n1) @ z
+        norm2 = x @ x
+        value = 0.5 * np.real(z.conj() @ kz) / norm2**2
+        return value, 2.0 * np.concatenate([kz.real, kz.imag]) / norm2**2 - 4.0 * value * x / norm2
+
+    def descend(x0: np.ndarray) -> tuple[float, np.ndarray]:
+        x, trace, *_ = _bfgs_minimize(fg, x0, 200, 1e-12, 0.0)
+        return trace[-1], x / np.linalg.norm(x)
+
+    eye = np.eye(2 * n1)  # eye[a] is |a>, eye[n1 + a] is i|a>
+    pairs = [eye[a] + eye[b + k] for a in range(n1) for b in range(a + 1, n1) for k in (0, n1)]
+    best, x = min(map(descend, [*eye[:n1], *pairs]), key=lambda found: found[0])
+    while True:
+        hess = np.array([fg(x + d)[1] - fg(x - d)[1] for d in 1e-5 * eye]) / 2e-5
+        lam, vec = np.linalg.eigh(hess)
+        if not (lam[0] < -1e-6 and (found := descend(x + 0.1 * vec[:, 0]))[0] < best):
+            return float(best)
+        best, x = found
 
 
-def _qutrit_state(chart: np.ndarray) -> np.ndarray:
-    a, b, c, d = (chart[..., i] for i in range(4))
-    return np.stack(
-        [
-            np.cos(a),
-            np.sin(a) * np.cos(b) * np.exp(1j * c),
-            np.sin(a) * np.sin(b) * np.exp(1j * d),
-        ],
-        axis=-1,
-    )
-
-
-def _fidelities(gmat: np.ndarray, states: np.ndarray, n1: int) -> np.ndarray:
-    g4 = gmat.reshape(n1, n1, n1, n1)
-    return np.real(
-        np.einsum("abcd,na,nb,nc,nd->n", g4, states.conj(), states, states, states.conj(), optimize=True)
-    )
-
-
-def worst_case_fidelity(
-    u: np.ndarray,
-    dims: tuple[int, int],
-    evolved: EvolvedChannel,
-    refine_starts: int = 3,
-) -> float:
-    """Minimize f(psi) over pure logical states.
-
-    Qubits use a 64x128 Bloch-sphere grid, qutrits an 8^4 grid over a
-    4-real-parameter chart; the best grid points seed Nelder-Mead refinement.
-    Other logical dimensions fall back to a seeded random sample plus
-    refinement over a generic chart.
-    """
+def worst_case_fidelity(u: np.ndarray, dims: tuple[int, int], evolved: EvolvedChannel) -> float:
+    """Minimize f(psi) over pure logical states: exactly for a qubit, where f
+    is a quadratic a + b.r + r^T C r in the Bloch vector (``_sphere_minimum``),
+    and by the multi-start descent of ``_descent_minimum`` otherwise."""
     n1, n2 = dims
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (evolved.dim, evolved.dim):
@@ -231,35 +239,12 @@ def worst_case_fidelity(
     if n1 * n2 > evolved.dim:
         raise ValidationError(f"encoded block {n1}x{n2} exceeds dim {evolved.dim}")
     gmat = _logical_map(u, dims, evolved)
-
-    if n1 == 2:
-        grid, to_state = _qubit_grid(), _qubit_state
-    elif n1 == 3:
-        grid, to_state = _qutrit_grid(), _qutrit_state
-    else:
-        rng = np.random.default_rng(1234)
-        raw = rng.standard_normal((20000, 2 * n1))
-        vecs = raw[:, :n1] + 1j * raw[:, n1:]
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        vals = _fidelities(gmat, vecs, n1)
-        return float(vals.min())
-
-    vals = _fidelities(gmat, to_state(grid), n1)
-    best = float(vals.min())
-
-    def f_chart(chart: np.ndarray) -> float:
-        psi = to_state(np.asarray(chart))
-        return float(_fidelities(gmat, psi[None, :], n1)[0])
-
-    for idx in np.argsort(vals)[:refine_starts]:
-        res = minimize(
-            f_chart,
-            grid[idx],
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-        )
-        best = min(best, float(res.fun))
-    return best
+    if n1 != 2:
+        return _descent_minimum(gmat, n1)
+    q = np.real(dagger(_BLOCH) @ gmat @ _BLOCH)
+    b, c = q[0, 1:] + q[1:, 0], 0.5 * (q[1:, 1:] + q[1:, 1:].T)
+    r = _sphere_minimum(b, c)
+    return float(q[0, 0] + b @ r + r @ c @ r)
 
 
 @dataclass(frozen=True)

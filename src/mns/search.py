@@ -20,7 +20,7 @@ from scipy.optimize import line_search
 
 from .errors import ValidationError
 from .linalg import block_projector, dagger
-from .noise import KrausChannel
+from .noise import KrausChannel, dfs_check
 from .objective import conjugation_adjoint, objective_of_unitary, value_and_gradient
 from .parametrization import (
     UnitaryParams,
@@ -316,7 +316,8 @@ def find_mns(
     """Multi-start search over every candidate dimension pair in the config.
 
     Returns one SearchResult per (n1, n2); the best restart wins, ties by
-    lowest restart index.
+    lowest restart index.  ``is_dfs`` needs J within ``dfs_threshold`` of 1
+    and a passing ``dfs_check`` of the reported encoding.
     """
     dims_list = config.candidate_dims or default_candidate_dims(channel.dim)
     results: dict[tuple[int, int], SearchResult] = {}
@@ -361,7 +362,8 @@ def find_mns(
             best_j=best_j,
             best_params=best_params,
             best_restart=best,
-            is_dfs=best_j >= 1.0 - config.dfs_threshold,
+            is_dfs=best_j >= 1.0 - config.dfs_threshold
+            and dfs_check(channel, realize(best_params), n1, n2)[0],
             per_restart=tuple(records),
             agreement_fraction=agreement,
         )

@@ -191,6 +191,20 @@ def test_find_mns_perturbed_model_not_dfs():
     assert res[(2, 2)].best_j < 1.0 - 1e-6
 
 
+def test_find_mns_near_dfs_optimum_with_commutation_defect_is_not_dfs():
+    # configs/determinism_small.json at delta = 0.05: the best J lies within
+    # dfs_threshold of 1, yet the encoding fails the commutation check.
+    v = random_perturbation_unitary(8, 0.05, "global", seed=9)
+    model = perturbed_collective(3, 1.0, 1.0, v)
+    channel = lindblad_to_kraus(model, default_dt(model))
+    config = SearchConfig(num_restarts=3, max_iterations=400, seed=5, candidate_dims=((2, 2),))
+    result = find_mns(channel, config)[(2, 2)]
+    assert result.best_j >= 1.0 - config.dfs_threshold
+    passed, defect, _ = dfs_check(channel, realize(result.best_params), 2, 2)
+    assert not passed and defect > 1e-4
+    assert not result.is_dfs
+
+
 def test_best_j_invariant_across_master_seeds(
     collective_channel, collective_search, local_dephasing_channel, local_dephasing_search
 ):
