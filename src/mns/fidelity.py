@@ -32,7 +32,7 @@ from scipy.optimize import brentq
 from .errors import ValidationError
 from .linalg import dagger, partial_trace_2, tensor
 from .noise import LindbladModel, default_dt, lindblad_to_kraus
-from .parametrization import UnitaryParams, realize
+from .parametrization import UnitaryParams, polar, realize
 from .search import SearchConfig, _bfgs_minimize, find_mns
 
 __all__ = [
@@ -200,18 +200,18 @@ def _sphere_minimum(b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _descent_minimum(gmat: np.ndarray, n1: int) -> float:
     """Least f(z/|z|) reached by BFGS over (Re z, Im z) from every basis state
     and every equal-weight pair of basis states with relative phase 1 or i.
-    f = v^H S v / 2 with v = vec(z z^dag) and S = G + G^H; its z-gradient is
-    K z with K = unvec(S v).  BFGS stops on saddles, and the starts are saddles
+    f = v^H S v / 2 with v = vec(z z^dag) and S = G + G^H; at a unit z its
+    gradient is 2 K z with K = unvec(S v), and the normalization z/|z| is the
+    m = 1 case of ``polar``.  BFGS stops on saddles, and the starts are saddles
     of every map that commutes with diagonal phases, so the best point leaves
     along negative curvature until there is none or it lowers f no further."""
     s = gmat + dagger(gmat)
 
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        z = x[:n1] + 1j * x[n1:]
+        v, pullback = polar(x, 1)
+        z = v[0]
         kz = (s @ np.outer(z, z.conj()).reshape(-1)).reshape(n1, n1) @ z
-        norm2 = x @ x
-        value = 0.5 * np.real(z.conj() @ kz) / norm2**2
-        return value, 2.0 * np.concatenate([kz.real, kz.imag]) / norm2**2 - 4.0 * value * x / norm2
+        return 0.5 * float(np.real(z.conj() @ kz)), pullback(2.0 * kz[None, :])
 
     def descend(x0: np.ndarray) -> tuple[float, np.ndarray]:
         x, trace, *_ = _bfgs_minimize(fg, x0, 200, 1e-12, 0.0)
@@ -294,53 +294,32 @@ def fidelity_sweep(
         channel = lindblad_to_kraus(model, dt if dt is not None else default_dt(model))
         result = find_mns(channel, config)[dims]
         ok = result.per_restart[result.best_restart].converged
-        return result, ok
+        return result, realize(result.best_params), ok
+
+    def point(param, model, t, found) -> FidelityPoint:
+        result, u_mns, ok = found
+        evolved = evolve(model, t)
+        return FidelityPoint(
+            param=param,
+            fi_mns=worst_case_fidelity(u_mns, dims, evolved),
+            fi_dfs=worst_case_fidelity(u_dfs, dims, evolved),
+            j_opt=result.best_j,
+            converged=ok,
+            mns_params=result.best_params,
+        )
 
     if mode == "tf":
         model = model_for(None)
-        result, ok = search_best(model)
-        u_mns = realize(result.best_params)
-        for t in grid:
-            evolved = evolve(model, t)
-            points.append(
-                FidelityPoint(
-                    param=t,
-                    fi_mns=worst_case_fidelity(u_mns, dims, evolved),
-                    fi_dfs=worst_case_fidelity(u_dfs, dims, evolved),
-                    j_opt=result.best_j,
-                    converged=ok,
-                    mns_params=result.best_params,
-                )
-            )
-        return points
+        found = search_best(model)
+        return [point(t, model, t, found) for t in grid]
 
     for value in grid:
         try:
             model = model_for(value)
-            result, ok = search_best(model)
-            u_mns = realize(result.best_params)
-            evolved = evolve(model, t_f)
-            points.append(
-                FidelityPoint(
-                    param=value,
-                    fi_mns=worst_case_fidelity(u_mns, dims, evolved),
-                    fi_dfs=worst_case_fidelity(u_dfs, dims, evolved),
-                    j_opt=result.best_j,
-                    converged=ok,
-                    mns_params=result.best_params,
-                )
-            )
+            points.append(point(value, model, t_f, search_best(model)))
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             logging.getLogger("mns").warning("sweep point %r failed: %s", value, error)
-            points.append(
-                FidelityPoint(
-                    param=value,
-                    fi_mns=float("nan"),
-                    fi_dfs=float("nan"),
-                    j_opt=float("nan"),
-                    converged=False,
-                    error=error,
-                )
-            )
+            nan = float("nan")
+            points.append(FidelityPoint(value, nan, nan, nan, converged=False, error=error))
     return points

@@ -22,11 +22,12 @@ which is what ``objective`` evaluates; ``coefficients`` exposes the full
 coefficient tensor, and ``reduced_channel`` rebuilds the logical channel by
 direct action, giving an independent route to p1.
 
-The gradient has one implementation, ``value_and_gradient``: it realizes U
-once, evaluates J from the traced blocks T_k, forms the matrix A with
-dJ = Re tr(A dU) (``conjugation_adjoint``), and pulls A back through the
-chart (``parametrization.realize_vjp``).  ``gradient`` (central finite
-differences) is the independent check it is tested against.
+The gradient has one implementation, ``value_and_gradient``: at the encoded
+rows V = U[:m] it returns J, split as a constant base plus the V-dependent
+rest, and the matrix G with dJ = Re tr(G^dag dV), which the search pulls back
+through its polar map (``parametrization.polar``).  ``gradient_analytic``
+contracts G with the chart partials of ``realize_with_partials``; the central
+differences of ``gradient`` are the independent check for both.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import NumericalConsistencyError, ValidationError
 from .linalg import dagger, partial_trace_2, pauli_basis, tensor
 from .noise import KrausChannel
-from .parametrization import UnitaryParams, pack, realize, realize_vjp, unpack
+from .parametrization import UnitaryParams, pack, realize, realize_with_partials, unpack
 
 __all__ = [
     "EncodingCandidate",
@@ -103,24 +104,33 @@ def transformed_kraus(channel: KrausChannel, u: np.ndarray) -> list[np.ndarray]:
     return [u @ op @ ud for op in channel.operators]
 
 
-def _traced_blocks(ops: np.ndarray, u: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Tr_H1 of the leading (n1*n2) block of U E_k U^dag, for all k at once."""
-    m = n1 * n2
-    rows = u[:m]
-    blocks = rows @ ops @ rows.conj().T
-    return np.einsum("kiaib->kab", blocks.reshape(-1, n1, n2, n1, n2))
+def _traced_blocks(ops: np.ndarray, u: np.ndarray, n1: int, n2: int) -> tuple[np.ndarray, ...]:
+    """The traced blocks T_k = Tr_H1(V E_k V^dag) of the rows V = U[:m], for
+    all k at once, as T_k = n1 a_k I + S_k: each E_k is split as a_k I + D_k
+    with a_k = tr(E_k)/N, whose identity part V V^dag = I maps to n1 a_k I
+    exactly, so only the O(dt) D_k go through products.  Returns (a, D, S)."""
+    m, dim = n1 * n2, ops.shape[1]
+    a = np.trace(ops, axis1=1, axis2=2) / dim
+    d = ops - a[:, None, None] * np.eye(dim)
+    blocks = u[:m] @ d @ u[:m].conj().T
+    return a, d, np.einsum("kiaib->kab", blocks.reshape(-1, n1, n2, n1, n2))
 
 
-def _objective_of_traced(traced: np.ndarray, n1: int, n2: int) -> float:
-    return float(np.sum(np.abs(traced) ** 2) / (n1 * n1 * n2))
+def _objective_terms(a: np.ndarray, s: np.ndarray, n1: int, n2: int) -> tuple[float, float]:
+    """J = sum_k ||n1 a_k I + S_k||^2 / (n1^2 n2) as (base, rest): the constant
+    base = sum_k |a_k|^2 and the V-dependent rest, each at full relative
+    precision, so that J = base + rest carries a single rounding."""
+    rest = 2 * n1 * np.real(np.sum(a.conj() * np.einsum("kaa->k", s))) + np.sum(np.abs(s) ** 2)
+    return float(np.sum(np.abs(a) ** 2)), float(rest / (n1 * n1 * n2))
 
 
 def objective_of_unitary(channel: KrausChannel, u: np.ndarray, n1: int, n2: int) -> float:
     """J for an explicit encoding unitary (not necessarily a chart point)."""
     if n1 * n2 > channel.dim:
         raise ValidationError(f"encoded block {n1}x{n2} exceeds channel dim {channel.dim}")
-    traced = _traced_blocks(channel.stack(), np.asarray(u, dtype=np.complex128), n1, n2)
-    return _objective_of_traced(traced, n1, n2)
+    a, _, s = _traced_blocks(channel.stack(), np.asarray(u, dtype=np.complex128), n1, n2)
+    base, rest = _objective_terms(a, s, n1, n2)
+    return base + rest
 
 
 def objective(channel: KrausChannel, cand: EncodingCandidate) -> float:
@@ -255,9 +265,7 @@ def conjugation_adjoint(ops: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.nda
 
     C_k = U E_k U^dag changes by dU E_k U^dag + U E_k dU^dag, so
     A = sum_k (E_k U^dag w_k^dag + E_k^dag U^dag w_k), summed as one matrix
-    product over the stacked Kraus operators and their adjoints.  Any
-    functional of the C_k whose differential is sum_k Re tr(w_k^dag dC_k) gets
-    its chart gradient as ``pullback(conjugation_adjoint(ops, u, w))``.
+    product over the stacked Kraus operators and their adjoints.
     """
     dim = u.shape[0]
     left = np.concatenate([ops, ops.conj().transpose(0, 2, 1)]) @ dagger(u)
@@ -266,34 +274,39 @@ def conjugation_adjoint(ops: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.nda
 
 
 def value_and_gradient(
-    channel: KrausChannel, params: UnitaryParams, n1: int, n2: int
-) -> tuple[float, np.ndarray]:
-    """J and dJ/dx at a chart point, from one realization of U.
+    channel: KrausChannel, v: np.ndarray, n1: int, n2: int
+) -> tuple[float, float, np.ndarray]:
+    """J = base + rest at the encoded rows V, and G with dJ = Re tr(G^dag dV).
 
-    J is the same float ``objective_of_unitary`` returns for ``realize(params)``.
-    With T_k the traced blocks, dJ = (2/(n1^2 n2)) sum_k Re tr(T_k^dag dT_k),
-    and Re tr(T^dag Tr_H1 X) = Re tr((I (x) T)^dag X_block), so the weights
-    handed to ``conjugation_adjoint`` are the embedded I (x) T_k.
+    base + rest is the same float ``objective_of_unitary`` returns for any U
+    with U[:m] = V.  base is fixed by the channel, so a search can follow
+    rest alone, which resolves changes of J far below J's own rounding.  With
+    W_k = I (x) T_k, dJ = (2/(n1^2 n2)) sum_k Re tr(T_k^dag dT_k) =
+    c sum_k Re tr(W_k^dag dC_k) for C_k = V D_k V^dag, so
+    G = c sum_k (W_k V D_k^dag + W_k^dag V D_k) with c = 2/(n1^2 n2).
     """
     dim = channel.dim
     if n1 < 1 or n2 < 1 or n1 * n2 > dim:
         raise ValidationError(f"encoded block {n1}x{n2} does not fit in channel dim {dim}")
-    if params.dim != dim:
-        raise ValidationError(f"chart dim {params.dim} does not match channel dim {dim}")
     m = n1 * n2
-    u, pullback = realize_vjp(params)
-    ops = channel.stack()
-    traced = _traced_blocks(ops, u, n1, n2)
-    w = np.zeros((ops.shape[0], dim, dim), dtype=np.complex128)
-    w[:, :m, :m] = np.einsum("ij,kab->kiajb", np.eye(n1), traced).reshape(-1, m, m)
-    w *= 2.0 / (n1 * n1 * n2)
-    return _objective_of_traced(traced, n1, n2), pullback(conjugation_adjoint(ops, u, w))
+    v = np.asarray(v, dtype=np.complex128)
+    if v.shape != (m, dim):
+        raise ValidationError(f"encoded rows must have shape {(m, dim)}, got {v.shape}")
+    a, d, s = _traced_blocks(channel.stack(), v, n1, n2)
+    w = np.einsum("ij,kab->kiajb", np.eye(n1), s + n1 * a[:, None, None] * np.eye(n2))
+    w = w.reshape(-1, m, m)
+    g = np.sum(w @ v @ d.conj().transpose(0, 2, 1) + w.conj().transpose(0, 2, 1) @ v @ d, axis=0)
+    return *_objective_terms(a, s, n1, n2), (2.0 / (n1 * n1 * n2)) * g
 
 
 def gradient_analytic(channel: KrausChannel, cand: EncodingCandidate) -> np.ndarray:
-    """dJ/dx at a candidate: the gradient half of ``value_and_gradient``.
+    """dJ/dx at a candidate: ``value_and_gradient``'s G contracted with the
+    chart partials of the encoded rows.
 
     Tests check it against the finite-difference ``gradient`` oracle.
     """
     _check_channel_candidate(channel, cand)
-    return value_and_gradient(channel, cand.params, cand.n1, cand.n2)[1]
+    u, du = realize_with_partials(cand.params)
+    m = cand.n1 * cand.n2
+    g = value_and_gradient(channel, u[:m], cand.n1, cand.n2)[2]
+    return np.real(np.einsum("ab,pab->p", g.conj(), du[:, :m]))

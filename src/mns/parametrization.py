@@ -19,25 +19,14 @@ and periodic, and ``realize`` of the all-zero vector is exactly the identity.
 Packed vector layout (used by the optimizer and finite differences):
 ``[diagonal phases | pair phases (lex) | angles (lex)]``.
 
-Gradients go through the chart's pullback (``realize_vjp``): for any N x N
-matrix A it returns g[p] = Re tr(A dU/dx_p) for every packed coordinate, the
-chain-rule step from a derivative with respect to U to one with respect to the
-chart.  Write F_q for the q-th Givens factor (K = N(N-1)/2 of them) and
-S_q = F_q F_{q+1} ... F_{K-1}, so U = D S_0.  Then
+``chart_of`` is the exact inverse of ``realize``: it peels the Givens factors
+off a unitary one column at a time.
 
-    dU/dphi_d   = i E_dd U                      ->  g = Re(i (U A)_dd),
-    dU/dx (F_q) = D S_0 S_q^dag (dF_q) S_{q+1}  ->  g = Re tr(dF_q C_q),
-
-with C_q = S_{q+1} (A U) S_q^dag.  Only the (i, j) block of C_q enters, and
-it is Y_q (A U) Y_q^dag f_q^dag, where Y_q holds rows i and j of S_{q+1} and
-f_q is the 2 x 2 block of F_q.  Those rows are exactly what ``realize``
-overwrites when it applies F_q (it builds U right to left), so it records
-them as it goes.  The pullback is then a few whole-array products (O(N^4)
-flops, but no Python loop over the K factors) and never forms a dU/dx_p.
-This is the forward/backward propagator trick of GRAPE (Khaneja et al.,
-J. Magn. Reson. 172, 296 (2005)) applied to the Givens chart.
-``realize_with_partials`` builds every dU/dx_p explicitly and is kept as
-the test oracle for the pullback.
+The search does not move through the chart.  J and the commutation residual
+depend on U only through its first m rows, an isometry V, which it reaches as
+the polar factor V = (X X^dag)^(-1/2) X of an unconstrained m x N matrix X
+(``polar``).  ``realize_with_partials`` builds every dU/dx_p explicitly; it is
+the oracle for the gradient in chart coordinates.
 """
 
 from __future__ import annotations
@@ -58,7 +47,8 @@ __all__ = [
     "zero_params",
     "random_params",
     "realize",
-    "realize_vjp",
+    "chart_of",
+    "polar",
     "realize_with_partials",
     "pack",
     "unpack",
@@ -154,111 +144,96 @@ def random_params(
     return UnitaryParams(dim, sphere(num_phases(dim), phase_norm), sphere(num_angles(dim), angle_norm))
 
 
-@lru_cache(maxsize=None)
-def _antidiagonals(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """The Givens factors grouped into layers of disjoint pairs.
-
-    Factors that share an index are applied in lexicographically descending
-    order, and along any such chain i + j strictly decreases, so applying the
-    anti-diagonals i + j = 2N-3, ..., 1 one after another, each as a single
-    vectorized step, gives the same product.  Returns (order, i, j, edges):
-    the factor indices sorted by layer, their row pairs, and the layer
-    boundaries in that order.
-    """
-    pairs = plane_pairs(dim)
-    order = np.array(
-        sorted(range(len(pairs)), key=lambda q: -(pairs[q][0] + pairs[q][1])), dtype=np.intp
-    )
-    ii = np.array([pairs[q][0] for q in order], dtype=np.intp)
-    jj = np.array([pairs[q][1] for q in order], dtype=np.intp)
-    edges = (0, *(np.flatnonzero(np.diff(ii + jj)) + 1).tolist(), len(pairs))
-    for shared in (order, ii, jj):  # cached: every caller gets the same arrays
-        shared.flags.writeable = False
-    return order, ii, jj, edges
+def _rotate(w: np.ndarray, i: int, j: int, c: float, s: float, e: complex):
+    """Apply [[c, -e s], [conj(e) s, c]] to rows i and j of ``w`` in place."""
+    ri, rj = w[i].copy(), w[j]
+    w[i] = c * ri - e * s * rj
+    w[j] = np.conj(e) * s * ri + c * rj
 
 
-def realize(params: UnitaryParams, tape: np.ndarray | None = None) -> np.ndarray:
+def realize(params: UnitaryParams) -> np.ndarray:
     """Evaluate the chart: return the N x N unitary for these coordinates.
 
     realize(zero_params(N)) is exactly the identity (entries 0 and 1, no
-    rounding); in general ||U^dag U - I||_F stays at the 1e-14 level.  If a
-    ``tape`` of shape (K, 2, N) is given, tape[q] receives rows (i, j) of the
-    partial product just before factor q = (i, j) is applied to it, which is
-    what ``realize_vjp`` needs; the returned unitary is the same either way.
+    rounding); in general ||U^dag U - I||_F stays at the 1e-14 level.
     """
     n = params.dim
     u = np.eye(n, dtype=np.complex128)
-    if n > 1:
-        # Right to left: the lexicographically last factor is applied first,
-        # one anti-diagonal layer of disjoint row pairs at a time.
-        order, ii, jj, edges = _antidiagonals(n)
-        th = params.angles[order]
-        c, s = np.cos(th)[:, None], np.sin(th)[:, None]
-        e = np.exp(1j * params.phases[n:][order])[:, None]
-        es, ecs = e * s, np.conj(e) * s
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            i, j = ii[lo:hi], jj[lo:hi]
-            ri, rj = u[i], u[j]
-            if tape is not None:
-                tape[order[lo:hi], 0] = ri
-                tape[order[lo:hi], 1] = rj
-            u[i] = c[lo:hi] * ri - es[lo:hi] * rj
-            u[j] = ecs[lo:hi] * ri + c[lo:hi] * rj
-    diag_phases = params.phases[:n]
-    if np.any(diag_phases != 0.0):
-        u = np.exp(1j * diag_phases)[:, None] * u
-    return u
+    pairs = plane_pairs(n)
+    # Right to left: the lexicographically last factor is applied first.
+    for idx in range(len(pairs) - 1, -1, -1):
+        th = params.angles[idx]
+        _rotate(u, *pairs[idx], np.cos(th), np.sin(th), np.exp(1j * params.phases[n + idx]))
+    return np.exp(1j * params.phases[:n])[:, None] * u
 
 
-def realize_vjp(
-    params: UnitaryParams,
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Realize the chart once and return (U, pullback).
+def chart_of(u: np.ndarray) -> UnitaryParams:
+    """Chart coordinates of a unitary: the inverse of ``realize``.
 
-    ``pullback(a)`` maps an N x N matrix A to the packed vector
-    g[p] = Re tr(A dU/dx_p) (see the module docstring), so a caller can build
-    A from U and then take the gradient without realizing U again.  U is
-    bit-for-bit ``realize(params)``.
+    D G(theta, phi) D^dag is the Givens factor G(theta, phi + d_i - d_j), so
+    U = W' D, with W' the chart product at shifted pair phases.  Column i of
+    the remaining product is exp(i d_i) times the first column of the group
+    G_(i,i+1) ... G_(i,N-1): the pivot's phase is d_i, each angle is
+    atan2(|c_j|, ||c_{<j}||) and each shifted phase is -arg c_j.  The group is
+    peeled off before the next column is read, and the shifts are undone at
+    the end.  realize(chart_of(u)) reproduces u to rounding.
     """
-    n = params.dim
-    k = num_angles(n)
-    tape = np.empty((k, 2, n), dtype=np.complex128)
-    u = realize(params, tape)
+    w = np.array(u, dtype=np.complex128)
+    n = w.shape[0]
+    if w.shape != (n, n):
+        raise ValidationError(f"expected a square matrix, got shape {w.shape}")
+    pairs = plane_pairs(n)
+    diag, angles, shifted = np.zeros(n), np.zeros(len(pairs)), np.zeros(len(pairs))
+    q = 0
+    for i in range(n):
+        diag[i] = np.angle(w[i, i])
+        col = w[i:, i] * np.exp(-1j * diag[i])
+        group = range(q, q + n - 1 - i)
+        angles[group] = np.arctan2(np.abs(col[1:]), np.sqrt(np.cumsum(np.abs(col[:-1]) ** 2)))
+        shifted[group] = -np.angle(col[1:])
+        c, s, e = np.cos(angles[group]), np.sin(angles[group]), np.exp(1j * shifted[group])
+        for t, j in enumerate(range(i + 1, n)):  # w <- G^dag w = G(-theta) w, leftmost first
+            _rotate(w, i, j, c[t], -s[t], e[t])
+        q += n - 1 - i
+    ii, jj = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return UnitaryParams(n, np.concatenate([diag, shifted + diag[jj] - diag[ii]]), angles)
 
-    def pullback(a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.complex128)
-        if a.shape != (n, n):
-            raise ValidationError(f"pullback needs a {n}x{n} matrix, got shape {a.shape}")
-        out = np.empty(n * n)
-        out[:n] = -np.einsum("dv,vd->d", u, a).imag  # Re(i (U A)_dd)
-        # z[q] = Y_q (A U) Y_q^dag, so g = Re tr(f_q^dag df_q z[q]); for the
-        # angle f_q^dag df_q is [[0, -e], [conj(e), 0]].
-        z = np.einsum(
-            "qan,qbn->qab", (tape.reshape(2 * k, n) @ (a @ u)).reshape(k, 2, n), tape.conj()
-        )
-        c, s = np.cos(params.angles), np.sin(params.angles)
-        e = np.exp(1j * params.phases[n:])
-        z_ij, z_ji = e.conj() * z[:, 0, 1], e * z[:, 1, 0]
-        out[n : n + k] = s * s * (z[:, 0, 0] - z[:, 1, 1]).imag + s * c * (z_ji + z_ij).imag
-        out[n + k :] = (z_ij - z_ji).real
-        return out
 
-    return u, pullback
+def polar(x: np.ndarray, m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The isometry V = (X X^dag)^(-1/2) X of the m x N matrix X packed as
+    x = [Re X | Im X] (row-major), and its pullback.
+
+    ``pullback(g)`` takes the gradient G of a real f(V), df = Re tr(G^dag dV),
+    to the gradient of f(V(x)) in x.  With X X^dag = Q diag(lam) Q^dag and
+    F = (X X^dag)^(-1/2), dF = Q((Q^dag dH Q) o K)Q^dag for dH = d(X X^dag),
+    where K_ij = -1/(s_i s_j (s_i + s_j)), s = sqrt(lam), divides differences
+    of lam^(-1/2).  So the pullback is F G + (M + M^dag) X with M =
+    Q((Q^dag X G^dag Q) o K)Q^dag: at orthonormal X, G - (G V^dag + V G^dag) V / 2.
+    """
+    half = x.size // 2
+    xm = (x[:half] + 1j * x[half:]).reshape(m, -1)
+    lam, q = np.linalg.eigh(xm @ xm.conj().T)
+    s = np.sqrt(lam)
+    f = (q / s) @ q.conj().T
+    kern = -1.0 / (s[:, None] * s * (s[:, None] + s))
+
+    def pullback(g: np.ndarray) -> np.ndarray:
+        qd = q.conj().T
+        mm = q @ ((qd @ xm @ g.conj().T @ q) * kern) @ qd
+        gx = f @ g + (mm + mm.conj().T) @ xm
+        return np.concatenate([gx.real.ravel(), gx.imag.ravel()])
+
+    return f @ xm, pullback
 
 
 def _factor_matrices(params: UnitaryParams) -> list[np.ndarray]:
+    """D, then every Givens factor as a dense N x N matrix, in chart order."""
     n = params.dim
-    pair_phases = params.phases[n:]
     mats = [np.diag(np.exp(1j * params.phases[:n]))]
     for idx, (i, j) in enumerate(plane_pairs(n)):
-        th, ph = params.angles[idx], pair_phases[idx]
         g = np.eye(n, dtype=np.complex128)
-        c, s = np.cos(th), np.sin(th)
-        e = np.exp(1j * ph)
-        g[i, i] = c
-        g[i, j] = -e * s
-        g[j, i] = np.conj(e) * s
-        g[j, j] = c
+        th = params.angles[idx]
+        _rotate(g, i, j, np.cos(th), np.sin(th), np.exp(1j * params.phases[n + idx]))
         mats.append(g)
     return mats
 
@@ -266,42 +241,30 @@ def _factor_matrices(params: UnitaryParams) -> list[np.ndarray]:
 def realize_with_partials(params: UnitaryParams) -> tuple[np.ndarray, np.ndarray]:
     """Return (U, dU) with dU[k] = dU/dx_k in packed-vector order.
 
-    Test oracle for ``realize_vjp``: the partials are exact per-factor
-    derivatives assembled from dense prefix/suffix products of the chart
-    factors, an (N^2, N, N) tensor the search itself never builds.
+    The partials are exact per-factor derivatives assembled from dense
+    prefix/suffix products of the chart factors, an (N^2, N, N) tensor the
+    search itself never builds.
     """
     n = params.dim
     pairs = plane_pairs(n)
     k = len(pairs)
     factors = _factor_matrices(params)
-    m = len(factors)
-
-    prefix = [np.eye(n, dtype=np.complex128)]
-    for f in factors[:-1]:
+    # prefix[q] = D F_0 ... F_{q-1} and suffix[q] = F_{q+1} ... F_{K-1}
+    prefix = [factors[0]]
+    for f in factors[1:]:
         prefix.append(prefix[-1] @ f)
-    suffix = [np.eye(n, dtype=np.complex128)] * m
-    acc = np.eye(n, dtype=np.complex128)
-    for idx in range(m - 1, -1, -1):
-        suffix[idx] = acc
-        acc = factors[idx] @ acc
-    u = acc  # full product
-
-    pair_phases = params.phases[n:]
-    out = np.zeros((n * n, n, n), dtype=np.complex128)
-
-    # Diagonal phases: dU/dphi_d = i * E_dd * U (D is the leftmost factor).
-    for d in range(n):
-        out[d, d, :] = 1j * u[d, :]
-
-    # Packed layout: [diag phases | pair phases | angles].
-    for idx, (i, j) in enumerate(pairs):
-        th, ph = params.angles[idx], pair_phases[idx]
-        c, s = np.cos(th), np.sin(th)
-        e = np.exp(1j * ph)
-        left = prefix[idx + 1][:, (i, j)]
-        right = suffix[idx + 1][(i, j), :]
+    suffix = [np.eye(n, dtype=np.complex128)]
+    for f in factors[:1:-1]:
+        suffix.insert(0, f @ suffix[0])
+    u = prefix[-1]
+    out = np.empty((n * n, n, n), dtype=np.complex128)
+    out[:n] = 1j * np.eye(n)[:, :, None] * u  # dU/dphi_d = i E_dd U
+    for q, (i, j) in enumerate(pairs):
+        c, s = np.cos(params.angles[q]), np.sin(params.angles[q])
+        e = np.exp(1j * params.phases[n + q])
+        left, right = prefix[q][:, (i, j)], suffix[q][(i, j), :]
         d_ph = np.array([[0.0, -1j * e * s], [-1j * np.conj(e) * s, 0.0]])
         d_th = np.array([[-s, -e * c], [np.conj(e) * c, -s]])
-        out[n + idx] = left @ d_ph @ right
-        out[n + k + idx] = left @ d_th @ right
+        out[n + q] = left @ d_ph @ right
+        out[n + k + q] = left @ d_th @ right
     return u, out

@@ -1,12 +1,14 @@
 """Multi-start BFGS search for minimal-noise encodings.
 
-Maximizes J over the unitary chart by running BFGS (inverse-Hessian update,
-strong-Wolfe line search with c1=1e-4, c2=0.9) from ``num_restarts`` random
-initial points per candidate dimension pair, one restart after another.
-Restart seeds are derived deterministically from the master seed and the
-(dims, restart) indices, so each restart can be reproduced on its own.  A
-near-decoherence-free winner is then polished by the same BFGS loop run on
-the squared commutation residual.
+Maximizes J by running BFGS (inverse-Hessian update, strong-Wolfe line
+search with c1=1e-4, c2=0.9) from ``num_restarts`` random initial points per
+candidate dimension pair, one restart after another.  J depends on the
+encoding unitary only through its first m = n1*n2 rows V, so BFGS moves an
+unconstrained m x N matrix X and evaluates J at V = ``polar``(X); results are
+reported in chart coordinates (``chart_of``).  Restart seeds are derived from
+the master seed and the (dims, restart) indices, so each restart can be
+reproduced on its own.  A near-decoherence-free winner is then polished by
+the same BFGS loop run on the squared commutation residual.
 """
 
 from __future__ import annotations
@@ -22,15 +24,7 @@ from .errors import ValidationError
 from .linalg import block_projector, dagger
 from .noise import KrausChannel, dfs_check
 from .objective import conjugation_adjoint, objective_of_unitary, value_and_gradient
-from .parametrization import (
-    UnitaryParams,
-    num_angles,
-    num_phases,
-    pack,
-    realize,
-    realize_vjp,
-    unpack,
-)
+from .parametrization import UnitaryParams, chart_of, num_angles, num_phases, polar, realize
 
 __all__ = [
     "SearchConfig",
@@ -115,9 +109,9 @@ def bfgs_maximize(
     Stops when the gradient norm falls below ``gradient_tolerance``, when an
     accepted step improves J by less than ``objective_tolerance``, or at
     ``max_iterations``.  A failed line search returns the best point found so
-    far with ``degraded=True`` instead of raising.  The objective and its
-    gradient come from one ``value_and_gradient`` call per distinct point of
-    an iteration.
+    far with ``degraded=True`` instead of raising.  X starts at the first
+    m = n1*n2 rows of ``realize(initial)``; J and its gradient come from one
+    ``value_and_gradient`` call per distinct point of an iteration.
     """
     n1, n2 = dims
     if n1 * n2 > channel.dim:
@@ -125,27 +119,44 @@ def bfgs_maximize(
     if initial.dim != channel.dim:
         raise ValidationError("initial parameters live on the wrong dimension")
 
-    dim = channel.dim
+    m = n1 * n2
+    start = realize(initial)[:m]
+    base = value_and_gradient(channel, start, n1, n2)[0]
 
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        j, gradient = value_and_gradient(channel, unpack(dim, x), n1, n2)
-        return -j, -gradient
+        # descend on -(J - base): the channel's constant base would round
+        # away changes of J below its last bit
+        v, pullback = polar(x, m)
+        _, rest, gradient = value_and_gradient(channel, v, n1, n2)
+        return -rest, -pullback(gradient)
 
     x, trace, iterations, converged, degraded = _bfgs_minimize(
         fg,
-        pack(initial),
+        _flat(start),
         config.max_iterations,
         config.gradient_tolerance,
         config.objective_tolerance,
     )
     return BfgsOutcome(
-        j_final=-trace[-1],
-        params_final=unpack(dim, x),
-        trace=tuple(-f for f in trace),
+        j_final=base - trace[-1],
+        params_final=chart_of(_complete(polar(x, m)[0])),
+        trace=tuple(base - f for f in trace),
         iterations=iterations,
         converged=converged,
         degraded=degraded,
     )
+
+
+def _flat(v: np.ndarray) -> np.ndarray:
+    """The packing [Re V | Im V] that ``polar`` reads."""
+    return np.concatenate([v.real.ravel(), v.imag.ravel()])
+
+
+def _complete(v: np.ndarray) -> np.ndarray:
+    """A unitary whose first rows are the isometry V: the rest span the
+    orthogonal complement of V's rows (complete-mode QR of V^dag)."""
+    q = np.linalg.qr(dagger(v), mode="complete")[0]
+    return np.vstack([v, dagger(q[:, v.shape[0] :])])
 
 
 def _bfgs_minimize(
@@ -254,13 +265,9 @@ def _dfs_residual(ops: np.ndarray, u: np.ndarray, n1: int, n2: int) -> np.ndarra
     component of the encoded block.  Zero for all k iff the encoding is
     exactly decoherence-free."""
     m = n1 * n2
-    c = u @ ops @ dagger(u)
-    r = c.copy()
-    blocks = c[:, :m, :m].reshape(-1, n1, n2, n1, n2)
-    mk = np.einsum("kiaib->kab", blocks) / n1
-    eye1 = np.eye(n1, dtype=np.complex128)
-    kept = np.einsum("ij,kab->kiajb", eye1, mk).reshape(-1, m, m)
-    r[:, :m, :m] -= kept
+    r = u @ ops @ dagger(u)
+    mk = np.einsum("kiaib->kab", r[:, :m, :m].reshape(-1, n1, n2, n1, n2)) / n1
+    r[:, :m, :m] -= np.einsum("ij,kab->kiajb", np.eye(n1), mk).reshape(-1, m, m)
     r[:, m:, m:] = 0.0
     return r
 
@@ -268,14 +275,21 @@ def _dfs_residual(ops: np.ndarray, u: np.ndarray, n1: int, n2: int) -> np.ndarra
 def _residual_with_gradient(
     ops: np.ndarray, dims: tuple[int, int], x: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """sum_k ||r_k||^2 of ``_dfs_residual`` at packed ``x``, and its gradient.
+    """sum_k ||r_k||^2 of ``_dfs_residual`` at V = polar(x), and its gradient.
 
     r_k is the part of C_k orthogonal to the operators that act as I (x) M on
-    the encoded block, so d sum_k ||r_k||^2 = 2 sum_k Re tr(r_k^dag dC_k).
+    the encoded block, so d sum_k ||r_k||^2 = 2 sum_k Re tr(r_k^dag dC_k) =
+    Re tr(A dU) with A = ``conjugation_adjoint``.  The residual does not
+    depend on how V is completed to U; the variation dU_perp = -U_perp dV^dag V
+    keeps U unitary, so the gradient in V is A[:, :m]^dag - V A[:, m:] U_perp.
     """
-    u, pullback = realize_vjp(unpack(ops.shape[1], x))
+    m = dims[0] * dims[1]
+    v, pullback = polar(x, m)
+    u = _complete(v)
     r = _dfs_residual(ops, u, *dims)
-    return float(np.sum(np.abs(r) ** 2)), pullback(conjugation_adjoint(ops, u, 2.0 * r))
+    a = conjugation_adjoint(ops, u, 2.0 * r)
+    gradient = dagger(a[:, :m]) - v @ a[:, m:] @ u[m:]
+    return float(np.sum(np.abs(r) ** 2)), pullback(gradient)
 
 
 def _polish_dfs(
@@ -292,10 +306,11 @@ def _polish_dfs(
     1e-14, or 400 iterations.
     """
     ops = channel.stack()
+    m = dims[0] * dims[1]
     x, *_ = _bfgs_minimize(
-        lambda x: _residual_with_gradient(ops, dims, x), pack(start), 400, 1e-14, 0.0
+        lambda x: _residual_with_gradient(ops, dims, x), _flat(realize(start)[:m]), 400, 1e-14, 0.0
     )
-    return unpack(channel.dim, x)
+    return chart_of(_complete(polar(x, m)[0]))
 
 
 def _initial_point(dim: int, rng: np.random.Generator) -> UnitaryParams:
@@ -316,8 +331,9 @@ def find_mns(
     """Multi-start search over every candidate dimension pair in the config.
 
     Returns one SearchResult per (n1, n2); the best restart wins, ties by
-    lowest restart index.  ``is_dfs`` needs J within ``dfs_threshold`` of 1
-    and a passing ``dfs_check`` of the reported encoding.
+    lowest restart index.  A winner with J within ``dfs_threshold`` of 1 is
+    polished; ``is_dfs`` is set, and the polished encoding reported, only if
+    it passes ``dfs_check``.  Otherwise the winner is reported as found.
     """
     dims_list = config.candidate_dims or default_candidate_dims(channel.dim)
     results: dict[tuple[int, int], SearchResult] = {}
@@ -350,20 +366,21 @@ def find_mns(
         best_j = float(final_j[best])
         agreement = float(np.mean(final_j >= best_j - 1e-6))
         best_params = final_params[best]
+        is_dfs = False
         if best_j >= 1.0 - config.dfs_threshold:
-            # Near-DFS winner: polish against the commutation residual, which
-            # stays resolvable long after J has saturated near 1.
+            # Near-DFS winner: polish against the commutation residual, which stays
+            # resolvable after J has saturated near 1; keep it only if it is a DFS.
             polished = _polish_dfs(channel, (n1, n2), best_params)
-            j_polished = objective_of_unitary(channel, realize(polished), n1, n2)
-            if j_polished >= best_j - 1e-12:
-                best_params, best_j = polished, float(j_polished)
+            u = realize(polished)
+            if dfs_check(channel, u, n1, n2)[0]:
+                best_params, is_dfs = polished, True
+                best_j = objective_of_unitary(channel, u, n1, n2)
         results[(n1, n2)] = SearchResult(
             dims=(n1, n2, channel.dim - n1 * n2),
             best_j=best_j,
             best_params=best_params,
             best_restart=best,
-            is_dfs=best_j >= 1.0 - config.dfs_threshold
-            and dfs_check(channel, realize(best_params), n1, n2)[0],
+            is_dfs=is_dfs,
             per_restart=tuple(records),
             agreement_fraction=agreement,
         )

@@ -5,13 +5,14 @@ from mns.errors import ValidationError
 from mns.linalg import dagger, haar_random_unitary
 from mns.parametrization import (
     UnitaryParams,
+    chart_of,
     num_angles,
     num_phases,
     pack,
     plane_pairs,
+    polar,
     random_params,
     realize,
-    realize_vjp,
     realize_with_partials,
     unpack,
     zero_params,
@@ -115,6 +116,11 @@ def test_chart_covers_u2():
         pp = np.angle(-v[0, 1]) - p0
         u = realize(UnitaryParams(2, np.array([p0, p1, pp]), np.array([th])))
         assert np.abs(u - v).max() <= 1e-10
+    # and chart_of inverts it at every size, permutation matrices included
+    for dim in (1, 2, 3, 4, 8, 16):
+        perms = [np.eye(dim)[rng.permutation(dim)] for _ in range(3)]
+        for u in [*(haar_random_unitary(dim, rng) for _ in range(10)), *perms]:
+            assert np.abs(realize(chart_of(u)) - u).max() <= 1e-14
 
 
 def test_realize_with_partials_matches_realize():
@@ -161,9 +167,7 @@ def _realize_one_factor_at_a_time(params):
     return np.exp(1j * params.phases[:n])[:, None] * u
 
 
-def test_realize_layers_match_factor_by_factor_product():
-    # realize applies disjoint factors together, one anti-diagonal at a time;
-    # each row still sees the same operations, so the result is bit-identical
+def test_realize_matches_factor_by_factor_product():
     rng = np.random.default_rng(6)
     for dim in (2, 3, 4, 5, 8, 16):
         for scale in (1.0, 1e-3):
@@ -175,17 +179,26 @@ def test_realize_layers_match_factor_by_factor_product():
             assert np.array_equal(realize(params), _realize_one_factor_at_a_time(params))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
-def test_realize_vjp_matches_partials_oracle(dim):
-    rng = np.random.default_rng(10 + dim)
-    angles = rng.uniform(-np.pi, np.pi, num_angles(dim))
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    # zero angles make identity factors, whose angle partials still count
-    for angles in (angles, np.where(np.arange(angles.size) % 2, angles, 0.0)):
-        params = UnitaryParams(dim, rng.uniform(-np.pi, np.pi, num_phases(dim)), angles)
-        u, pullback = realize_vjp(params)
-        assert np.array_equal(u, realize(params))
-        want = np.real(np.einsum("uv,pvu->p", a, realize_with_partials(params)[1]))
-        assert np.abs(pullback(a) - want).max() <= 1e-12
-    with pytest.raises(ValidationError):
-        pullback(np.eye(dim + 1))
+@pytest.mark.parametrize("m,dim", [(1, 1), (1, 3), (2, 8), (4, 8), (3, 16)])
+def test_polar_is_an_isometry_with_exact_pullback(m, dim):
+    rng = np.random.default_rng(10 + m + dim)
+    x = rng.standard_normal(2 * m * dim)
+    a = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
+    b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    def f(x):  # Re tr(A^dag V) + Re tr(V B V^dag)
+        v = polar(x, m)[0]
+        return np.real(np.vdot(a, v) + np.trace(v @ b @ dagger(v)))
+
+    v, pullback = polar(x, m)
+    assert np.abs(v @ dagger(v) - np.eye(m)).max() <= 1e-14
+    grad = pullback(a + v @ dagger(b) + v @ b)
+    h = 1e-6
+    fd = np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(x.size)])
+    assert np.abs(grad - fd).max() <= 1e-7
+    # at an orthonormal X the pullback is the tangent projection
+    g = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
+    v0, pullback0 = polar(np.concatenate([v.real.ravel(), v.imag.ravel()]), m)
+    proj = g - 0.5 * (g @ dagger(v0) + v0 @ dagger(g)) @ v0
+    flat_proj = np.concatenate([proj.real.ravel(), proj.imag.ravel()])
+    assert np.abs(pullback0(g) - flat_proj).max() <= 1e-13

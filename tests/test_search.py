@@ -1,7 +1,11 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mns.errors import ValidationError
+from mns.experiments import build_channel, load_config
 from mns.linalg import block_projector, dagger
 from mns.noise import (
     collective_xz,
@@ -13,7 +17,7 @@ from mns.noise import (
     random_perturbation_unitary,
 )
 from mns.objective import objective_of_unitary
-from mns.parametrization import pack, realize, unpack, zero_params
+from mns.parametrization import polar, realize, zero_params
 from mns.search import (
     SearchConfig,
     bfgs_maximize,
@@ -24,9 +28,17 @@ from mns.search import (
     subspace_projector,
 )
 import mns.search
-from mns.search import _dfs_residual, _initial_point, _polish_dfs, _residual_with_gradient
+from mns.search import (
+    _complete,
+    _dfs_residual,
+    _initial_point,
+    _polish_dfs,
+    _residual_with_gradient,
+)
 
 from conftest import P_ONE_EXCITED, P_TWO_EXCITED, TIGHT
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_search_config_validation():
@@ -65,19 +77,16 @@ def test_bfgs_evaluates_each_point_once(
     collective_channel, local_dephasing_channel, monkeypatch
 ):
     seen: list[bytes] = []
-    fused = mns.search.value_and_gradient
-    residual = mns.search._residual_with_gradient
+    minimize = mns.search._bfgs_minimize
 
-    def counted(channel, params, n1, n2):
-        seen.append(pack(params).tobytes())
-        return fused(channel, params, n1, n2)
+    def counted_minimize(fg, x, *args):
+        def counted(x):
+            seen.append(x.tobytes())
+            return fg(x)
 
-    def counted_residual(ops, dims, x):
-        seen.append(x.tobytes())
-        return residual(ops, dims, x)
+        return minimize(counted, x, *args)
 
-    monkeypatch.setattr(mns.search, "value_and_gradient", counted)
-    monkeypatch.setattr(mns.search, "_residual_with_gradient", counted_residual)
+    monkeypatch.setattr(mns.search, "_bfgs_minimize", counted_minimize)
     # the collective restart converges through the line search alone; the
     # flat local-dephasing landscape also sends steps to the backtracking
     # fallback, which retries step lengths the line search already tried
@@ -104,15 +113,17 @@ def test_bfgs_evaluates_each_point_once(
 
 
 def test_residual_gradient_matches_finite_differences():
+    # over the flat X coordinates of the polar map, as the polish moves them
     channel = lindblad_to_kraus(
         perturbed_collective(3, 1.0, 1.0, random_perturbation_unitary(8, 0.1, "global", seed=2)),
         1e-3,
     )
     ops = channel.stack()
-    x0 = pack(_initial_point(8, np.random.default_rng(5)))
+    x0 = np.random.default_rng(5).standard_normal(2 * 4 * 8)
 
     def residual(x):
-        return float(np.sum(np.abs(_dfs_residual(ops, realize(unpack(8, x)), 2, 2)) ** 2))
+        u = _complete(polar(x, 4)[0])
+        return float(np.sum(np.abs(_dfs_residual(ops, u, 2, 2)) ** 2))
 
     value, grad = _residual_with_gradient(ops, (2, 2), x0)
     assert value == residual(x0)
@@ -203,6 +214,8 @@ def test_find_mns_near_dfs_optimum_with_commutation_defect_is_not_dfs():
     passed, defect, _ = dfs_check(channel, realize(result.best_params), 2, 2)
     assert not passed and defect > 1e-4
     assert not result.is_dfs
+    # the polish found no DFS, so the search's own winner is reported
+    assert result.best_j == max(rec.final_j for rec in result.per_restart)
 
 
 def test_best_j_invariant_across_master_seeds(
@@ -280,3 +293,37 @@ def test_identity_channel_every_dims_optimal():
     for dims, result in res.items():
         assert abs(result.best_j - 1.0) <= 1e-12
         assert result.is_dfs
+
+
+@pytest.mark.parametrize("dims", [(2, 4), (3, 3)])
+def test_find_mns_four_qubit_collective_subsystems(dims):
+    # noiseless subsystems of 4-qubit collective x+z: the multiplicity factor
+    # of j = 1 (+) j = 0 for (2, 4), and the three j = 1 copies for (3, 3)
+    model = collective_xz(4, 1.0, 1.0)
+    channel = lindblad_to_kraus(model, default_dt(model))
+    config = SearchConfig(num_restarts=1, seed=1, candidate_dims=(dims,))
+    result = find_mns(channel, config)[dims]
+    assert result.is_dfs
+    ok, defect, _ = dfs_check(channel, realize(result.best_params), *dims, threshold=1e-8)
+    assert ok, defect
+
+
+def test_find_mns_local_dephasing_resolves_double_excitation_pair():
+    # configs/sz_local_dephasing_n3.json, dims (2, 1), its seed and first nine
+    # restarts: the optimum is span{|011>, |101>}, the two lowest local rates
+    config = load_config(CONFIG_DIR / "sz_local_dephasing_n3.json")
+    channel = build_channel(config)
+    search = replace(config.search.to_search_config(), num_restarts=9, candidate_dims=((2, 1),))
+    result = find_mns(channel, search)[(2, 1)]
+    target = np.diag([1.0 if i in (0b011, 0b101) else 0.0 for i in range(8)])
+    assert projector_distance(subspace_projector(result), target) <= 1e-6
+
+
+def test_find_mns_perturbed_restarts_agree_on_optimum():
+    # delta = 0.1 of configs/perturbed_global_delta_sweep.json
+    config = load_config(CONFIG_DIR / "perturbed_global_delta_sweep.json")
+    channel = build_channel(config, delta_override=0.1)
+    result = find_mns(channel, config.search.to_search_config())[(2, 2)]
+    assert len(result.per_restart) == 10
+    finals = [rec.final_j for rec in result.per_restart]
+    assert max(finals) - min(finals) <= 1e-8
