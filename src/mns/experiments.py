@@ -370,6 +370,8 @@ def _result_entry(dims: tuple[int, int], result: SearchResult) -> dict:
                 "iterations": rec.iterations,
                 "converged": rec.converged,
                 "degraded": rec.degraded,
+                "stop_reason": rec.stop_reason,
+                "gradient_norm": float(rec.gradient_norm),
             }
             for rec in result.per_restart
         ],
@@ -538,6 +540,12 @@ def cmd_show_result(path) -> dict:
             f"is_dfs={str(entry['is_dfs']).lower()} "
             f"agreement={entry.get('agreement_fraction', float('nan')):.2f}"
         )
+        for rec in entry.get("restarts", []):
+            print(
+                f"    restart {rec['index']}: J={format_float(rec['final_j'])} "
+                f"iterations={rec['iterations']} stop={rec.get('stop_reason', '?')} "
+                f"|grad|={rec.get('gradient_norm', float('nan')):.3e}"
+            )
     points = payload.get("points", [])
     if points:
         print(f"  sweep points: {len(points)}")

@@ -18,6 +18,7 @@ diag(3, 1, 1, -1, 1, -1, -1, -3) in the computational basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -50,6 +51,11 @@ __all__ = [
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 _EYE2 = np.eye(2, dtype=np.complex128)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def qubit_operator(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
@@ -105,6 +111,12 @@ class KrausChannel:
 
     ``dt`` records the conversion step for channels built from a Lindblad
     model and is None for exact (completeness defect <= 1e-12) channels.
+
+    What the objective needs of the operators alone is built once, on first
+    use, and kept as read-only arrays: the (K, N, N) ``stack``, the stack
+    with the adjoints appended (``stack_with_adjoints``), the traceless split
+    E_k = a_k I + D_k (``traceless_split``) and [D^dag | D] laid out as one
+    N x 2KN matrix (``traceless_row``).
     """
 
     dim: int
@@ -144,7 +156,37 @@ class KrausChannel:
         return out
 
     def stack(self) -> np.ndarray:
-        return np.stack(self.operators)
+        """The operators as one read-only (K, N, N) array, built once."""
+        return self._stack
+
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        return _read_only(np.stack(self.operators))
+
+    @cached_property
+    def stack_with_adjoints(self) -> np.ndarray:
+        """[E_0 .. E_{K-1}; E_0^dag .. E_{K-1}^dag] as one read-only (2K, N, N) array."""
+        ops = self.stack()
+        return _read_only(np.concatenate([ops, ops.conj().transpose(0, 2, 1)]))
+
+    @cached_property
+    def traceless_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, D) with E_k = a_k I + D_k: a_k = tr(E_k)/N and D_k traceless.
+
+        The identity parts are what any encoding keeps exactly; only the
+        O(dt) D_k depend on the encoding.  Both arrays are read-only.
+        """
+        ops = self.stack()
+        a = np.trace(ops, axis1=1, axis2=2) / self.dim
+        return _read_only(a), _read_only(ops - a[:, None, None] * np.eye(self.dim))
+
+    @cached_property
+    def traceless_row(self) -> np.ndarray:
+        """[D_0^dag | .. | D_{K-1}^dag | D_0 | .. | D_{K-1}] as one read-only
+        N x 2KN matrix, so that V times it is every V D_k^dag and V D_k."""
+        d = self.traceless_split[1]
+        both = np.concatenate([d.conj().transpose(0, 2, 1), d])
+        return _read_only(both.transpose(1, 0, 2).reshape(self.dim, -1))
 
 
 def collective_xz(n_qubits: int, gamma_x: float = 1.0, gamma_z: float = 1.0) -> LindbladModel:

@@ -22,12 +22,20 @@ which is what ``objective`` evaluates; ``coefficients`` exposes the full
 coefficient tensor, and ``reduced_channel`` rebuilds the logical channel by
 direct action, giving an independent route to p1.
 
-The gradient has one implementation, ``value_and_gradient``: at the encoded
-rows V = U[:m] it returns J, split as a constant base plus the V-dependent
-rest, and the matrix G with dJ = Re tr(G^dag dV), which the search pulls back
-through its polar map (``parametrization.polar``).  ``gradient_analytic``
-contracts G with the chart partials of ``realize_with_partials``; the central
-differences of ``gradient`` are the independent check for both.
+Each channel splits its operators once as E_k = a_k I + D_k with
+a_k = tr(E_k)/N (``KrausChannel.traceless_split``) and caches
+[D_0^dag | .. | D_{K-1}^dag | D_0 | .. | D_{K-1}] as one N x 2KN matrix.
+For orthonormal encoded rows V = U[:m] the identity parts contribute the
+constant base = sum_k |a_k|^2 to J, and everything that depends on V comes
+from the one product P = V [D^dag | D].  ``objective_of_unitary`` and
+``value_and_gradient`` share that code, so both return the same float.
+
+The gradient has one implementation, ``value_and_gradient``: at V it returns
+J as (base, rest), and the matrix G with dJ = Re tr(G^dag dV), which the
+search pulls back through its polar map (``parametrization.polar``).
+``gradient_analytic`` contracts G with the chart partials of
+``realize_with_partials``; the central differences of ``gradient`` are the
+independent check for both.
 """
 
 from __future__ import annotations
@@ -104,32 +112,47 @@ def transformed_kraus(channel: KrausChannel, u: np.ndarray) -> list[np.ndarray]:
     return [u @ op @ ud for op in channel.operators]
 
 
-def _traced_blocks(ops: np.ndarray, u: np.ndarray, n1: int, n2: int) -> tuple[np.ndarray, ...]:
-    """The traced blocks T_k = Tr_H1(V E_k V^dag) of the rows V = U[:m], for
-    all k at once, as T_k = n1 a_k I + S_k: each E_k is split as a_k I + D_k
-    with a_k = tr(E_k)/N, whose identity part V V^dag = I maps to n1 a_k I
-    exactly, so only the O(dt) D_k go through products.  Returns (a, D, S)."""
-    m, dim = n1 * n2, ops.shape[1]
-    a = np.trace(ops, axis1=1, axis2=2) / dim
-    d = ops - a[:, None, None] * np.eye(dim)
-    blocks = u[:m] @ d @ u[:m].conj().T
-    return a, d, np.einsum("kiaib->kab", blocks.reshape(-1, n1, n2, n1, n2))
+def _encoded_products(
+    channel: KrausChannel, v: np.ndarray, n1: int, n2: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """P = V [D_0^dag | .. | D_{K-1}^dag | D_0 | .. | D_{K-1}] in one product,
+    and the traced blocks S_k = Tr_H1(V D_k V^dag) of the encoded rows V.
+
+    The identity part of E_k = a_k I + D_k maps to n1 a_k I exactly under
+    orthonormal V, so Tr_H1(V E_k V^dag) = n1 a_k I + S_k and only the O(dt)
+    D_k go through products.  Returns (P, S)."""
+    m, dim, k = n1 * n2, channel.dim, len(channel.operators)
+    p = v @ channel.traceless_row
+    blocks = p[:, k * dim :].reshape(m * k, dim) @ v.conj().T
+    return p, np.einsum("iakib->kab", blocks.reshape(n1, n2, k, n1, n2))
 
 
 def _objective_terms(a: np.ndarray, s: np.ndarray, n1: int, n2: int) -> tuple[float, float]:
     """J = sum_k ||n1 a_k I + S_k||^2 / (n1^2 n2) as (base, rest): the constant
     base = sum_k |a_k|^2 and the V-dependent rest, each at full relative
     precision, so that J = base + rest carries a single rounding."""
-    rest = 2 * n1 * np.real(np.sum(a.conj() * np.einsum("kaa->k", s))) + np.sum(np.abs(s) ** 2)
-    return float(np.sum(np.abs(a) ** 2)), float(rest / (n1 * n1 * n2))
+    traces = s.reshape(len(s), -1)[:, :: n2 + 1].sum(axis=1)
+    rest = 2 * n1 * np.vdot(a, traces).real + np.vdot(s, s).real
+    return float(np.vdot(a, a).real), float(rest / (n1 * n1 * n2))
 
 
 def objective_of_unitary(channel: KrausChannel, u: np.ndarray, n1: int, n2: int) -> float:
-    """J for an explicit encoding unitary (not necessarily a chart point)."""
-    if n1 * n2 > channel.dim:
-        raise ValidationError(f"encoded block {n1}x{n2} exceeds channel dim {channel.dim}")
-    a, _, s = _traced_blocks(channel.stack(), np.asarray(u, dtype=np.complex128), n1, n2)
-    base, rest = _objective_terms(a, s, n1, n2)
+    """J for an encoding whose first n1*n2 rows V are orthonormal: a full
+    unitary, or just those rows.
+
+    Raises ValidationError when ||V V^dag - I|| > 1e-10, because the split
+    J = base + rest holds only for orthonormal rows.
+    """
+    dim, m = channel.dim, n1 * n2
+    if n1 < 1 or n2 < 1 or m > dim:
+        raise ValidationError(f"encoded block {n1}x{n2} does not fit in channel dim {dim}")
+    v = np.asarray(u, dtype=np.complex128)[:m]
+    if v.shape != (m, dim):
+        raise ValidationError(f"encoding needs {m} rows of length {dim}, got {v.shape}")
+    if np.linalg.norm(v @ v.conj().T - np.eye(m)) > 1e-10:
+        raise ValidationError("encoded rows are not orthonormal to 1e-10")
+    s = _encoded_products(channel, v, n1, n2)[1]
+    base, rest = _objective_terms(channel.traceless_split[0], s, n1, n2)
     return base + rest
 
 
@@ -260,15 +283,15 @@ def gradient(channel: KrausChannel, cand: EncodingCandidate, h: float = 1e-6) ->
     return out
 
 
-def conjugation_adjoint(ops: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+def conjugation_adjoint(channel: KrausChannel, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The matrix A with Re tr(A dU) = sum_k Re tr(w_k^dag dC_k) for every dU.
 
     C_k = U E_k U^dag changes by dU E_k U^dag + U E_k dU^dag, so
     A = sum_k (E_k U^dag w_k^dag + E_k^dag U^dag w_k), summed as one matrix
-    product over the stacked Kraus operators and their adjoints.
+    product over the channel's cached stack of Kraus operators and adjoints.
     """
     dim = u.shape[0]
-    left = np.concatenate([ops, ops.conj().transpose(0, 2, 1)]) @ dagger(u)
+    left = channel.stack_with_adjoints @ dagger(u)
     right = np.concatenate([w.conj().transpose(0, 2, 1), w])
     return left.transpose(1, 0, 2).reshape(dim, -1) @ right.reshape(-1, dim)
 
@@ -276,14 +299,17 @@ def conjugation_adjoint(ops: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.nda
 def value_and_gradient(
     channel: KrausChannel, v: np.ndarray, n1: int, n2: int
 ) -> tuple[float, float, np.ndarray]:
-    """J = base + rest at the encoded rows V, and G with dJ = Re tr(G^dag dV).
+    """J = base + rest at the orthonormal encoded rows V, and G with
+    dJ = Re tr(G^dag dV).
 
     base + rest is the same float ``objective_of_unitary`` returns for any U
     with U[:m] = V.  base is fixed by the channel, so a search can follow
     rest alone, which resolves changes of J far below J's own rounding.  With
-    W_k = I (x) T_k, dJ = (2/(n1^2 n2)) sum_k Re tr(T_k^dag dT_k) =
-    c sum_k Re tr(W_k^dag dC_k) for C_k = V D_k V^dag, so
-    G = c sum_k (W_k V D_k^dag + W_k^dag V D_k) with c = 2/(n1^2 n2).
+    T_k = n1 a_k I + S_k and W_k = I (x) T_k, dJ = (2/(n1^2 n2)) sum_k
+    Re tr(T_k^dag dT_k) = c sum_k Re tr(W_k^dag dC_k) for C_k = V D_k V^dag,
+    so G = c sum_k (W_k V D_k^dag + W_k^dag V D_k) with c = 2/(n1^2 n2): one
+    contraction of [T; T^dag] with the blocks of P = V [D^dag | D] over k
+    and H2.
     """
     dim = channel.dim
     if n1 < 1 or n2 < 1 or n1 * n2 > dim:
@@ -292,10 +318,14 @@ def value_and_gradient(
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (m, dim):
         raise ValidationError(f"encoded rows must have shape {(m, dim)}, got {v.shape}")
-    a, d, s = _traced_blocks(channel.stack(), v, n1, n2)
-    w = np.einsum("ij,kab->kiajb", np.eye(n1), s + n1 * a[:, None, None] * np.eye(n2))
-    w = w.reshape(-1, m, m)
-    g = np.sum(w @ v @ d.conj().transpose(0, 2, 1) + w.conj().transpose(0, 2, 1) @ v @ d, axis=0)
+    a = channel.traceless_split[0]
+    p, s = _encoded_products(channel, v, n1, n2)
+    k = len(a)
+    t = np.empty((2 * k, n2, n2), dtype=np.complex128)
+    t[:k] = s
+    t[:k].reshape(k, -1)[:, :: n2 + 1] += n1 * a[:, None]
+    t[k:] = t[:k].conj().transpose(0, 2, 1)
+    g = np.einsum("kab,ibkn->ian", t, p.reshape(n1, n2, 2 * k, dim)).reshape(m, dim)
     return *_objective_terms(a, s, n1, n2), (2.0 / (n1 * n1 * n2)) * g
 
 

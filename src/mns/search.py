@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import line_search
@@ -75,6 +76,8 @@ class RestartRecord:
     converged: bool
     degraded: bool
     trace: tuple[float, ...]
+    stop_reason: str
+    gradient_norm: float
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,8 @@ class BfgsOutcome:
     iterations: int
     converged: bool
     degraded: bool
+    stop_reason: str
+    gradient_norm: float
 
 
 def bfgs_maximize(
@@ -108,10 +113,12 @@ def bfgs_maximize(
 
     Stops when the gradient norm falls below ``gradient_tolerance``, when an
     accepted step improves J by less than ``objective_tolerance``, or at
-    ``max_iterations``.  A failed line search returns the best point found so
-    far with ``degraded=True`` instead of raising.  X starts at the first
-    m = n1*n2 rows of ``realize(initial)``; J and its gradient come from one
-    ``value_and_gradient`` call per distinct point of an iteration.
+    ``max_iterations``; ``stop_reason`` says which (see ``_bfgs_minimize``)
+    and ``converged`` is true for the first two.  A failed line search
+    returns the best point found so far with ``degraded=True`` instead of
+    raising.  X starts at the first m = n1*n2 rows of ``realize(initial)``;
+    J and its gradient come from one ``value_and_gradient`` call per
+    distinct point of an iteration.
     """
     n1, n2 = dims
     if n1 * n2 > channel.dim:
@@ -130,7 +137,7 @@ def bfgs_maximize(
         _, rest, gradient = value_and_gradient(channel, v, n1, n2)
         return -rest, -pullback(gradient)
 
-    x, trace, iterations, converged, degraded = _bfgs_minimize(
+    run = _bfgs_minimize(
         fg,
         _flat(start),
         config.max_iterations,
@@ -138,12 +145,14 @@ def bfgs_maximize(
         config.objective_tolerance,
     )
     return BfgsOutcome(
-        j_final=base - trace[-1],
-        params_final=chart_of(_complete(polar(x, m)[0])),
-        trace=tuple(base - f for f in trace),
-        iterations=iterations,
-        converged=converged,
-        degraded=degraded,
+        j_final=base - run.trace[-1],
+        params_final=chart_of(_complete(polar(run.x, m)[0])),
+        trace=tuple(base - f for f in run.trace),
+        iterations=run.iterations,
+        converged=run.stop_reason in ("gradient", "stall"),
+        degraded=run.stop_reason == "line_search",
+        stop_reason=run.stop_reason,
+        gradient_norm=run.gradient_norm,
     )
 
 
@@ -159,21 +168,33 @@ def _complete(v: np.ndarray) -> np.ndarray:
     return np.vstack([v, dagger(q[:, v.shape[0] :])])
 
 
+class Descent(NamedTuple):
+    """What ``_bfgs_minimize`` returns: the final point, the f value after
+    each iteration starting from the initial one, the iteration count, why
+    it stopped and |grad f| at the final point."""
+
+    x: np.ndarray
+    trace: list[float]
+    iterations: int
+    stop_reason: str
+    gradient_norm: float
+
+
 def _bfgs_minimize(
     fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x: np.ndarray,
     max_iterations: int,
     gradient_tolerance: float,
     objective_tolerance: float,
-) -> tuple[np.ndarray, list[float], int, bool, bool]:
+) -> Descent:
     """BFGS descent of f from ``x``, where ``fg(x)`` returns (f(x), grad f(x)).
 
     Each iteration takes a strong-Wolfe line search along the quasi-Newton
-    direction, falling back to Armijo backtracking when it fails.  Stops when
-    |grad f| <= ``gradient_tolerance``, when an accepted step lowers f by no
-    more than ``objective_tolerance``, or after ``max_iterations``; a failed
-    backtracking stops with ``degraded``.  Returns (x, the f value after each
-    iteration starting from the initial one, iterations, converged, degraded).
+    direction, falling back to Armijo backtracking when it fails.  The stop
+    reason is "gradient" when |grad f| <= ``gradient_tolerance`` at the final
+    point, else "stall" when an accepted step lowered f by no more than
+    ``objective_tolerance``, "line_search" when the backtracking failed too,
+    or "max_iterations".
 
     ``fg`` runs at most once per distinct point of an iteration: the line
     search asks for f and grad f separately at the same trial points, the
@@ -198,14 +219,12 @@ def _bfgs_minimize(
     n = x.size
     h = np.eye(n)
     trace = [fx]
-    converged = False
-    degraded = False
+    reason = "max_iterations"
     iterations = 0
 
     for it in range(1, max_iterations + 1):
         seen.clear()  # keep only the current iteration's points
         if np.linalg.norm(gx) <= gradient_tolerance:
-            converged = True
             break
         iterations = it
         p = -h @ gx
@@ -221,7 +240,7 @@ def _bfgs_minimize(
             # Armijo backtracking fallback; keeps the descent monotone.
             alpha, f_new = _backtrack(f, x, p, fx, gx)
             if alpha is None:
-                degraded = True
+                reason = "line_search"
                 break
         x_new = x + alpha * p
         if f_new is None:
@@ -231,21 +250,25 @@ def _bfgs_minimize(
         y = g_new - gx
         sy = s @ y
         if sy > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
+            # H += w s^T + s w^T, the BFGS inverse update with
+            # w = rho ((rho y^T H y + 1)/2 s - H y)
             rho = 1.0 / sy
-            hs = h @ y
-            h = h - rho * (np.outer(s, hs) + np.outer(hs, s)) + rho * (
-                rho * (y @ hs) + 1.0
-            ) * np.outer(s, s)
+            hy = h @ y
+            w = rho * ((0.5 * (rho * (y @ hy) + 1.0)) * s - hy)
+            update = np.outer(w, s)
+            update += update.T
+            h += update
         improvement = fx - f_new
         x, fx, gx = x_new, f_new, g_new
         trace.append(fx)
         if 0 <= improvement <= objective_tolerance:
-            converged = True
+            reason = "stall"
             break
 
-    if np.linalg.norm(gx) <= gradient_tolerance:
-        converged = True
-    return x, trace, iterations, converged, degraded
+    gradient_norm = float(np.linalg.norm(gx))
+    if gradient_norm <= gradient_tolerance:
+        reason = "gradient"
+    return Descent(x, trace, iterations, reason, gradient_norm)
 
 
 def _backtrack(f, x, p, fx, gx, shrink: float = 0.5, max_steps: int = 40):
@@ -273,7 +296,7 @@ def _dfs_residual(ops: np.ndarray, u: np.ndarray, n1: int, n2: int) -> np.ndarra
 
 
 def _residual_with_gradient(
-    ops: np.ndarray, dims: tuple[int, int], x: np.ndarray
+    channel: KrausChannel, dims: tuple[int, int], x: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """sum_k ||r_k||^2 of ``_dfs_residual`` at V = polar(x), and its gradient.
 
@@ -286,8 +309,8 @@ def _residual_with_gradient(
     m = dims[0] * dims[1]
     v, pullback = polar(x, m)
     u = _complete(v)
-    r = _dfs_residual(ops, u, *dims)
-    a = conjugation_adjoint(ops, u, 2.0 * r)
+    r = _dfs_residual(channel.stack(), u, *dims)
+    a = conjugation_adjoint(channel, u, 2.0 * r)
     gradient = dagger(a[:, :m]) - v @ a[:, m:] @ u[m:]
     return float(np.sum(np.abs(r) ** 2)), pullback(gradient)
 
@@ -305,11 +328,10 @@ def _polish_dfs(
     a step stops lowering the residual at all, the gradient norm reaches
     1e-14, or 400 iterations.
     """
-    ops = channel.stack()
     m = dims[0] * dims[1]
-    x, *_ = _bfgs_minimize(
-        lambda x: _residual_with_gradient(ops, dims, x), _flat(realize(start)[:m]), 400, 1e-14, 0.0
-    )
+    x = _bfgs_minimize(
+        lambda x: _residual_with_gradient(channel, dims, x), _flat(realize(start)[:m]), 400, 1e-14, 0.0
+    ).x
     return chart_of(_complete(polar(x, m)[0]))
 
 
@@ -357,6 +379,8 @@ def find_mns(
                     converged=outcome.converged,
                     degraded=outcome.degraded,
                     trace=outcome.trace,
+                    stop_reason=outcome.stop_reason,
+                    gradient_norm=outcome.gradient_norm,
                 )
             )
             final_params.append(outcome.params_final)

@@ -336,7 +336,18 @@ def test_cmd_find_mns_writes_result_and_encoding(find_mns_run):
     assert entry["j_opt"] >= 1.0 - 1e-6
     assert len(entry["restarts"]) == 2
     for rec in entry["restarts"]:
-        assert set(rec) == {"index", "seed", "final_j", "iterations", "converged", "degraded"}
+        assert set(rec) == {
+            "index",
+            "seed",
+            "final_j",
+            "iterations",
+            "converged",
+            "degraded",
+            "stop_reason",
+            "gradient_norm",
+        }
+        assert rec["stop_reason"] in ("gradient", "stall", "max_iterations", "line_search")
+        assert rec["converged"] == (rec["stop_reason"] in ("gradient", "stall"))
 
 
 def test_cmd_find_mns_encoding_is_replayable(find_mns_run):
@@ -541,6 +552,9 @@ def test_cmd_show_result_summarizes_payload(find_mns_run, capsys):
     text = capsys.readouterr().out
     assert "command:      find-mns" in text
     assert "dims (2,2)" in text
+    for rec in payload["results"][0]["restarts"]:
+        assert f"restart {rec['index']}:" in text
+        assert f"stop={rec['stop_reason']} |grad|={rec['gradient_norm']:.3e}" in text
 
     with pytest.raises(ConfigError, match="result file not found"):
         cmd_show_result(out / "missing.json")

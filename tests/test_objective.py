@@ -17,6 +17,7 @@ from mns.noise import (
     LindbladModel,
     PAULI_Z,
     collective_dfs_encoding,
+    collective_xz,
     identity_channel,
     lindblad_to_kraus,
     random_kraus_channel,
@@ -233,10 +234,25 @@ def test_gradient_analytic_matches_finite_differences(collective_channel):
 
 
 def test_value_and_gradient_objective_is_bitwise_objective_of_unitary(collective_channel):
-    for seed, dims in ((16, (2, 2)), (17, (2, 1)), (18, (1, 3)), (19, (2, 4))):
-        u = realize(_random_point(8, seed))
-        base, rest, _ = value_and_gradient(collective_channel, u[: dims[0] * dims[1]], *dims)
-        assert base + rest == objective_of_unitary(collective_channel, u, *dims)
+    # Hermitian collective Kraus operators at N = 8 and N = 16, and a random
+    # exact channel whose operators are not Hermitian
+    random_channel = random_kraus_channel(8, 3, seed=24)
+    assert not np.allclose(random_channel.operators[0], dagger(random_channel.operators[0]))
+    four_qubits = lindblad_to_kraus(collective_xz(4, 1.0, 1.0), DT)
+    cases = (
+        (collective_channel, 16, (2, 2)),
+        (collective_channel, 17, (2, 1)),
+        (collective_channel, 18, (1, 3)),
+        (collective_channel, 19, (2, 4)),
+        (random_channel, 25, (2, 2)),
+        (random_channel, 26, (3, 1)),
+        (four_qubits, 27, (2, 4)),
+        (four_qubits, 28, (2, 1)),
+    )
+    for channel, seed, dims in cases:
+        u = realize(_random_point(channel.dim, seed))
+        base, rest, _ = value_and_gradient(channel, u[: dims[0] * dims[1]], *dims)
+        assert base + rest == objective_of_unitary(channel, u, *dims)
 
 
 def test_value_and_gradient_matches_finite_differences():
@@ -244,7 +260,7 @@ def test_value_and_gradient_matches_finite_differences():
     # differences over the flat X coordinates the search moves
     rng = np.random.default_rng(20)
     ch = random_kraus_channel(8, 4, rng)
-    for seed, dims in ((21, (2, 2)), (22, (2, 3)), (23, (3, 1))):
+    for seed, dims in ((21, (2, 2)), (22, (2, 3)), (23, (3, 1)), (29, (1, 3)), (30, (2, 4))):
         m = dims[0] * dims[1]
         x0 = np.random.default_rng(seed).standard_normal(2 * m * 8)
 
@@ -256,6 +272,43 @@ def test_value_and_gradient_matches_finite_differences():
         h = 1e-6
         gf = np.array([(j_of(x0 + h * e) - j_of(x0 - h * e)) / (2 * h) for e in np.eye(x0.size)])
         assert np.linalg.norm(ga - gf) <= 1e-6 * max(1.0, np.linalg.norm(gf))
+
+
+def test_channel_split_is_cached_read_only():
+    # the stacks and the traceless split are built once per channel and
+    # cannot be written through; repeated evaluations give identical results
+    channel = random_kraus_channel(8, 3, seed=31)
+    a, d = channel.traceless_split
+    cached = (channel.stack(), channel.stack_with_adjoints, a, d, channel.traceless_row)
+    for arr in cached:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+    assert channel.stack() is cached[0]
+    assert channel.traceless_split[1] is d and channel.traceless_row is cached[4]
+    ops = np.stack(channel.operators)
+    assert np.array_equal(cached[1], np.concatenate([ops, ops.conj().transpose(0, 2, 1)]))
+    assert np.allclose(d + a[:, None, None] * np.eye(8), ops, atol=1e-15)
+    assert np.abs(np.trace(d, axis1=1, axis2=2)).max() <= 1e-15
+    assert np.array_equal(cached[4], np.concatenate([*d.conj().transpose(0, 2, 1), *d], axis=1))
+    v = realize(_random_point(8, 32))[:4]
+    first = value_and_gradient(channel, v, 2, 2)
+    for _ in range(3):
+        again = value_and_gradient(channel, v, 2, 2)
+        assert again[:2] == first[:2]
+        assert np.array_equal(again[2], first[2])
+    assert objective_of_unitary(channel, v, 2, 2) == objective_of_unitary(channel, v, 2, 2)
+
+
+def test_objective_of_unitary_rejects_rows_that_are_not_orthonormal(collective_channel):
+    u = realize(_random_point(8, 33))
+    objective_of_unitary(collective_channel, u, 2, 2)
+    with pytest.raises(ValidationError, match="orthonormal"):
+        objective_of_unitary(collective_channel, 1.01 * u, 2, 2)
+    # only the encoded rows are checked: a scaled complement is harmless
+    objective_of_unitary(collective_channel, np.vstack([u[:4], 2.0 * u[4:]]), 2, 2)
+    with pytest.raises(ValidationError):
+        objective_of_unitary(collective_channel, u[:3], 2, 2)
 
 
 def test_value_and_gradient_validation(collective_channel):

@@ -29,6 +29,7 @@ from mns.search import (
 )
 import mns.search
 from mns.search import (
+    _bfgs_minimize,
     _complete,
     _dfs_residual,
     _initial_point,
@@ -118,20 +119,56 @@ def test_residual_gradient_matches_finite_differences():
         perturbed_collective(3, 1.0, 1.0, random_perturbation_unitary(8, 0.1, "global", seed=2)),
         1e-3,
     )
-    ops = channel.stack()
     x0 = np.random.default_rng(5).standard_normal(2 * 4 * 8)
 
     def residual(x):
         u = _complete(polar(x, 4)[0])
-        return float(np.sum(np.abs(_dfs_residual(ops, u, 2, 2)) ** 2))
+        return float(np.sum(np.abs(_dfs_residual(channel.stack(), u, 2, 2)) ** 2))
 
-    value, grad = _residual_with_gradient(ops, (2, 2), x0)
+    value, grad = _residual_with_gradient(channel, (2, 2), x0)
     assert value == residual(x0)
     h = 1e-6
     fd = np.array(
         [(residual(x0 + h * e) - residual(x0 - h * e)) / (2 * h) for e in np.eye(x0.size)]
     )
     assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+
+
+def test_bfgs_minimize_reports_each_stop_reason():
+    # f = x^T A x / 2 on an ill-conditioned quadratic, from f(x0) = 25
+    a = np.diag([1.0, 100.0])
+    x0 = np.array([1.0, 0.7])
+
+    def fg(x):
+        return 0.5 * x @ a @ x, a @ x
+
+    cases = {
+        "gradient": ((fg, x0, 100, 1e-8, 0.0), lambda run: run.gradient_norm <= 1e-8),
+        # the first step gains less than 100 while |grad f| is far above 1e-30
+        "stall": ((fg, x0, 100, 1e-30, 100.0), lambda run: run.iterations == 1),
+        "max_iterations": ((fg, x0, 1, 1e-30, 0.0), lambda run: run.iterations == 1),
+        # a gradient of the wrong sign: no step along -grad lowers f
+        "line_search": (
+            (lambda x: (0.5 * x @ x, -x), x0, 100, 1e-30, 0.0),
+            lambda run: run.iterations == 1 and run.trace == [0.5 * x0 @ x0],
+        ),
+    }
+    for reason, (args, check) in cases.items():
+        run = _bfgs_minimize(*args)
+        assert run.stop_reason == reason
+        assert check(run), reason
+        assert run.gradient_norm == np.linalg.norm(args[0](run.x)[1])
+        if reason != "gradient":
+            assert run.gradient_norm > args[3]
+
+
+def test_restart_records_carry_stop_reason(collective_search, local_dephasing_search):
+    for result in (collective_search, *local_dephasing_search.values()):
+        for rec in result.per_restart:
+            assert rec.stop_reason in ("gradient", "stall", "max_iterations", "line_search")
+            assert rec.converged == (rec.stop_reason in ("gradient", "stall"))
+            assert rec.degraded == (rec.stop_reason == "line_search")
+            assert np.isfinite(rec.gradient_norm) and rec.gradient_norm >= 0.0
 
 
 def test_bfgs_identity_channel_converges_at_start():
