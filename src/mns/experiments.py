@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -91,7 +91,6 @@ class SearchSpec:
     max_iterations: int = 2000
     gradient_tolerance: float = 1e-8
     objective_tolerance: float = 1e-12
-    dfs_threshold: float = 1e-6
     seed: int = 0
     dt: float | None = None
 
@@ -103,7 +102,6 @@ class SearchSpec:
             num_restarts=self.num_restarts,
             seed=self.seed,
             candidate_dims=self.candidate_dims,
-            dfs_threshold=self.dfs_threshold,
         )
 
 
@@ -189,6 +187,9 @@ def parse_config(text: str) -> ExperimentConfig:
     search_raw = _require(raw, "search", "$")
     if not isinstance(search_raw, dict):
         raise ConfigError("field 'search' must be an object")
+    unknown = sorted(set(search_raw) - {f.name for f in fields(SearchSpec)})
+    if unknown:
+        raise ConfigError(f"unknown field(s) in 'search': {', '.join(map(repr, unknown))}")
     dims_raw = _require(search_raw, "candidate_dims", "search")
     if (
         not isinstance(dims_raw, list)
@@ -217,7 +218,6 @@ def parse_config(text: str) -> ExperimentConfig:
         objective_tolerance=_number(
             search_raw.get("objective_tolerance", 1e-12), "search.objective_tolerance"
         ),
-        dfs_threshold=_number(search_raw.get("dfs_threshold", 1e-6), "search.dfs_threshold"),
         seed=_integer(search_raw.get("seed", 0), "search.seed"),
         dt=dt,
     )
@@ -281,7 +281,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "max_iterations": s.max_iterations,
         "gradient_tolerance": s.gradient_tolerance,
         "objective_tolerance": s.objective_tolerance,
-        "dfs_threshold": s.dfs_threshold,
         "seed": s.seed,
         "dt": s.dt,
     }

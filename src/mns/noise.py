@@ -8,7 +8,11 @@ n qubits; ``lindblad_to_kraus`` turns it into the first-order Kraus channel
 with the rates folded into the operators as Vt_i = sqrt(gamma_i) V_i.  The
 set is complete up to O(dt^2) and is deliberately not renormalized; the
 completeness defect scales as c*dt^2 with a model-dependent constant
-c = ||(sum_i gamma_i V_i^dag V_i)^2||_F / 4.
+c = ||(sum_i gamma_i V_i^dag V_i)^2||_F / 4.  Each channel keeps the gap
+I - sum_k E_k^dag E_k, which the objective's sum-of-squares form needs.
+
+``dfs_check`` is the one test of protection: [E_k, rho] = 0 for encoded
+states rho.  The search's ``is_dfs`` is its verdict.
 
 Qubit ordering: qubit 1 is the leftmost tensor factor, and |0> is the +1
 eigenvector of Z, so the collective S_z on three qubits is
@@ -113,10 +117,8 @@ class KrausChannel:
     model and is None for exact (completeness defect <= 1e-12) channels.
 
     What the objective needs of the operators alone is built once, on first
-    use, and kept as read-only arrays: the (K, N, N) ``stack``, the stack
-    with the adjoints appended (``stack_with_adjoints``), the traceless split
-    E_k = a_k I + D_k (``traceless_split``) and [D^dag | D] laid out as one
-    N x 2KN matrix (``traceless_row``).
+    use, and kept as read-only arrays: the (K, N, N) ``stack`` and
+    I - sum_k E_k^dag E_k (``completeness_gap``).
     """
 
     dim: int
@@ -144,10 +146,7 @@ class KrausChannel:
 
     def completeness_defect(self) -> float:
         """Frobenius norm of sum_k E_k^dag E_k - I."""
-        acc = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for op in self.operators:
-            acc += dagger(op) @ op
-        return float(np.linalg.norm(acc - np.eye(self.dim)))
+        return float(np.linalg.norm(self.completeness_gap))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -164,29 +163,11 @@ class KrausChannel:
         return _read_only(np.stack(self.operators))
 
     @cached_property
-    def stack_with_adjoints(self) -> np.ndarray:
-        """[E_0 .. E_{K-1}; E_0^dag .. E_{K-1}^dag] as one read-only (2K, N, N) array."""
-        ops = self.stack()
-        return _read_only(np.concatenate([ops, ops.conj().transpose(0, 2, 1)]))
-
-    @cached_property
-    def traceless_split(self) -> tuple[np.ndarray, np.ndarray]:
-        """(a, D) with E_k = a_k I + D_k: a_k = tr(E_k)/N and D_k traceless.
-
-        The identity parts are what any encoding keeps exactly; only the
-        O(dt) D_k depend on the encoding.  Both arrays are read-only.
-        """
-        ops = self.stack()
-        a = np.trace(ops, axis1=1, axis2=2) / self.dim
-        return _read_only(a), _read_only(ops - a[:, None, None] * np.eye(self.dim))
-
-    @cached_property
-    def traceless_row(self) -> np.ndarray:
-        """[D_0^dag | .. | D_{K-1}^dag | D_0 | .. | D_{K-1}] as one read-only
-        N x 2KN matrix, so that V times it is every V D_k^dag and V D_k."""
-        d = self.traceless_split[1]
-        both = np.concatenate([d.conj().transpose(0, 2, 1), d])
-        return _read_only(both.transpose(1, 0, 2).reshape(self.dim, -1))
+    def completeness_gap(self) -> np.ndarray:
+        """I - sum_k E_k^dag E_k as one read-only N x N array: zero for an
+        exact channel, O(dt^2) for a first-order one."""
+        column = self.stack().reshape(-1, self.dim)  # [E_0; E_1; ..]
+        return _read_only(np.eye(self.dim) - column.conj().T @ column)
 
 
 def collective_xz(n_qubits: int, gamma_x: float = 1.0, gamma_z: float = 1.0) -> LindbladModel:
@@ -316,6 +297,12 @@ def dfs_check(
     seed: int = 0,
 ) -> tuple[bool, float, list[float]]:
     """Test the decoherence-free condition [E_k, rho] = 0 for encoded states.
+
+    This decides ``find_mns``'s ``is_dfs``.  It asks that every E_k act as
+    I (x) M_k on the encoded block and couple it to the rest in neither
+    direction; the search's E_k V^dag = V^dag (I (x) M_k) rules out only
+    coupling out of the block.  For Hermitian Kraus sets, which covers every
+    bundled model, the two agree; for other sets this one is stricter.
 
     Draws ``n_states`` random logical density matrices rho_1, encodes each as
     rho = U^dag (rho_1 (x) I/n2 (+) 0) U, and returns (defect <= threshold,

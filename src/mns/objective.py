@@ -16,24 +16,31 @@ identity; J = 1 exactly characterizes a decoherence-free subspace/subsystem
 
 Because the basis is orthonormal, the inner sum telescopes by Parseval to
 
-    J[U] = (1/(n1^2 n2)) sum_k || Tr_H1 (U E_k U^dag)_block ||_F^2,
+    J[U] = (1/(n1^2 n2)) sum_k || Tr_H1 (U E_k U^dag)_block ||_F^2.
 
-which is what ``objective`` evaluates; ``coefficients`` exposes the full
-coefficient tensor, and ``reduced_channel`` rebuilds the logical channel by
-direct action, giving an independent route to p1.
+``coefficients`` exposes the full coefficient tensor, and
+``reduced_channel`` rebuilds the logical channel by direct action, giving
+an independent route to p1.
 
-Each channel splits its operators once as E_k = a_k I + D_k with
-a_k = tr(E_k)/N (``KrausChannel.traceless_split``) and caches
-[D_0^dag | .. | D_{K-1}^dag | D_0 | .. | D_{K-1}] as one N x 2KN matrix.
-For orthonormal encoded rows V = U[:m] the identity parts contribute the
-constant base = sum_k |a_k|^2 to J, and everything that depends on V comes
-from the one product P = V [D^dag | D].  ``objective_of_unitary`` and
-``value_and_gradient`` share that code, so both return the same float.
+For orthonormal encoded rows V = U[:m] (m = n1*n2) the same J is a sum of
+squares plus a completeness term,
+
+    1 - J = (1/m) sum_k ||E_k V^dag - V^dag (I (x) M_k)||^2
+            + (1/m) tr(V (I - S) V^dag),
+
+with M_k = Tr_H1(V E_k V^dag)/n1 and S = sum_k E_k^dag E_k.  The squares
+vanish exactly when every E_k maps the encoded block into itself as
+I (x) M_k, the first-order noiseless-subsystem condition (Shabani and Lidar,
+PRA 72, 042303, 2005), so they keep full relative precision near a
+decoherence-free encoding where J itself rounds at 1.  I - S is zero for an
+exact channel and O(dt^2) for a first-order one; each channel caches it
+(``KrausChannel.completeness_gap``).  ``objective_of_unitary`` returns 1
+minus that value.
 
 The gradient has one implementation, ``value_and_gradient``: at V it returns
-J as (base, rest), and the matrix G with dJ = Re tr(G^dag dV), which the
-search pulls back through its polar map (``parametrization.polar``).
-``gradient_analytic`` contracts G with the chart partials of
+1 - J and the matrix G with d(1 - J) = Re tr(G^dag dV), which the search
+pulls back through its polar map (``parametrization.polar``).
+``gradient_analytic`` contracts -G with the chart partials of
 ``realize_with_partials``; the central differences of ``gradient`` are the
 independent check for both.
 """
@@ -59,7 +66,6 @@ __all__ = [
     "coefficients",
     "reduced_channel",
     "reduced_channel_of_unitary",
-    "conjugation_adjoint",
     "value_and_gradient",
     "gradient",
     "gradient_analytic",
@@ -112,36 +118,34 @@ def transformed_kraus(channel: KrausChannel, u: np.ndarray) -> list[np.ndarray]:
     return [u @ op @ ud for op in channel.operators]
 
 
-def _encoded_products(
+def _residuals(
     channel: KrausChannel, v: np.ndarray, n1: int, n2: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """P = V [D_0^dag | .. | D_{K-1}^dag | D_0 | .. | D_{K-1}] in one product,
-    and the traced blocks S_k = Tr_H1(V D_k V^dag) of the encoded rows V.
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """1 - J at the orthonormal encoded rows V, with the pieces it is built
+    from: the residuals r, the blocks M and V (I - S).
 
-    The identity part of E_k = a_k I + D_k maps to n1 a_k I exactly under
-    orthonormal V, so Tr_H1(V E_k V^dag) = n1 a_k I + S_k and only the O(dt)
-    D_k go through products.  Returns (P, S)."""
-    m, dim, k = n1 * n2, channel.dim, len(channel.operators)
-    p = v @ channel.traceless_row
-    blocks = p[:, k * dim :].reshape(m * k, dim) @ v.conj().T
-    return p, np.einsum("iakib->kab", blocks.reshape(n1, n2, k, n1, n2))
-
-
-def _objective_terms(a: np.ndarray, s: np.ndarray, n1: int, n2: int) -> tuple[float, float]:
-    """J = sum_k ||n1 a_k I + S_k||^2 / (n1^2 n2) as (base, rest): the constant
-    base = sum_k |a_k|^2 and the V-dependent rest, each at full relative
-    precision, so that J = base + rest carries a single rounding."""
-    traces = s.reshape(len(s), -1)[:, :: n2 + 1].sum(axis=1)
-    rest = 2 * n1 * np.vdot(a, traces).real + np.vdot(s, s).real
-    return float(np.vdot(a, a).real), float(rest / (n1 * n1 * n2))
+    M_k = Tr_H1(V E_k V^dag)/n1 and r_k = E_k V^dag - V^dag (I (x) M_k),
+    stacked as r[k, n, i, a] with (i, a) the H1 (x) H2 index of column
+    i*n2 + a.  1 - J = R + (1/m) tr(V (I - S) V^dag) with
+    R = (1/m) sum_k ||r_k||^2 and I - S the channel's ``completeness_gap``.
+    """
+    m, dim, ops = n1 * n2, channel.dim, channel.stack()
+    k = len(ops)
+    vd = v.conj().T
+    ev = (ops.reshape(k * dim, dim) @ vd).reshape(k, dim, n1, n2)
+    mk = np.einsum("ian,knib->kab", v.reshape(n1, n2, dim), ev) / n1
+    r = ev - (vd.reshape(dim * n1, n2) @ mk).reshape(k, dim, n1, n2)
+    v_gap = v @ channel.completeness_gap
+    value = (np.vdot(r, r).real + np.vdot(v, v_gap).real) / m
+    return float(value), r, mk, v_gap
 
 
 def objective_of_unitary(channel: KrausChannel, u: np.ndarray, n1: int, n2: int) -> float:
     """J for an encoding whose first n1*n2 rows V are orthonormal: a full
-    unitary, or just those rows.
+    unitary, or just those rows.  J is 1 minus ``value_and_gradient``'s value.
 
-    Raises ValidationError when ||V V^dag - I|| > 1e-10, because the split
-    J = base + rest holds only for orthonormal rows.
+    Raises ValidationError when ||V V^dag - I|| > 1e-10, because the identity
+    for 1 - J holds only for orthonormal rows.
     """
     dim, m = channel.dim, n1 * n2
     if n1 < 1 or n2 < 1 or m > dim:
@@ -151,9 +155,7 @@ def objective_of_unitary(channel: KrausChannel, u: np.ndarray, n1: int, n2: int)
         raise ValidationError(f"encoding needs {m} rows of length {dim}, got {v.shape}")
     if np.linalg.norm(v @ v.conj().T - np.eye(m)) > 1e-10:
         raise ValidationError("encoded rows are not orthonormal to 1e-10")
-    s = _encoded_products(channel, v, n1, n2)[1]
-    base, rest = _objective_terms(channel.traceless_split[0], s, n1, n2)
-    return base + rest
+    return 1.0 - _residuals(channel, v, n1, n2)[0]
 
 
 def objective(channel: KrausChannel, cand: EncodingCandidate) -> float:
@@ -283,33 +285,16 @@ def gradient(channel: KrausChannel, cand: EncodingCandidate, h: float = 1e-6) ->
     return out
 
 
-def conjugation_adjoint(channel: KrausChannel, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The matrix A with Re tr(A dU) = sum_k Re tr(w_k^dag dC_k) for every dU.
-
-    C_k = U E_k U^dag changes by dU E_k U^dag + U E_k dU^dag, so
-    A = sum_k (E_k U^dag w_k^dag + E_k^dag U^dag w_k), summed as one matrix
-    product over the channel's cached stack of Kraus operators and adjoints.
-    """
-    dim = u.shape[0]
-    left = channel.stack_with_adjoints @ dagger(u)
-    right = np.concatenate([w.conj().transpose(0, 2, 1), w])
-    return left.transpose(1, 0, 2).reshape(dim, -1) @ right.reshape(-1, dim)
-
-
 def value_and_gradient(
     channel: KrausChannel, v: np.ndarray, n1: int, n2: int
-) -> tuple[float, float, np.ndarray]:
-    """J = base + rest at the orthonormal encoded rows V, and G with
-    dJ = Re tr(G^dag dV).
+) -> tuple[float, np.ndarray]:
+    """1 - J at the orthonormal encoded rows V, and G with
+    d(1 - J) = Re tr(G^dag dV).
 
-    base + rest is the same float ``objective_of_unitary`` returns for any U
-    with U[:m] = V.  base is fixed by the channel, so a search can follow
-    rest alone, which resolves changes of J far below J's own rounding.  With
-    T_k = n1 a_k I + S_k and W_k = I (x) T_k, dJ = (2/(n1^2 n2)) sum_k
-    Re tr(T_k^dag dT_k) = c sum_k Re tr(W_k^dag dC_k) for C_k = V D_k V^dag,
-    so G = c sum_k (W_k V D_k^dag + W_k^dag V D_k) with c = 2/(n1^2 n2): one
-    contraction of [T; T^dag] with the blocks of P = V [D^dag | D] over k
-    and H2.
+    1 - J = R + (1/m) tr(V (I - S) V^dag) with R = (1/m) sum_k ||r_k||^2 (see
+    ``_residuals``).  M_k is the least-squares choice of M in
+    ||E_k V^dag - V^dag (I (x) M)||, so dM_k drops out of dR and
+    G = (2/m) sum_k (r_k^dag E_k - (I (x) M_k) r_k^dag) + (2/m) V (I - S).
     """
     dim = channel.dim
     if n1 < 1 or n2 < 1 or n1 * n2 > dim:
@@ -318,25 +303,22 @@ def value_and_gradient(
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (m, dim):
         raise ValidationError(f"encoded rows must have shape {(m, dim)}, got {v.shape}")
-    a = channel.traceless_split[0]
-    p, s = _encoded_products(channel, v, n1, n2)
-    k = len(a)
-    t = np.empty((2 * k, n2, n2), dtype=np.complex128)
-    t[:k] = s
-    t[:k].reshape(k, -1)[:, :: n2 + 1] += n1 * a[:, None]
-    t[k:] = t[:k].conj().transpose(0, 2, 1)
-    g = np.einsum("kab,ibkn->ian", t, p.reshape(n1, n2, 2 * k, dim)).reshape(m, dim)
-    return *_objective_terms(a, s, n1, n2), (2.0 / (n1 * n1 * n2)) * g
+    value, r, mk, v_gap = _residuals(channel, v, n1, n2)
+    rc = r.conj()
+    g = rc.reshape(-1, m).T @ channel.stack().reshape(-1, dim)
+    g -= np.einsum("kab,knib->ian", mk, rc).reshape(m, dim)
+    g += v_gap
+    return value, (2.0 / m) * g
 
 
 def gradient_analytic(channel: KrausChannel, cand: EncodingCandidate) -> np.ndarray:
-    """dJ/dx at a candidate: ``value_and_gradient``'s G contracted with the
-    chart partials of the encoded rows.
+    """dJ/dx at a candidate: minus ``value_and_gradient``'s G contracted with
+    the chart partials of the encoded rows.
 
     Tests check it against the finite-difference ``gradient`` oracle.
     """
     _check_channel_candidate(channel, cand)
     u, du = realize_with_partials(cand.params)
     m = cand.n1 * cand.n2
-    g = value_and_gradient(channel, u[:m], cand.n1, cand.n2)[2]
-    return np.real(np.einsum("ab,pab->p", g.conj(), du[:, :m]))
+    g = value_and_gradient(channel, u[:m], cand.n1, cand.n2)[1]
+    return -np.real(np.einsum("ab,pab->p", g.conj(), du[:, :m]))

@@ -48,9 +48,9 @@ def collective_channel():
 
 @pytest.fixture(scope="session")
 def collective_search(collective_channel):
-    """One small search on the collective channel; the winner is polished to a
-    numerically exact decoherence-free point (shared because it is the
-    costliest fixture in the module tests)."""
+    """One small search on the collective channel; the winner is a numerically
+    exact decoherence-free point (shared because it is the costliest fixture
+    in the module tests)."""
     config = SearchConfig(num_restarts=3, seed=1, candidate_dims=((2, 2),))
     return find_mns(collective_channel, config)[(2, 2)]
 

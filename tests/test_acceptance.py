@@ -163,8 +163,9 @@ def test_acceptance_4_weak_local_dephasing_stability():
 
 
 def test_acceptance_5_objective_matches_reduced_channel_weight():
-    """On 50 random exact channels and random 8-dim encodings the Parseval
-    objective equals the identity weight of the reduced channel to 1e-10."""
+    """On 50 random exact channels and random 8-dim encodings the
+    sum-of-squares objective equals the identity weight of the reduced
+    channel to 1e-10."""
     rng = np.random.default_rng(42)
     dims_cycle = [(2, 1), (2, 2), (3, 1), (2, 3), (4, 1), (2, 4), (3, 2), (4, 2)]
     worst = 0.0

@@ -53,7 +53,6 @@ FULL_CONFIG_TEXT = json.dumps(
             "max_iterations": 300,
             "gradient_tolerance": 1e-9,
             "objective_tolerance": 1e-13,
-            "dfs_threshold": 1e-6,
             "seed": 11,
             "dt": 0.0005,
         },
@@ -96,7 +95,6 @@ def test_parse_config_defaults_and_optional_sweep():
     assert config.search.max_iterations == 2000
     assert config.search.gradient_tolerance == 1e-8
     assert config.search.objective_tolerance == 1e-12
-    assert config.search.dfs_threshold == 1e-6
     assert config.search.dt is None
     assert config.model.gamma_x == 1.0
 
@@ -141,6 +139,15 @@ def _mutated(mutate):
             r"field 'search.candidate_dims\[0\]\[1\]' must be >= 1",
         ),
         (_mutated(lambda r: r["search"].update(dt=-0.1)), "search.dt must be positive"),
+        # a misspelt key, and one that no longer exists, must not run on defaults
+        (
+            _mutated(lambda r: r["search"].update(num_restart=3)),
+            r"unknown field\(s\) in 'search': 'num_restart'",
+        ),
+        (
+            _mutated(lambda r: r["search"].update(dfs_threshold=1e-6)),
+            r"unknown field\(s\) in 'search': 'dfs_threshold'",
+        ),
         (
             _mutated(lambda r: r["search"].update(num_restarts=0)),
             "field 'search.num_restarts' must be >= 1",

@@ -18,9 +18,12 @@ from mns.noise import (
     PAULI_Z,
     collective_dfs_encoding,
     collective_xz,
+    default_dt,
     identity_channel,
     lindblad_to_kraus,
+    perturbed_collective,
     random_kraus_channel,
+    random_perturbation_unitary,
 )
 from mns.objective import (
     candidate,
@@ -251,52 +254,92 @@ def test_value_and_gradient_objective_is_bitwise_objective_of_unitary(collective
     )
     for channel, seed, dims in cases:
         u = realize(_random_point(channel.dim, seed))
-        base, rest, _ = value_and_gradient(channel, u[: dims[0] * dims[1]], *dims)
-        assert base + rest == objective_of_unitary(channel, u, *dims)
+        value, _ = value_and_gradient(channel, u[: dims[0] * dims[1]], *dims)
+        assert 1.0 - value == objective_of_unitary(channel, u, *dims)
+
+
+def _one_minus_j_oracle(operators, v, n1, n2):
+    """R + (1/m) tr(V (I - S) V^dag), one Kraus operator at a time."""
+    m, dim = n1 * n2, v.shape[1]
+    vd = v.conj().T
+    total = 0.0
+    gram = np.zeros((dim, dim), dtype=complex)
+    for e in operators:
+        c = v @ e @ vd
+        mk = sum(c[i * n2 : (i + 1) * n2, i * n2 : (i + 1) * n2] for i in range(n1)) / n1
+        r = e @ vd - vd @ np.kron(np.eye(n1), mk)
+        total += np.sum(np.abs(r) ** 2)
+        gram += e.conj().T @ e
+    return (total + np.trace(v @ (np.eye(dim) - gram) @ vd).real) / m
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (1, 3), (2, 3)])
+def test_one_minus_objective_is_residual_sum_of_squares(dims):
+    # 1 - J = (1/m) sum_k ||E_k V^dag - V^dag (I (x) M_k)||^2
+    #         + (1/m) tr(V (I - sum_k E_k^dag E_k) V^dag)
+    perturbed = perturbed_collective(
+        3, 1.0, 1.0, random_perturbation_unitary(8, 0.05, "global", seed=9)
+    )
+    channels = (
+        random_kraus_channel(8, 3, seed=40),
+        lindblad_to_kraus(collective_xz(3, 1.0, 1.0), DT),
+        lindblad_to_kraus(perturbed, default_dt(perturbed)),
+    )
+    rng = np.random.default_rng(41)
+    for channel in channels:
+        for _ in range(3):
+            g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            u = np.linalg.qr(g)[0]
+            j = objective_of_unitary(channel, u, *dims)
+            oracle = _one_minus_j_oracle(channel.operators, u[: dims[0] * dims[1]], *dims)
+            assert abs((1.0 - j) - oracle) <= 1e-15
+            assert abs(j - reduced_channel_of_unitary(channel, u, *dims).p1) <= 1e-13
 
 
 def test_value_and_gradient_matches_finite_differences():
     # the gradient in V, pulled back through the polar map, against central
-    # differences over the flat X coordinates the search moves
+    # differences over the flat X coordinates the search moves; the
+    # first-order channel at a long step makes the completeness term
+    # (2/m) V (I - S) large enough to show in the comparison
     rng = np.random.default_rng(20)
-    ch = random_kraus_channel(8, 4, rng)
-    for seed, dims in ((21, (2, 2)), (22, (2, 3)), (23, (3, 1)), (29, (1, 3)), (30, (2, 4))):
-        m = dims[0] * dims[1]
-        x0 = np.random.default_rng(seed).standard_normal(2 * m * 8)
+    exact = random_kraus_channel(8, 4, rng)
+    coarse = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), 0.2)
+    assert coarse.completeness_defect() > 1e-2
+    for ch in (exact, coarse):
+        for seed, dims in ((21, (2, 2)), (22, (2, 3)), (23, (3, 1)), (29, (1, 3)), (30, (2, 4))):
+            m = dims[0] * dims[1]
+            x0 = np.random.default_rng(seed).standard_normal(2 * m * 8)
 
-        def j_of(x):
-            return sum(value_and_gradient(ch, polar(x, m)[0], *dims)[:2])
+            def f_of(x):
+                return value_and_gradient(ch, polar(x, m)[0], *dims)[0]
 
-        v, pullback = polar(x0, m)
-        ga = pullback(value_and_gradient(ch, v, *dims)[2])
-        h = 1e-6
-        gf = np.array([(j_of(x0 + h * e) - j_of(x0 - h * e)) / (2 * h) for e in np.eye(x0.size)])
-        assert np.linalg.norm(ga - gf) <= 1e-6 * max(1.0, np.linalg.norm(gf))
+            v, pullback = polar(x0, m)
+            ga = pullback(value_and_gradient(ch, v, *dims)[1])
+            h = 1e-6
+            gf = np.array([(f_of(x0 + h * e) - f_of(x0 - h * e)) / (2 * h) for e in np.eye(x0.size)])
+            assert np.linalg.norm(ga - gf) <= 1e-6 * max(1.0, np.linalg.norm(gf))
 
 
-def test_channel_split_is_cached_read_only():
-    # the stacks and the traceless split are built once per channel and
+def test_channel_arrays_are_cached_read_only():
+    # the stack and I - sum_k E_k^dag E_k are built once per channel and
     # cannot be written through; repeated evaluations give identical results
-    channel = random_kraus_channel(8, 3, seed=31)
-    a, d = channel.traceless_split
-    cached = (channel.stack(), channel.stack_with_adjoints, a, d, channel.traceless_row)
+    channel = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), DT)
+    cached = (channel.stack(), channel.completeness_gap)
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
-    assert channel.stack() is cached[0]
-    assert channel.traceless_split[1] is d and channel.traceless_row is cached[4]
-    ops = np.stack(channel.operators)
-    assert np.array_equal(cached[1], np.concatenate([ops, ops.conj().transpose(0, 2, 1)]))
-    assert np.allclose(d + a[:, None, None] * np.eye(8), ops, atol=1e-15)
-    assert np.abs(np.trace(d, axis1=1, axis2=2)).max() <= 1e-15
-    assert np.array_equal(cached[4], np.concatenate([*d.conj().transpose(0, 2, 1), *d], axis=1))
+    assert channel.stack() is cached[0] and channel.completeness_gap is cached[1]
+    assert np.array_equal(cached[0], np.stack(channel.operators))
+    gap = np.eye(8) - sum(dagger(e) @ e for e in channel.operators)
+    assert np.abs(cached[1] - gap).max() <= 1e-15
+    assert channel.completeness_defect() == np.linalg.norm(cached[1])
     v = realize(_random_point(8, 32))[:4]
     first = value_and_gradient(channel, v, 2, 2)
     for _ in range(3):
         again = value_and_gradient(channel, v, 2, 2)
-        assert again[:2] == first[:2]
-        assert np.array_equal(again[2], first[2])
+        assert again[0] == first[0]
+        assert np.array_equal(again[1], first[1])
     assert objective_of_unitary(channel, v, 2, 2) == objective_of_unitary(channel, v, 2, 2)
 
 
