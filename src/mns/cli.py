@@ -17,7 +17,7 @@ import dataclasses
 import sys
 
 from . import __version__
-from .errors import ConfigError, NumericalConsistencyError, ValidationError
+from .errors import ConfigError, ValidationError
 from .experiments import (
     cmd_fidelity_sweep,
     cmd_find_mns,
@@ -86,9 +86,6 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalConsistencyError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except Exception as exc:  # pragma: no cover - defensive
         print(f"unexpected failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

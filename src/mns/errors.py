@@ -8,10 +8,3 @@ class ValidationError(ValueError):
 class ConfigError(ValidationError):
     """Raised when an experiment configuration cannot be parsed or validated."""
 
-
-class NumericalConsistencyError(RuntimeError):
-    """Raised when an internal numerical invariant fails.
-
-    Signals an implementation bug (or badly conditioned input), never a
-    routine runtime condition.
-    """

@@ -63,12 +63,14 @@ __all__ = [
     "format_float",
 ]
 
-MODEL_KINDS = (
-    "collective_xz",
-    "collective_z_local_dephasing",
-    "perturbed_collective_global",
-    "perturbed_collective_local",
-)
+# the model fields each kind reads, besides kind and n_qubits
+MODEL_FIELDS = {
+    "collective_xz": ("gamma_x", "gamma_z"),
+    "collective_z_local_dephasing": ("gamma_z", "delta", "local_rates"),
+    "perturbed_collective_global": ("gamma_1", "gamma_2", "delta", "perturbation_seed"),
+    "perturbed_collective_local": ("gamma_1", "gamma_2", "delta", "perturbation_seed"),
+}
+MODEL_KINDS = tuple(MODEL_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,14 @@ def _integer(value, path: str, minimum=None) -> int:
     return value
 
 
+def _reject_unknown(mapping: dict, known, section: str) -> None:
+    """A key the parser does not read is an error, so a misspelt one cannot
+    run on the defaults."""
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown field(s) in {section}: {', '.join(map(repr, unknown))}")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config; errors name the offending field."""
     try:
@@ -159,6 +169,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
     n_qubits = _integer(_require(model_raw, "n_qubits", "model"), "model.n_qubits", 1)
+    known = ("kind", "n_qubits", *MODEL_FIELDS[kind])
+    _reject_unknown(model_raw, known, f"'model' (kind {kind!r})")
 
     kwargs: dict = {"kind": kind, "n_qubits": n_qubits}
     if kind == "collective_xz":
@@ -187,9 +199,7 @@ def parse_config(text: str) -> ExperimentConfig:
     search_raw = _require(raw, "search", "$")
     if not isinstance(search_raw, dict):
         raise ConfigError("field 'search' must be an object")
-    unknown = sorted(set(search_raw) - {f.name for f in fields(SearchSpec)})
-    if unknown:
-        raise ConfigError(f"unknown field(s) in 'search': {', '.join(map(repr, unknown))}")
+    _reject_unknown(search_raw, [f.name for f in fields(SearchSpec)], "'search'")
     dims_raw = _require(search_raw, "candidate_dims", "search")
     if (
         not isinstance(dims_raw, list)
@@ -227,6 +237,7 @@ def parse_config(text: str) -> ExperimentConfig:
         sweep_raw = raw["sweep"]
         if not isinstance(sweep_raw, dict):
             raise ConfigError("field 'sweep' must be an object")
+        _reject_unknown(sweep_raw, [f.name for f in fields(SweepSpec)], "'sweep'")
         mode = _require(sweep_raw, "mode", "sweep")
         if mode not in ("delta", "tf"):
             raise ConfigError(f"sweep.mode must be 'delta' or 'tf', got {mode!r}")

@@ -10,14 +10,17 @@ generator of d(rho)/dt = sum_i gamma_i D[V_i] rho is
 
 and the channel over [0, t_f] is expm(L * t_f) (scaling-and-squaring).
 
-Fidelity of an encoding U with dims (n1, n2) for a logical pure state psi:
+Fidelity of an encoding with encoded rows V (dims (n1, n2)) for a logical
+pure state psi:
 
-    f(psi) = <psi| decode(evolve(encode(|psi><psi|))) |psi>,
+    f(psi) = <psi| Tr_H2[V Lambda(V^dag (|psi><psi| (x) I/n2) V) V^dag] |psi>,
 
-where decode keeps the raw (unrenormalized) projected partial trace, so
-population that leaks out of the encoded block counts as infidelity.  The
-worst case minimizes f over pure states: exactly for a qubit (a quadratic on
-the Bloch sphere), by multi-start BFGS descent for larger logical dimensions.
+with Lambda the evolved channel.  The projected partial trace is not
+renormalized, so population that leaks out of the encoded block counts as
+infidelity.  f is a quadratic form in |psi><psi| through the logical map
+(``logical_map``).  The worst case minimizes f over pure states: exactly
+for a qubit (a quadratic on the Bloch sphere), by multi-start BFGS descent
+for larger logical dimensions.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from .errors import ValidationError
-from .linalg import dagger, partial_trace_2, tensor
+from .linalg import dagger, tensor
 from .noise import LindbladModel, default_dt, lindblad_to_kraus
 from .parametrization import UnitaryParams, polar, realize
 from .search import SearchConfig, _bfgs_minimize, find_mns
@@ -40,9 +43,7 @@ __all__ = [
     "FidelityPoint",
     "liouvillian",
     "evolve",
-    "choi_matrix",
-    "encode",
-    "decode",
+    "logical_map",
     "worst_case_fidelity",
     "fidelity_sweep",
 ]
@@ -55,12 +56,6 @@ class EvolvedChannel:
     dim: int
     t_f: float
     superoperator: np.ndarray
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=np.complex128)
-        if rho.shape != (self.dim, self.dim):
-            raise ValidationError(f"state shape {rho.shape} does not match dim {self.dim}")
-        return (self.superoperator @ rho.reshape(-1)).reshape(self.dim, self.dim)
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:
@@ -87,86 +82,19 @@ def evolve(model: LindbladModel, t_f: float) -> EvolvedChannel:
     return EvolvedChannel(dim=dim, t_f=float(t_f), superoperator=sup)
 
 
-def choi_matrix(superoperator: np.ndarray) -> np.ndarray:
-    """Choi matrix of a superoperator in the row-major convention."""
-    n2 = superoperator.shape[0]
-    n = int(round(np.sqrt(n2)))
-    if n * n != n2 or superoperator.shape != (n2, n2):
-        raise ValidationError(f"superoperator shape {superoperator.shape} is not (n^2, n^2)")
-    return superoperator.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n2, n2)
+def logical_map(superoperator: np.ndarray, v: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Matrix of rho1 -> Tr_H2[V Lambda(V^dag (rho1 (x) I/n2) V) V^dag] on
+    row-major vectorized H1 operators, for the superoperator of Lambda and
+    the encoded rows V.
 
-
-def _check_density(rho: np.ndarray, atol: float = 1e-8) -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.complex128)
-    n = rho.shape[0]
-    if rho.ndim != 2 or rho.shape != (n, n):
-        raise ValidationError(f"state must be a square matrix, got shape {rho.shape}")
-    if np.linalg.norm(rho - dagger(rho)) > atol:
-        raise ValidationError("state is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol:
-        raise ValidationError("state does not have unit trace")
-    if np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min() < -atol:
-        raise ValidationError("state is not positive semidefinite")
-    return rho
-
-
-def _encode_raw(rho1: np.ndarray, u: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    dim = u.shape[0]
-    block = tensor(rho1, np.eye(n2, dtype=np.complex128) / n2)
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    full[: n1 * n2, : n1 * n2] = block
-    return dagger(u) @ full @ u
-
-
-def encode(rho1: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Physical state U^dag (rho1 (x) I/n2 (+) 0) U for a logical density matrix."""
-    n1, n2 = dims
-    rho1 = _check_density(rho1)
-    if rho1.shape != (n1, n1):
-        raise ValidationError(f"logical state shape {rho1.shape} does not match n1={n1}")
-    u = np.asarray(u, dtype=np.complex128)
-    if n1 * n2 > u.shape[0]:
-        raise ValidationError(f"encoded block {n1}x{n2} exceeds dimension {u.shape[0]}")
-    return _encode_raw(rho1, u, n1, n2)
-
-
-def decode(
-    rho: np.ndarray,
-    u: np.ndarray,
-    dims: tuple[int, int],
-    renormalize: bool = True,
-) -> tuple[np.ndarray, float]:
-    """Project back onto the encoded block and trace out H2.
-
-    Returns (logical state, leakage) with leakage = 1 - Tr of the projected
-    block.  With ``renormalize=False`` the raw trace-deficient operator is
-    returned; fidelity uses that form so leakage counts as infidelity.
+    With vec(A rho B) = (A (x) B^T) vec(rho), a = V (x) conj(V) decodes and
+    a^dag encodes, so a Sup a^dag is Lambda restricted to the encoded block.
+    Tracing H2 out of its output and contracting its input with I/n2 leaves
+    the n1^2 x n1^2 logical map.
     """
-    n1, n2 = dims
-    rho = np.asarray(rho, dtype=np.complex128)
-    u = np.asarray(u, dtype=np.complex128)
-    m = n1 * n2
-    block = (u @ rho @ dagger(u))[:m, :m]
-    out = partial_trace_2(block, n1, n2)
-    trace = float(np.trace(out).real)
-    leakage = 1.0 - trace
-    if renormalize and 0.0 < trace < 1.0:
-        out = out / trace
-    return out, leakage
-
-
-def _logical_map(u: np.ndarray, dims: tuple[int, int], evolved: EvolvedChannel) -> np.ndarray:
-    """Matrix of rho1 -> decode(evolve(encode(rho1))) on vectorized H1 operators."""
-    n1, n2 = dims
-    out = np.zeros((n1 * n1, n1 * n1), dtype=np.complex128)
-    for a in range(n1):
-        for b in range(n1):
-            unit = np.zeros((n1, n1), dtype=np.complex128)
-            unit[a, b] = 1.0
-            evolved_state = evolved.apply(_encode_raw(unit, u, n1, n2))
-            decoded, _ = decode(evolved_state, u, dims, renormalize=False)
-            out[:, a * n1 + b] = decoded.reshape(-1)
-    return out
+    a = np.kron(v, v.conj())
+    blk = (a @ superoperator @ a.conj().T).reshape((n1, n2) * 4)
+    return np.einsum("iajakblb->ijkl", blk).reshape(n1 * n1, n1 * n1) / n2
 
 
 # Columns vec(sigma_mu)/2 for sigma = (I, X, Y, Z): vec((I + r.sigma)/2) = _BLOCH @ (1, r).
@@ -238,7 +166,7 @@ def worst_case_fidelity(u: np.ndarray, dims: tuple[int, int], evolved: EvolvedCh
         raise ValidationError(f"unitary shape {u.shape} does not match dim {evolved.dim}")
     if n1 * n2 > evolved.dim:
         raise ValidationError(f"encoded block {n1}x{n2} exceeds dim {evolved.dim}")
-    gmat = _logical_map(u, dims, evolved)
+    gmat = logical_map(evolved.superoperator, u[: n1 * n2], n1, n2)
     if n1 != 2:
         return _descent_minimum(gmat, n1)
     q = np.real(dagger(_BLOCH) @ gmat @ _BLOCH)

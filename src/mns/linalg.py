@@ -2,32 +2,22 @@
 
 All operators in this package are plain ``numpy.ndarray``s of dtype
 ``complex128``.  This module collects the small set of structural helpers the
-rest of the code is built on: tensor (Kronecker) products, partial traces,
-direct-sum embeddings, and the orthonormal Hermitian operator basis
-(normalized generalized Gell-Mann matrices with the identity in front).
+rest of the code is built on: tensor (Kronecker) products, commutators,
+direct-sum embeddings and random density matrices.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
 __all__ = [
-    "PauliBasis",
     "as_matrix",
     "dagger",
     "commutator",
     "tensor",
-    "partial_trace_2",
-    "partial_trace_1",
     "direct_sum_embed",
-    "block_projector",
-    "pauli_basis",
-    "haar_random_unitary",
-    "random_pure_state",
     "random_density_matrix",
 ]
 
@@ -55,32 +45,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
-def _check_factor_dims(m: np.ndarray, n1: int, n2: int) -> None:
-    if n1 < 1 or n2 < 1:
-        raise ValidationError(f"factor dimensions must be positive, got ({n1}, {n2})")
-    if m.shape != (n1 * n2, n1 * n2):
-        raise ValidationError(
-            f"matrix of shape {m.shape} does not factor as ({n1}*{n2}, {n1}*{n2})"
-        )
-
-
-def partial_trace_2(m: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Trace out the second tensor factor of an (n1*n2, n1*n2) matrix.
-
-    Returns the (n1, n1) matrix  out[i, j] = sum_a m[(i, a), (j, a)].
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    _check_factor_dims(m, n1, n2)
-    return np.einsum("iaja->ij", m.reshape(n1, n2, n1, n2))
-
-
-def partial_trace_1(m: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Trace out the first tensor factor; returns the (n2, n2) matrix."""
-    m = np.asarray(m, dtype=np.complex128)
-    _check_factor_dims(m, n1, n2)
-    return np.einsum("iaib->ab", m.reshape(n1, n2, n1, n2))
-
-
 def direct_sum_embed(block: np.ndarray, total_dim: int) -> np.ndarray:
     """Embed ``block`` as the leading diagonal block of a ``total_dim`` matrix.
 
@@ -97,86 +61,9 @@ def direct_sum_embed(block: np.ndarray, total_dim: int) -> np.ndarray:
     return out
 
 
-def block_projector(block_dim: int, total_dim: int) -> np.ndarray:
-    """Projector onto the leading ``block_dim`` coordinates of a ``total_dim`` space."""
-    return direct_sum_embed(np.eye(block_dim), total_dim)
-
-
-@dataclass(frozen=True)
-class PauliBasis:
-    """Orthonormal Hermitian basis of dim x dim operators.
-
-    ``elements[0]`` is I/sqrt(dim); the rest are the normalized generalized
-    Gell-Mann matrices, ordered as all symmetric off-diagonal pairs (j < k,
-    lexicographic), then all antisymmetric pairs (same order), then the
-    diagonal family.  Every element satisfies Tr(e_m e_n) = delta_mn.
-    """
-
-    dim: int
-    elements: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def stack(self) -> np.ndarray:
-        """The basis as a (dim**2, dim, dim) array."""
-        return np.stack(self.elements)
-
-
-def pauli_basis(dim: int) -> PauliBasis:
-    """Construct the orthonormal Hermitian operator basis for dimension ``dim``.
-
-    For dim == 2 this is {I, X, Y, Z}/sqrt(2).
-    """
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValidationError(f"basis dimension must be a positive integer, got {dim!r}")
-    dim = int(dim)
-    elems: list[np.ndarray] = [np.eye(dim, dtype=np.complex128) / np.sqrt(dim)]
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=np.complex128)
-            m[j, k] = inv_sqrt2
-            m[k, j] = inv_sqrt2
-            elems.append(m)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=np.complex128)
-            m[j, k] = -1j * inv_sqrt2
-            m[k, j] = 1j * inv_sqrt2
-            elems.append(m)
-    for l in range(1, dim):
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -l
-        elems.append(m / np.sqrt(l * (l + 1)))
-    return PauliBasis(dim=dim, elements=tuple(elems))
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def haar_random_unitary(dim: int, seed=None) -> np.ndarray:
-    """Haar-distributed random unitary via QR with the standard phase fix."""
-    rng = _as_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def random_pure_state(dim: int, seed=None) -> np.ndarray:
-    rng = _as_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def random_density_matrix(dim: int, seed=None, rank: int | None = None) -> np.ndarray:
     """Random full-rank (by default) density matrix, Wishart-normalized."""
-    rng = _as_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     r = dim if rank is None else rank
     g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
     rho = g @ g.conj().T

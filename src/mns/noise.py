@@ -21,9 +21,8 @@ diag(3, 1, 1, -1, 1, -1, -1, -3) in the computational basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -43,13 +42,9 @@ __all__ = [
     "perturbed_collective",
     "random_perturbation_unitary",
     "lindblad_to_kraus",
-    "identity_channel",
-    "random_kraus_channel",
     "default_dt",
     "dfs_check",
     "collective_dfs_encoding",
-    "excitation_subspace",
-    "basis_state_encoding",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -147,12 +142,6 @@ class KrausChannel:
     def completeness_defect(self) -> float:
         """Frobenius norm of sum_k E_k^dag E_k - I."""
         return float(np.linalg.norm(self.completeness_gap))
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for op in self.operators:
-            out += op @ rho @ dagger(op)
-        return out
 
     def stack(self) -> np.ndarray:
         """The operators as one read-only (K, N, N) array, built once."""
@@ -268,19 +257,6 @@ def lindblad_to_kraus(model: LindbladModel, dt: float) -> KrausChannel:
     return KrausChannel(dim=dim, operators=tuple(ops), dt=dt)
 
 
-def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel(dim=dim, operators=(np.eye(dim, dtype=np.complex128),))
-
-
-def random_kraus_channel(dim: int, n_ops: int, seed=None) -> KrausChannel:
-    """Exactly complete random channel from a Haar-style Stinespring isometry."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = rng.standard_normal((dim * n_ops, dim)) + 1j * rng.standard_normal((dim * n_ops, dim))
-    q, _ = np.linalg.qr(g)
-    ops = tuple(q[k * dim : (k + 1) * dim, :] for k in range(n_ops))
-    return KrausChannel(dim=dim, operators=ops)
-
-
 def default_dt(model: LindbladModel, target: float = 1e-3) -> float:
     """Step size with max(rate) * dt = target (1e-3 by default)."""
     top = model.max_rate()
@@ -329,35 +305,6 @@ def dfs_check(
     ]
     defect = max(per_operator)
     return defect <= threshold, defect, per_operator
-
-
-def excitation_subspace(n_qubits: int, n_excited: int) -> np.ndarray:
-    """Orthonormal basis (as columns) of the span of computational states
-    with exactly ``n_excited`` qubits in |1>."""
-    if not 0 <= n_excited <= n_qubits:
-        raise ValidationError(f"n_excited must be within 0..{n_qubits}")
-    dim = 2**n_qubits
-    idx = sorted(
-        sum(1 << (n_qubits - 1 - q) for q in ones)
-        for ones in combinations(range(n_qubits), n_excited)
-    )
-    basis = np.zeros((dim, len(idx)), dtype=np.complex128)
-    for col, i in enumerate(idx):
-        basis[i, col] = 1.0
-    return basis
-
-
-def basis_state_encoding(dim: int, leading_indices) -> np.ndarray:
-    """Permutation unitary whose first rows map the given computational basis
-    states onto the leading coordinates (useful for subspace encodings)."""
-    leading = [int(i) for i in leading_indices]
-    if len(set(leading)) != len(leading) or any(not 0 <= i < dim for i in leading):
-        raise ValidationError("leading indices must be distinct and within range")
-    order = leading + [i for i in range(dim) if i not in leading]
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for row, i in enumerate(order):
-        u[row, i] = 1.0
-    return u
 
 
 def collective_dfs_encoding(n_qubits: int = 3) -> np.ndarray:

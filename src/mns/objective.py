@@ -18,9 +18,8 @@ Because the basis is orthonormal, the inner sum telescopes by Parseval to
 
     J[U] = (1/(n1^2 n2)) sum_k || Tr_H1 (U E_k U^dag)_block ||_F^2.
 
-``coefficients`` exposes the full coefficient tensor, and
-``reduced_channel`` rebuilds the logical channel by direct action, giving
-an independent route to p1.
+The tests check J against both sums, and against the identity weight of
+the logical channel rebuilt by direct action.
 
 For orthonormal encoded rows V = U[:m] (m = n1*n2) the same J is a sum of
 squares plus a completeness term,
@@ -41,81 +40,23 @@ The gradient has one implementation, ``value_and_gradient``: at V it returns
 1 - J and the matrix G with d(1 - J) = Re tr(G^dag dV), which the search
 pulls back through its polar map (``parametrization.polar``).
 ``gradient_analytic`` contracts -G with the chart partials of
-``realize_with_partials``; the central differences of ``gradient`` are the
-independent check for both.
+``realize_with_partials``; the tests check both against central
+differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NumericalConsistencyError, ValidationError
-from .linalg import dagger, partial_trace_2, pauli_basis, tensor
+from .errors import ValidationError
 from .noise import KrausChannel
-from .parametrization import UnitaryParams, pack, realize, realize_with_partials, unpack
+from .parametrization import UnitaryParams, realize_with_partials
 
 __all__ = [
-    "EncodingCandidate",
-    "ReducedChannel",
-    "candidate",
-    "transformed_kraus",
-    "objective",
     "objective_of_unitary",
-    "coefficients",
-    "reduced_channel",
-    "reduced_channel_of_unitary",
     "value_and_gradient",
-    "gradient",
     "gradient_analytic",
 ]
-
-
-@dataclass(frozen=True)
-class EncodingCandidate:
-    """A candidate encoding: dimensions (n1, n2, n3) plus chart coordinates."""
-
-    n1: int
-    n2: int
-    n3: int
-    params: UnitaryParams
-    unitary: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.n1 * self.n2 + self.n3
-
-
-def candidate(n1: int, n2: int, params: UnitaryParams) -> EncodingCandidate:
-    """Build a candidate from dims and chart coordinates; n3 is implied."""
-    if n1 < 1 or n2 < 1:
-        raise ValidationError(f"encoded dimensions must be positive, got ({n1}, {n2})")
-    if n1 * n2 > params.dim:
-        raise ValidationError(
-            f"encoded block {n1}x{n2} does not fit in dimension {params.dim}"
-        )
-    return EncodingCandidate(
-        n1=n1, n2=n2, n3=params.dim - n1 * n2, params=params, unitary=realize(params)
-    )
-
-
-def _check_channel_candidate(channel: KrausChannel, cand: EncodingCandidate) -> None:
-    if channel.dim != cand.dim:
-        raise ValidationError(
-            f"channel dim {channel.dim} does not match candidate dim {cand.dim}"
-        )
-
-
-def transformed_kraus(channel: KrausChannel, u: np.ndarray) -> list[np.ndarray]:
-    """The Kraus operators conjugated into the encoded basis, U E_k U^dag."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (channel.dim, channel.dim):
-        raise ValidationError(
-            f"unitary shape {u.shape} does not match channel dim {channel.dim}"
-        )
-    ud = dagger(u)
-    return [u @ op @ ud for op in channel.operators]
 
 
 def _residuals(
@@ -158,133 +99,6 @@ def objective_of_unitary(channel: KrausChannel, u: np.ndarray, n1: int, n2: int)
     return 1.0 - _residuals(channel, v, n1, n2)[0]
 
 
-def objective(channel: KrausChannel, cand: EncodingCandidate) -> float:
-    """Encoding quality J[U] in [0, 1 + completeness defect]."""
-    _check_channel_candidate(channel, cand)
-    return objective_of_unitary(channel, cand.unitary, cand.n1, cand.n2)
-
-
-def coefficients(channel: KrausChannel, cand: EncodingCandidate) -> np.ndarray:
-    """Coefficient tensor a[k, m, n] = Tr((P U E_k U^dag P)(s_m (x) s_n)).
-
-    Indexed by Kraus operator k, H1 basis element m, H2 basis element n; the
-    m = n = 0 entries carry the identity components entering J.
-    """
-    _check_channel_candidate(channel, cand)
-    n1, n2 = cand.n1, cand.n2
-    m = n1 * n2
-    rows = cand.unitary[:m]
-    blocks = np.einsum(
-        "in,knm,jm->kij", rows, channel.stack(), rows.conj(), optimize=True
-    )
-    b1 = pauli_basis(n1).stack()
-    b2 = pauli_basis(n2).stack()
-    prods = np.einsum("mij,nkl->mnikjl", b1, b2).reshape(n1 * n1, n2 * n2, m, m)
-    return np.einsum("kij,mnji->kmn", blocks, prods, optimize=True)
-
-
-@dataclass(frozen=True)
-class ReducedChannel:
-    """The logical channel on H1 split into identity weight plus residual.
-
-    The residual is stored in eigenbasis form: ``apply`` reconstructs
-
-        E1(rho) = p1 * rho + sum_v w_v A_v rho A_v^dag,
-
-    which reproduces the directly computed reduced action exactly.  Residual
-    weights are signed: the reduced map itself is completely positive, but
-    subtracting the identity component can and generically does leave an
-    indefinite remainder.
-    """
-
-    n1: int
-    p1: float
-    residual_weights: np.ndarray
-    residual_ops: tuple[np.ndarray, ...]
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = self.p1 * np.asarray(rho, dtype=np.complex128)
-        for w, op in zip(self.residual_weights, self.residual_ops):
-            out += w * (op @ rho @ dagger(op))
-        return out
-
-
-def _reduced_map_matrix(channel: KrausChannel, u: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Matrix of E1 on row-major vectorized H1 operators, built by direct action:
-    encode, conjugate, apply the channel, project, partial-trace H2."""
-    dim = channel.dim
-    m = n1 * n2
-    ud = dagger(u)
-    eye2 = np.eye(n2, dtype=np.complex128) / n2
-    mat = np.zeros((n1 * n1, n1 * n1), dtype=np.complex128)
-    for a in range(n1):
-        for b in range(n1):
-            unit = np.zeros((n1, n1), dtype=np.complex128)
-            unit[a, b] = 1.0
-            block = tensor(unit, eye2)
-            rho = np.zeros((dim, dim), dtype=np.complex128)
-            rho[:m, :m] = block
-            rho = ud @ rho @ u
-            out_block = (u @ channel.apply(rho) @ ud)[:m, :m]
-            reduced = partial_trace_2(out_block, n1, n2)
-            mat[:, a * n1 + b] = reduced.reshape(-1)
-    return mat
-
-
-def _choi_from_map(mat: np.ndarray, n: int) -> np.ndarray:
-    choi = mat.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    return 0.5 * (choi + dagger(choi))
-
-
-def reduced_channel_of_unitary(
-    channel: KrausChannel, u: np.ndarray, n1: int, n2: int
-) -> ReducedChannel:
-    mat = _reduced_map_matrix(channel, u, n1, n2)
-    choi = _choi_from_map(mat, n1)
-    eig_floor = float(np.linalg.eigvalsh(choi).min())
-    if eig_floor < -1e-9:
-        raise NumericalConsistencyError(
-            f"reduced map is not completely positive: Choi eigenvalue {eig_floor:.3e}"
-        )
-    vec_id = np.eye(n1, dtype=np.complex128).reshape(-1)
-    p1 = float(np.real(vec_id.conj() @ choi @ vec_id) / (n1 * n1))
-    residual = choi - p1 * np.outer(vec_id, vec_id.conj())
-    w, v = np.linalg.eigh(residual)
-    keep = np.abs(w) > 1e-12
-    ops = tuple(v[:, i].reshape(n1, n1) for i in np.nonzero(keep)[0])
-    return ReducedChannel(n1=n1, p1=p1, residual_weights=w[keep], residual_ops=ops)
-
-
-def reduced_channel(channel: KrausChannel, cand: EncodingCandidate) -> ReducedChannel:
-    """Reduced logical channel computed by direct action on an operator basis."""
-    _check_channel_candidate(channel, cand)
-    return reduced_channel_of_unitary(channel, cand.unitary, cand.n1, cand.n2)
-
-
-def _objective_packed(channel: KrausChannel, dim: int, n1: int, n2: int, x: np.ndarray) -> float:
-    return objective_of_unitary(channel, realize(unpack(dim, x)), n1, n2)
-
-
-def gradient(channel: KrausChannel, cand: EncodingCandidate, h: float = 1e-6) -> np.ndarray:
-    """dJ/dx by central finite differences over the packed parameter vector."""
-    _check_channel_candidate(channel, cand)
-    if not h > 0:
-        raise ValidationError(f"finite-difference step must be positive, got {h}")
-    x0 = pack(cand.params)
-    dim, n1, n2 = cand.params.dim, cand.n1, cand.n2
-    out = np.zeros_like(x0)
-    for i in range(x0.size):
-        xp = x0.copy()
-        xp[i] += h
-        xm = x0.copy()
-        xm[i] -= h
-        out[i] = (
-            _objective_packed(channel, dim, n1, n2, xp)
-            - _objective_packed(channel, dim, n1, n2, xm)
-        ) / (2 * h)
-    return out
-
-
 def value_and_gradient(
     channel: KrausChannel, v: np.ndarray, n1: int, n2: int
 ) -> tuple[float, np.ndarray]:
@@ -311,14 +125,12 @@ def value_and_gradient(
     return value, (2.0 / m) * g
 
 
-def gradient_analytic(channel: KrausChannel, cand: EncodingCandidate) -> np.ndarray:
-    """dJ/dx at a candidate: minus ``value_and_gradient``'s G contracted with
-    the chart partials of the encoded rows.
-
-    Tests check it against the finite-difference ``gradient`` oracle.
-    """
-    _check_channel_candidate(channel, cand)
-    u, du = realize_with_partials(cand.params)
-    m = cand.n1 * cand.n2
-    g = value_and_gradient(channel, u[:m], cand.n1, cand.n2)[1]
+def gradient_analytic(
+    channel: KrausChannel, params: UnitaryParams, n1: int, n2: int
+) -> np.ndarray:
+    """dJ/dx at chart coordinates ``params``: minus ``value_and_gradient``'s G
+    contracted with the chart partials of the encoded rows."""
+    u, du = realize_with_partials(params)
+    m = n1 * n2
+    g = value_and_gradient(channel, u[:m], n1, n2)[1]
     return -np.real(np.einsum("ab,pab->p", g.conj(), du[:, :m]))

@@ -16,17 +16,15 @@ N(N+1)/2 phases (N diagonal + one per pair) and N(N-1)/2 angles, N**2 real
 numbers in total.  All parameters live on the real line; the chart is smooth
 and periodic, and ``realize`` of the all-zero vector is exactly the identity.
 
-Packed vector layout (used by the optimizer and finite differences):
-``[diagonal phases | pair phases (lex) | angles (lex)]``.
-
 ``chart_of`` is the exact inverse of ``realize``: it peels the Givens factors
 off a unitary one column at a time.
 
 The search does not move through the chart.  J and the commutation residual
 depend on U only through its first m rows, an isometry V, which it reaches as
 the polar factor V = (X X^dag)^(-1/2) X of an unconstrained m x N matrix X
-(``polar``).  ``realize_with_partials`` builds every dU/dx_p explicitly; it is
-the oracle for the gradient in chart coordinates.
+(``polar``).  ``realize_with_partials`` builds every dU/dx_p explicitly, in
+the order [diagonal phases | pair phases (lex) | angles (lex)], for the
+gradient in chart coordinates.
 """
 
 from __future__ import annotations
@@ -44,14 +42,11 @@ __all__ = [
     "num_phases",
     "num_angles",
     "plane_pairs",
-    "zero_params",
     "random_params",
     "realize",
     "chart_of",
     "polar",
     "realize_with_partials",
-    "pack",
-    "unpack",
 ]
 
 
@@ -103,22 +98,6 @@ class UnitaryParams:
         object.__setattr__(self, "angles", angles)
 
 
-def zero_params(dim: int) -> UnitaryParams:
-    return UnitaryParams(dim, np.zeros(num_phases(dim)), np.zeros(num_angles(dim)))
-
-
-def pack(params: UnitaryParams) -> np.ndarray:
-    return np.concatenate([params.phases, params.angles])
-
-
-def unpack(dim: int, x: np.ndarray) -> UnitaryParams:
-    x = np.asarray(x, dtype=np.float64)
-    np_, na = num_phases(dim), num_angles(dim)
-    if x.shape != (np_ + na,):
-        raise ValidationError(f"packed vector must have length {np_ + na}, got {x.shape}")
-    return UnitaryParams(dim, x[:np_].copy(), x[np_:].copy())
-
-
 def random_params(
     dim: int,
     angle_norm: float,
@@ -154,7 +133,7 @@ def _rotate(w: np.ndarray, i: int, j: int, c: float, s: float, e: complex):
 def realize(params: UnitaryParams) -> np.ndarray:
     """Evaluate the chart: return the N x N unitary for these coordinates.
 
-    realize(zero_params(N)) is exactly the identity (entries 0 and 1, no
+    realize at all-zero coordinates is exactly the identity (entries 0 and 1, no
     rounding); in general ||U^dag U - I||_F stays at the 1e-14 level.
     """
     n = params.dim
@@ -239,7 +218,7 @@ def _factor_matrices(params: UnitaryParams) -> list[np.ndarray]:
 
 
 def realize_with_partials(params: UnitaryParams) -> tuple[np.ndarray, np.ndarray]:
-    """Return (U, dU) with dU[k] = dU/dx_k in packed-vector order.
+    """Return (U, dU) with dU[k] = dU/dx_k, x = [phases | angles].
 
     The partials are exact per-factor derivatives assembled from dense
     prefix/suffix products of the chart factors, an (N^2, N, N) tensor the

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import line_search
 
 from .errors import ValidationError
-from .linalg import block_projector, dagger
+from .linalg import dagger
 from .noise import KrausChannel, dfs_check
 from .objective import value_and_gradient
 from .parametrization import UnitaryParams, chart_of, num_angles, num_phases, polar, realize
@@ -40,9 +40,6 @@ __all__ = [
     "bfgs_maximize",
     "find_mns",
     "default_candidate_dims",
-    "subspace_projector",
-    "projector_distance",
-    "containment_defect",
 ]
 
 WOLFE_C1 = 1e-4
@@ -355,21 +352,3 @@ def find_mns(
         )
     return results
 
-
-def subspace_projector(result: SearchResult) -> np.ndarray:
-    """Projector (in the physical basis) onto the encoded block of the best U."""
-    n1, n2, n3 = result.dims
-    dim = n1 * n2 + n3
-    u = realize(result.best_params)
-    return dagger(u) @ block_projector(n1 * n2, dim) @ u
-
-
-def projector_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Spectral-norm distance between two projectors."""
-    return float(np.linalg.norm(p - q, 2))
-
-
-def containment_defect(p_sub: np.ndarray, p_space: np.ndarray) -> float:
-    """||(I - P_space) P_sub||_2; zero iff range(P_sub) lies inside range(P_space)."""
-    eye = np.eye(p_space.shape[0])
-    return float(np.linalg.norm((eye - p_space) @ p_sub, 2))

@@ -1,0 +1,484 @@
+"""Reference implementations that only the tests use.
+
+Each computes by the most direct route something the library computes a
+faster way, or builds inputs and diagnostics the tests need:
+
+* the logical map of a channel, by encoding each H1 matrix unit, applying
+  the channel's action and decoding it again (``direct_map``, the one loop
+  that both ``fidelity.logical_map`` and the objective's reduced-channel
+  weight are checked against);
+* J through its coefficient tensor over an orthonormal Hermitian operator
+  basis (``coefficients``), and dJ/dx by central differences in chart
+  coordinates (``gradient``);
+* random unitaries, states and channels, explicit subspace encodings and
+  projector distances.
+
+Nothing in ``src/mns`` imports this module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
+
+import numpy as np
+
+from mns.errors import ValidationError
+from mns.fidelity import EvolvedChannel
+from mns.linalg import dagger, direct_sum_embed, tensor
+from mns.noise import KrausChannel
+from mns.objective import objective_of_unitary
+from mns.parametrization import UnitaryParams, num_angles, num_phases, realize
+from mns.search import SearchResult
+
+# ---------------------------------------------------------------------------
+# linear algebra
+
+
+def _check_factor_dims(m: np.ndarray, n1: int, n2: int) -> None:
+    if n1 < 1 or n2 < 1:
+        raise ValidationError(f"factor dimensions must be positive, got ({n1}, {n2})")
+    if m.shape != (n1 * n2, n1 * n2):
+        raise ValidationError(
+            f"matrix of shape {m.shape} does not factor as ({n1}*{n2}, {n1}*{n2})"
+        )
+
+
+def partial_trace_2(m: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Trace out the second tensor factor of an (n1*n2, n1*n2) matrix.
+
+    Returns the (n1, n1) matrix  out[i, j] = sum_a m[(i, a), (j, a)].
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    _check_factor_dims(m, n1, n2)
+    return np.einsum("iaja->ij", m.reshape(n1, n2, n1, n2))
+
+
+def partial_trace_1(m: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Trace out the first tensor factor; returns the (n2, n2) matrix."""
+    m = np.asarray(m, dtype=np.complex128)
+    _check_factor_dims(m, n1, n2)
+    return np.einsum("iaib->ab", m.reshape(n1, n2, n1, n2))
+
+
+def block_projector(block_dim: int, total_dim: int) -> np.ndarray:
+    """Projector onto the leading ``block_dim`` coordinates of a ``total_dim`` space."""
+    return direct_sum_embed(np.eye(block_dim), total_dim)
+
+
+@dataclass(frozen=True)
+class PauliBasis:
+    """Orthonormal Hermitian basis of dim x dim operators.
+
+    ``elements[0]`` is I/sqrt(dim); the rest are the normalized generalized
+    Gell-Mann matrices, ordered as all symmetric off-diagonal pairs (j < k,
+    lexicographic), then all antisymmetric pairs (same order), then the
+    diagonal family.  Every element satisfies Tr(e_m e_n) = delta_mn.
+    """
+
+    dim: int
+    elements: tuple[np.ndarray, ...]
+
+    def stack(self) -> np.ndarray:
+        """The basis as a (dim**2, dim, dim) array."""
+        return np.stack(self.elements)
+
+
+def pauli_basis(dim: int) -> PauliBasis:
+    """Construct the orthonormal Hermitian operator basis for dimension ``dim``.
+
+    For dim == 2 this is {I, X, Y, Z}/sqrt(2).
+    """
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValidationError(f"basis dimension must be a positive integer, got {dim!r}")
+    dim = int(dim)
+    elems: list[np.ndarray] = [np.eye(dim, dtype=np.complex128) / np.sqrt(dim)]
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            m = np.zeros((dim, dim), dtype=np.complex128)
+            m[j, k] = inv_sqrt2
+            m[k, j] = inv_sqrt2
+            elems.append(m)
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            m = np.zeros((dim, dim), dtype=np.complex128)
+            m[j, k] = -1j * inv_sqrt2
+            m[k, j] = 1j * inv_sqrt2
+            elems.append(m)
+    for l in range(1, dim):
+        m = np.zeros((dim, dim), dtype=np.complex128)
+        m[np.arange(l), np.arange(l)] = 1.0
+        m[l, l] = -l
+        elems.append(m / np.sqrt(l * (l + 1)))
+    return PauliBasis(dim=dim, elements=tuple(elems))
+
+
+def _as_rng(seed) -> np.random.Generator:
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(seed)
+
+
+def haar_random_unitary(dim: int, seed=None) -> np.ndarray:
+    """Haar-distributed random unitary via QR with the standard phase fix."""
+    rng = _as_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def random_pure_state(dim: int, seed=None) -> np.ndarray:
+    rng = _as_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+# ---------------------------------------------------------------------------
+# chart coordinates as one flat vector: [diagonal phases | pair phases | angles]
+
+
+def zero_params(dim: int) -> UnitaryParams:
+    return UnitaryParams(dim, np.zeros(num_phases(dim)), np.zeros(num_angles(dim)))
+
+
+def pack(params: UnitaryParams) -> np.ndarray:
+    return np.concatenate([params.phases, params.angles])
+
+
+def unpack(dim: int, x: np.ndarray) -> UnitaryParams:
+    x = np.asarray(x, dtype=np.float64)
+    np_, na = num_phases(dim), num_angles(dim)
+    if x.shape != (np_ + na,):
+        raise ValidationError(f"packed vector must have length {np_ + na}, got {x.shape}")
+    return UnitaryParams(dim, x[:np_].copy(), x[np_:].copy())
+
+
+# ---------------------------------------------------------------------------
+# channels and their action on density matrices
+
+
+def kraus_apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """sum_k E_k rho E_k^dag."""
+    out = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
+    for op in channel.operators:
+        out += op @ rho @ dagger(op)
+    return out
+
+
+def evolved_apply(evolved: EvolvedChannel, rho: np.ndarray) -> np.ndarray:
+    """expm(L t_f) applied to a row-major vectorized density matrix."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape != (evolved.dim, evolved.dim):
+        raise ValidationError(f"state shape {rho.shape} does not match dim {evolved.dim}")
+    return (evolved.superoperator @ rho.reshape(-1)).reshape(evolved.dim, evolved.dim)
+
+
+def identity_channel(dim: int) -> KrausChannel:
+    return KrausChannel(dim=dim, operators=(np.eye(dim, dtype=np.complex128),))
+
+
+def random_kraus_channel(dim: int, n_ops: int, seed=None) -> KrausChannel:
+    """Exactly complete random channel from a Haar-style Stinespring isometry."""
+    rng = _as_rng(seed)
+    g = rng.standard_normal((dim * n_ops, dim)) + 1j * rng.standard_normal((dim * n_ops, dim))
+    q, _ = np.linalg.qr(g)
+    ops = tuple(q[k * dim : (k + 1) * dim, :] for k in range(n_ops))
+    return KrausChannel(dim=dim, operators=ops)
+
+
+def choi_matrix(superoperator: np.ndarray) -> np.ndarray:
+    """Choi matrix of a superoperator in the row-major convention."""
+    n2 = superoperator.shape[0]
+    n = int(round(np.sqrt(n2)))
+    if n * n != n2 or superoperator.shape != (n2, n2):
+        raise ValidationError(f"superoperator shape {superoperator.shape} is not (n^2, n^2)")
+    return superoperator.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n2, n2)
+
+
+# ---------------------------------------------------------------------------
+# encodings
+
+
+def excitation_subspace(n_qubits: int, n_excited: int) -> np.ndarray:
+    """Orthonormal basis (as columns) of the span of computational states
+    with exactly ``n_excited`` qubits in |1>."""
+    if not 0 <= n_excited <= n_qubits:
+        raise ValidationError(f"n_excited must be within 0..{n_qubits}")
+    dim = 2**n_qubits
+    idx = sorted(
+        sum(1 << (n_qubits - 1 - q) for q in ones)
+        for ones in combinations(range(n_qubits), n_excited)
+    )
+    basis = np.zeros((dim, len(idx)), dtype=np.complex128)
+    for col, i in enumerate(idx):
+        basis[i, col] = 1.0
+    return basis
+
+
+def basis_state_encoding(dim: int, leading_indices) -> np.ndarray:
+    """Permutation unitary whose first rows map the given computational basis
+    states onto the leading coordinates (useful for subspace encodings)."""
+    leading = [int(i) for i in leading_indices]
+    if len(set(leading)) != len(leading) or any(not 0 <= i < dim for i in leading):
+        raise ValidationError("leading indices must be distinct and within range")
+    order = leading + [i for i in range(dim) if i not in leading]
+    u = np.zeros((dim, dim), dtype=np.complex128)
+    for row, i in enumerate(order):
+        u[row, i] = 1.0
+    return u
+
+
+def _check_density(rho: np.ndarray, atol: float = 1e-8) -> np.ndarray:
+    rho = np.asarray(rho, dtype=np.complex128)
+    n = rho.shape[0]
+    if rho.ndim != 2 or rho.shape != (n, n):
+        raise ValidationError(f"state must be a square matrix, got shape {rho.shape}")
+    if np.linalg.norm(rho - dagger(rho)) > atol:
+        raise ValidationError("state is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > atol:
+        raise ValidationError("state does not have unit trace")
+    if np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min() < -atol:
+        raise ValidationError("state is not positive semidefinite")
+    return rho
+
+
+def _encode_raw(rho1: np.ndarray, u: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    dim = u.shape[0]
+    block = tensor(rho1, np.eye(n2, dtype=np.complex128) / n2)
+    full = np.zeros((dim, dim), dtype=np.complex128)
+    full[: n1 * n2, : n1 * n2] = block
+    return dagger(u) @ full @ u
+
+
+def encode(rho1: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Physical state U^dag (rho1 (x) I/n2 (+) 0) U for a logical density matrix."""
+    n1, n2 = dims
+    rho1 = _check_density(rho1)
+    if rho1.shape != (n1, n1):
+        raise ValidationError(f"logical state shape {rho1.shape} does not match n1={n1}")
+    u = np.asarray(u, dtype=np.complex128)
+    if n1 * n2 > u.shape[0]:
+        raise ValidationError(f"encoded block {n1}x{n2} exceeds dimension {u.shape[0]}")
+    return _encode_raw(rho1, u, n1, n2)
+
+
+def decode(
+    rho: np.ndarray,
+    u: np.ndarray,
+    dims: tuple[int, int],
+    renormalize: bool = True,
+) -> tuple[np.ndarray, float]:
+    """Project back onto the encoded block and trace out H2.
+
+    Returns (logical state, leakage) with leakage = 1 - Tr of the projected
+    block.  With ``renormalize=False`` the raw trace-deficient operator is
+    returned; fidelity uses that form so leakage counts as infidelity.
+    """
+    n1, n2 = dims
+    rho = np.asarray(rho, dtype=np.complex128)
+    u = np.asarray(u, dtype=np.complex128)
+    m = n1 * n2
+    block = (u @ rho @ dagger(u))[:m, :m]
+    out = partial_trace_2(block, n1, n2)
+    trace = float(np.trace(out).real)
+    leakage = 1.0 - trace
+    if renormalize and 0.0 < trace < 1.0:
+        out = out / trace
+    return out, leakage
+
+
+def direct_map(action, u: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Matrix of rho1 -> decode(action(encode(rho1))) on row-major vectorized
+    H1 operators, one matrix unit at a time; ``action`` maps an N x N
+    operator to its image under the channel.  Decoding keeps the raw
+    trace-deficient operator."""
+    out = np.zeros((n1 * n1, n1 * n1), dtype=np.complex128)
+    for a in range(n1):
+        for b in range(n1):
+            unit = np.zeros((n1, n1), dtype=np.complex128)
+            unit[a, b] = 1.0
+            image = action(_encode_raw(unit, u, n1, n2))
+            out[:, a * n1 + b] = decode(image, u, (n1, n2), renormalize=False)[0].reshape(-1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the objective by other routes
+
+
+@dataclass(frozen=True)
+class EncodingCandidate:
+    """A candidate encoding: dimensions (n1, n2, n3) plus chart coordinates."""
+
+    n1: int
+    n2: int
+    n3: int
+    params: UnitaryParams
+    unitary: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.n1 * self.n2 + self.n3
+
+
+def candidate(n1: int, n2: int, params: UnitaryParams) -> EncodingCandidate:
+    """Build a candidate from dims and chart coordinates; n3 is implied."""
+    if n1 < 1 or n2 < 1:
+        raise ValidationError(f"encoded dimensions must be positive, got ({n1}, {n2})")
+    if n1 * n2 > params.dim:
+        raise ValidationError(
+            f"encoded block {n1}x{n2} does not fit in dimension {params.dim}"
+        )
+    return EncodingCandidate(
+        n1=n1, n2=n2, n3=params.dim - n1 * n2, params=params, unitary=realize(params)
+    )
+
+
+def _check_channel_candidate(channel: KrausChannel, cand: EncodingCandidate) -> None:
+    if channel.dim != cand.dim:
+        raise ValidationError(
+            f"channel dim {channel.dim} does not match candidate dim {cand.dim}"
+        )
+
+
+def transformed_kraus(channel: KrausChannel, u: np.ndarray) -> list[np.ndarray]:
+    """The Kraus operators conjugated into the encoded basis, U E_k U^dag."""
+    u = np.asarray(u, dtype=np.complex128)
+    if u.shape != (channel.dim, channel.dim):
+        raise ValidationError(
+            f"unitary shape {u.shape} does not match channel dim {channel.dim}"
+        )
+    ud = dagger(u)
+    return [u @ op @ ud for op in channel.operators]
+
+
+def objective(channel: KrausChannel, cand: EncodingCandidate) -> float:
+    """Encoding quality J[U] in [0, 1 + completeness defect]."""
+    _check_channel_candidate(channel, cand)
+    return objective_of_unitary(channel, cand.unitary, cand.n1, cand.n2)
+
+
+def coefficients(channel: KrausChannel, cand: EncodingCandidate) -> np.ndarray:
+    """Coefficient tensor a[k, m, n] = Tr((P U E_k U^dag P)(s_m (x) s_n)).
+
+    Indexed by Kraus operator k, H1 basis element m, H2 basis element n; the
+    m = n = 0 entries carry the identity components entering J.
+    """
+    _check_channel_candidate(channel, cand)
+    n1, n2 = cand.n1, cand.n2
+    m = n1 * n2
+    rows = cand.unitary[:m]
+    blocks = np.einsum(
+        "in,knm,jm->kij", rows, channel.stack(), rows.conj(), optimize=True
+    )
+    b1 = pauli_basis(n1).stack()
+    b2 = pauli_basis(n2).stack()
+    prods = np.einsum("mij,nkl->mnikjl", b1, b2).reshape(n1 * n1, n2 * n2, m, m)
+    return np.einsum("kij,mnji->kmn", blocks, prods, optimize=True)
+
+
+@dataclass(frozen=True)
+class ReducedChannel:
+    """The logical channel on H1 split into identity weight plus residual.
+
+    The residual is stored in eigenbasis form: ``apply`` reconstructs
+
+        E1(rho) = p1 * rho + sum_v w_v A_v rho A_v^dag,
+
+    which reproduces the directly computed reduced action exactly.  Residual
+    weights are signed: the reduced map itself is completely positive, but
+    subtracting the identity component can and generically does leave an
+    indefinite remainder.
+    """
+
+    n1: int
+    p1: float
+    residual_weights: np.ndarray
+    residual_ops: tuple[np.ndarray, ...]
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        out = self.p1 * np.asarray(rho, dtype=np.complex128)
+        for w, op in zip(self.residual_weights, self.residual_ops):
+            out += w * (op @ rho @ dagger(op))
+        return out
+
+
+def _choi_from_map(mat: np.ndarray, n: int) -> np.ndarray:
+    choi = mat.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    return 0.5 * (choi + dagger(choi))
+
+
+def reduced_channel_of_unitary(
+    channel: KrausChannel, u: np.ndarray, n1: int, n2: int
+) -> ReducedChannel:
+    """The logical channel of ``direct_map`` under the Kraus action; p1 is its
+    identity weight, which must equal J."""
+    choi = _choi_from_map(direct_map(partial(kraus_apply, channel), u, n1, n2), n1)
+    eig_floor = float(np.linalg.eigvalsh(choi).min())
+    if eig_floor < -1e-9:
+        raise AssertionError(
+            f"reduced map is not completely positive: Choi eigenvalue {eig_floor:.3e}"
+        )
+    vec_id = np.eye(n1, dtype=np.complex128).reshape(-1)
+    p1 = float(np.real(vec_id.conj() @ choi @ vec_id) / (n1 * n1))
+    residual = choi - p1 * np.outer(vec_id, vec_id.conj())
+    w, v = np.linalg.eigh(residual)
+    keep = np.abs(w) > 1e-12
+    ops = tuple(v[:, i].reshape(n1, n1) for i in np.nonzero(keep)[0])
+    return ReducedChannel(n1=n1, p1=p1, residual_weights=w[keep], residual_ops=ops)
+
+
+def reduced_channel(channel: KrausChannel, cand: EncodingCandidate) -> ReducedChannel:
+    """Reduced logical channel computed by direct action on an operator basis."""
+    _check_channel_candidate(channel, cand)
+    return reduced_channel_of_unitary(channel, cand.unitary, cand.n1, cand.n2)
+
+
+def _objective_packed(channel: KrausChannel, dim: int, n1: int, n2: int, x: np.ndarray) -> float:
+    return objective_of_unitary(channel, realize(unpack(dim, x)), n1, n2)
+
+
+def gradient(channel: KrausChannel, cand: EncodingCandidate, h: float = 1e-6) -> np.ndarray:
+    """dJ/dx by central finite differences over the packed parameter vector."""
+    _check_channel_candidate(channel, cand)
+    if not h > 0:
+        raise ValidationError(f"finite-difference step must be positive, got {h}")
+    x0 = pack(cand.params)
+    dim, n1, n2 = cand.params.dim, cand.n1, cand.n2
+    out = np.zeros_like(x0)
+    for i in range(x0.size):
+        xp = x0.copy()
+        xp[i] += h
+        xm = x0.copy()
+        xm[i] -= h
+        out[i] = (
+            _objective_packed(channel, dim, n1, n2, xp)
+            - _objective_packed(channel, dim, n1, n2, xm)
+        ) / (2 * h)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# projector diagnostics of a search result
+
+
+def subspace_projector(result: SearchResult) -> np.ndarray:
+    """Projector (in the physical basis) onto the encoded block of the best U."""
+    n1, n2, n3 = result.dims
+    dim = n1 * n2 + n3
+    u = realize(result.best_params)
+    return dagger(u) @ block_projector(n1 * n2, dim) @ u
+
+
+def projector_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Spectral-norm distance between two projectors."""
+    return float(np.linalg.norm(p - q, 2))
+
+
+def containment_defect(p_sub: np.ndarray, p_space: np.ndarray) -> float:
+    """||(I - P_space) P_sub||_2; zero iff range(P_sub) lies inside range(P_space)."""
+    eye = np.eye(p_space.shape[0])
+    return float(np.linalg.norm((eye - p_space) @ p_sub, 2))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mns.cli import main
-from mns.errors import ConfigError, NumericalConsistencyError
+from mns.errors import ConfigError
 from mns.experiments import (
     ExperimentConfig,
     build_channel,
@@ -147,6 +147,15 @@ def _mutated(mutate):
         (
             _mutated(lambda r: r["search"].update(dfs_threshold=1e-6)),
             r"unknown field\(s\) in 'search': 'dfs_threshold'",
+        ),
+        # a field that another model kind reads, and a misspelt sweep field
+        (
+            _mutated(lambda r: r["model"].update(gamma_x=0.1)),
+            r"unknown field\(s\) in 'model' \(kind 'perturbed_collective_global'\): 'gamma_x'",
+        ),
+        (
+            _mutated(lambda r: r["sweep"].update(t_ff=5.0)),
+            r"unknown field\(s\) in 'sweep': 't_ff'",
         ),
         (
             _mutated(lambda r: r["search"].update(num_restarts=0)),
@@ -616,13 +625,6 @@ def test_cli_seed_override_is_recorded(tmp_path):
 def test_cli_runtime_failures_exit_2(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(NOISELESS_TEXT)
-
-    def numerical_failure(*args, **kwargs):
-        raise NumericalConsistencyError("dual-route objective mismatch")
-
-    monkeypatch.setattr("mns.cli.cmd_find_mns", numerical_failure)
-    assert main(["find-mns", "--config", str(cfg)]) == 2
-    assert "numerical failure" in capsys.readouterr().err
 
     def generic_failure(*args, **kwargs):
         raise RuntimeError("boom")

@@ -1,22 +1,21 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from mns.errors import ValidationError
 from mns.fidelity import (
-    choi_matrix,
-    decode,
-    encode,
     evolve,
     fidelity_sweep,
     liouvillian,
+    logical_map,
     worst_case_fidelity,
 )
 from mns.fidelity import _sphere_minimum
-from mns.linalg import dagger, haar_random_unitary, random_density_matrix, tensor
+from mns.linalg import dagger, random_density_matrix, tensor
 from mns.noise import (
     LindbladModel,
     PAULI_Z,
-    basis_state_encoding,
     collective_dfs_encoding,
     collective_xz,
     collective_z_with_local_dephasing,
@@ -24,6 +23,17 @@ from mns.noise import (
     random_perturbation_unitary,
 )
 from mns.search import SearchConfig
+from oracles import (
+    basis_state_encoding,
+    choi_matrix,
+    decode,
+    direct_map,
+    encode,
+    evolved_apply,
+    haar_random_unitary,
+    kraus_apply,
+    random_kraus_channel,
+)
 
 LOCAL_RATES = (0.33, 0.47, 0.85)
 
@@ -39,7 +49,7 @@ def _perturbed(delta, seed=9):
 
 def _pure_fidelity(psi, u, dims, evolved):
     rho1 = np.outer(psi, psi.conj())
-    out, _ = decode(evolved.apply(encode(rho1, u, dims)), u, dims, renormalize=False)
+    out, _ = decode(evolved_apply(evolved, encode(rho1, u, dims)), u, dims, renormalize=False)
     return float(np.real(psi.conj() @ out @ psi))
 
 
@@ -104,18 +114,18 @@ def test_evolve_zero_time_is_identity():
     assert np.array_equal(ev.superoperator, np.eye(4))
     rng = np.random.default_rng(0)
     rho = random_density_matrix(2, rng)
-    assert np.array_equal(ev.apply(rho), rho)
+    assert np.array_equal(evolved_apply(ev, rho), rho)
     with pytest.raises(ValidationError):
         evolve(_dephasing(), -0.1)
     with pytest.raises(ValidationError):
-        ev.apply(np.eye(3))
+        evolved_apply(ev, np.eye(3))
 
 
 def test_evolve_coherence_decay():
     gamma = 0.6
     plus = np.full((2, 2), 0.5, dtype=complex)
     for t in (0.1, 0.5, 1.3):
-        out = evolve(_dephasing(gamma), t).apply(plus)
+        out = evolved_apply(evolve(_dephasing(gamma), t), plus)
         assert abs(out[0, 1] - 0.5 * np.exp(-2 * gamma * t)) <= 1e-12
         assert abs(out[0, 0] - 0.5) <= 1e-12
 
@@ -127,7 +137,7 @@ def test_evolve_is_cptp():
             ev = evolve(model, t)
             for _ in range(3):
                 rho = random_density_matrix(model.dim, rng)
-                out = ev.apply(rho)
+                out = evolved_apply(ev, rho)
                 assert abs(np.trace(out).real - 1.0) <= 1e-10
             choi = choi_matrix(ev.superoperator)
             assert np.abs(choi - dagger(choi)).max() <= 1e-10
@@ -147,7 +157,7 @@ def test_dfs_encoded_state_is_stationary():
     u = collective_dfs_encoding(3)
     rng = np.random.default_rng(2)
     rho = encode(random_density_matrix(2, rng), u, (2, 2))
-    out = evolve(model, 1.0).apply(rho)
+    out = evolved_apply(evolve(model, 1.0), rho)
     assert np.abs(out - rho).max() <= 1e-9
 
 
@@ -211,6 +221,27 @@ def test_decode_traces_out_gauge_coherences():
     out, leakage = decode(dagger(u) @ block @ u, u, (2, 2), renormalize=False)
     assert np.abs(out - rho1).max() <= 1e-12
     assert abs(leakage) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (3, 1), (2, 3), (4, 2)])
+def test_logical_map_matches_direct_action(dims):
+    # the restricted superoperator against encode -> act -> decode, one H1
+    # matrix unit at a time: on an expm superoperator, on the Kraus
+    # superoperator sum_k E_k (x) conj(E_k), and on the t = 0 identity map
+    n1, n2 = dims
+    u = haar_random_unitary(8, 40 + n1 * n2)
+    model = _random_lindblad(3, n1 + n2)
+    ev = evolve(model, 0.7)
+    channel = random_kraus_channel(8, 3, seed=n1 * n2)
+    kraus_sup = sum(np.kron(e, e.conj()) for e in channel.operators)
+    cases = [
+        (ev.superoperator, partial(evolved_apply, ev)),
+        (kraus_sup, partial(kraus_apply, channel)),
+        (evolve(model, 0.0).superoperator, lambda rho: rho),
+    ]
+    for sup, action in cases:
+        got = logical_map(sup, u[: n1 * n2], n1, n2)
+        assert np.abs(got - direct_map(action, u, n1, n2)).max() <= 1e-14
 
 
 def test_worst_case_fidelity_identity_evolution():
@@ -278,7 +309,7 @@ def test_worst_case_fidelity_qutrit_dephasing_closed_form():
         for j, sj in enumerate(states):
             unit = np.zeros((8, 8), dtype=complex)
             unit[si, sj] = 1.0
-            a[i, j] = ev.apply(unit)[si, sj].real
+            a[i, j] = evolved_apply(ev, unit)[si, sj].real
     weights = np.linalg.solve(a, np.ones(3))
     assert weights.min() > 0.0  # the minimum is inside the simplex
     fi = worst_case_fidelity(basis_state_encoding(8, states), (3, 1), ev)

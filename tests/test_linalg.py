@@ -4,17 +4,19 @@ import pytest
 from mns.errors import ValidationError
 from mns.linalg import (
     as_matrix,
-    block_projector,
     commutator,
     dagger,
     direct_sum_embed,
+    random_density_matrix,
+    tensor,
+)
+from oracles import (
+    block_projector,
     haar_random_unitary,
     partial_trace_1,
     partial_trace_2,
     pauli_basis,
-    random_density_matrix,
     random_pure_state,
-    tensor,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -4,46 +4,33 @@ import numpy as np
 import pytest
 
 from mns.errors import ValidationError
-from mns.linalg import (
-    dagger,
-    direct_sum_embed,
-    haar_random_unitary,
-    partial_trace_2,
-    pauli_basis,
-    random_density_matrix,
-    tensor,
-)
+from mns.linalg import dagger, direct_sum_embed, random_density_matrix, tensor
 from mns.noise import (
     LindbladModel,
     PAULI_Z,
     collective_dfs_encoding,
     collective_xz,
     default_dt,
-    identity_channel,
     lindblad_to_kraus,
     perturbed_collective,
-    random_kraus_channel,
     random_perturbation_unitary,
 )
-from mns.objective import (
+from mns.objective import gradient_analytic, objective_of_unitary, value_and_gradient
+from mns.parametrization import UnitaryParams, num_angles, num_phases, polar, realize
+from oracles import (
     candidate,
     coefficients,
     gradient,
-    gradient_analytic,
+    haar_random_unitary,
+    identity_channel,
+    kraus_apply,
     objective,
-    objective_of_unitary,
+    partial_trace_2,
+    pauli_basis,
+    random_kraus_channel,
     reduced_channel,
     reduced_channel_of_unitary,
     transformed_kraus,
-    value_and_gradient,
-)
-from mns.parametrization import (
-    UnitaryParams,
-    num_angles,
-    num_phases,
-    polar,
-    random_params,
-    realize,
     zero_params,
 )
 
@@ -194,7 +181,7 @@ def test_reduced_channel_reconstructs_direct_action():
     for _ in range(4):
         rho1 = random_density_matrix(2, rng)
         rho = ud @ direct_sum_embed(tensor(rho1, np.eye(2) / 2), 8) @ u
-        direct = partial_trace_2((u @ ch.apply(rho) @ ud)[:4, :4], 2, 2)
+        direct = partial_trace_2((u @ kraus_apply(ch, rho) @ ud)[:4, :4], 2, 2)
         assert np.abs(red.apply(rho1) - direct).max() <= 1e-10
         assert np.trace(direct).real <= 1.0 + 1e-10
 
@@ -215,8 +202,8 @@ def test_reduced_channel_p1_in_range(collective_channel):
 
 
 def test_gradient_vanishes_at_optimum(collective_channel, collective_search):
-    cand = candidate(2, 2, collective_search.best_params)
-    assert np.linalg.norm(gradient_analytic(collective_channel, cand)) <= 1e-6
+    ga = gradient_analytic(collective_channel, collective_search.best_params, 2, 2)
+    assert np.linalg.norm(ga) <= 1e-6
 
 
 def test_gradient_step_self_consistency(collective_channel):
@@ -231,7 +218,7 @@ def test_gradient_step_self_consistency(collective_channel):
 def test_gradient_analytic_matches_finite_differences(collective_channel):
     for seed in (13, 14):
         cand = candidate(2, 2, _random_point(8, seed, scale=0.3))
-        ga = gradient_analytic(collective_channel, cand)
+        ga = gradient_analytic(collective_channel, cand.params, 2, 2)
         gf = gradient(collective_channel, cand, h=1e-6)
         assert np.linalg.norm(ga - gf) <= 1e-6 * max(1.0, np.linalg.norm(gf))
 
@@ -364,8 +351,7 @@ def test_value_and_gradient_validation(collective_channel):
 def test_gradient_zero_along_global_phase(collective_channel):
     # shifting all diagonal phases together multiplies U by a global phase,
     # which cancels in U E U^dag, so that directional derivative vanishes
-    cand = candidate(2, 2, _random_point(8, 15))
-    ga = gradient_analytic(collective_channel, cand)
+    ga = gradient_analytic(collective_channel, _random_point(8, 15), 2, 2)
     assert abs(ga[:8].sum()) <= 1e-12
 
 

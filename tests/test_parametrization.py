@@ -2,21 +2,19 @@ import numpy as np
 import pytest
 
 from mns.errors import ValidationError
-from mns.linalg import dagger, haar_random_unitary
+from mns.linalg import dagger
 from mns.parametrization import (
     UnitaryParams,
     chart_of,
     num_angles,
     num_phases,
-    pack,
     plane_pairs,
     polar,
     random_params,
     realize,
     realize_with_partials,
-    unpack,
-    zero_params,
 )
+from oracles import haar_random_unitary, pack, unpack, zero_params
 
 
 @pytest.mark.parametrize("dim,np_,na", [(1, 1, 0), (2, 3, 1), (3, 6, 3), (4, 10, 6), (8, 36, 28)])

@@ -6,28 +6,32 @@ import pytest
 
 from mns.errors import ValidationError
 from mns.experiments import build_channel, load_config
-from mns.linalg import block_projector, dagger
+from mns.linalg import dagger
 from mns.noise import (
     collective_xz,
     default_dt,
     dfs_check,
-    identity_channel,
     lindblad_to_kraus,
     perturbed_collective,
     random_perturbation_unitary,
 )
-from mns.parametrization import realize, zero_params
+from mns.parametrization import realize
 import mns.search
 from mns.search import (
     SearchConfig,
     _bfgs_minimize,
     _initial_point,
     bfgs_maximize,
-    containment_defect,
     default_candidate_dims,
     find_mns,
+)
+from oracles import (
+    block_projector,
+    containment_defect,
+    identity_channel,
     projector_distance,
     subspace_projector,
+    zero_params,
 )
 
 from conftest import P_ONE_EXCITED, P_TWO_EXCITED, TIGHT
