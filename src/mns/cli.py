@@ -25,6 +25,7 @@ from .experiments import (
     cmd_verify_dfs,
     load_config,
 )
+from .noise import DFS_THRESHOLD
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-dfs", help="check the decoherence-free condition")
     _add_common(p, with_out_dir=False)
     p.add_argument("--encoding", required=True, help="encoding JSON written by find-mns")
-    p.add_argument("--threshold", type=float, default=1e-8, help="defect threshold")
+    p.add_argument("--threshold", type=float, default=DFS_THRESHOLD, help="defect threshold")
 
     p = sub.add_parser("fidelity-sweep", help="sweep worst-case fidelity over a grid")
     _add_common(p)

@@ -6,13 +6,16 @@ A config is a JSON document with two or three sections::
       "model":  {"kind": "...", "n_qubits": 3, ...rates...},
       "search": {"candidate_dims": [[2, 2]], "num_restarts": 20, "seed": 1,
                  "dt": null, ...tolerances...},
-      "sweep":  {"mode": "delta", "grid": [...], "t_f": 1.0, "delta": 0.1}
+      "sweep":  {"mode": "delta", "grid": [...], "t_f": 1.0}
     }
 
 Model kinds: ``collective_xz``, ``collective_z_local_dephasing``,
 ``perturbed_collective_global``, ``perturbed_collective_local``.  The sweep
-section is only consumed by ``fidelity-sweep``.  Identical config + seed
-reproduces results bit for bit; the CSV emitted for sweeps is byte-stable.
+section is only consumed by ``fidelity-sweep``.  ``MODEL_FIELDS`` and
+``SWEEP_FIELDS`` list the fields each model kind and sweep mode reads, the
+dataclasses hold each field's default and ``READERS`` its type and bound.
+Identical config + seed reproduces results bit for bit; the CSV emitted for
+sweeps is byte-stable.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import time
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +34,12 @@ from . import __version__
 from .errors import ConfigError
 from .fidelity import fidelity_sweep
 from .noise import (
+    DFS_THRESHOLD,
     KrausChannel,
     LindbladModel,
     collective_dfs_encoding,
     collective_xz,
     collective_z_with_local_dephasing,
-    default_dt,
     dfs_check,
     lindblad_to_kraus,
     perturbed_collective,
@@ -46,7 +50,6 @@ from .search import SearchConfig, SearchResult, find_mns
 
 __all__ = [
     "ModelSpec",
-    "SearchSpec",
     "SweepSpec",
     "ExperimentConfig",
     "parse_config",
@@ -71,6 +74,12 @@ MODEL_FIELDS = {
     "perturbed_collective_local": ("gamma_1", "gamma_2", "delta", "perturbation_seed"),
 }
 MODEL_KINDS = tuple(MODEL_FIELDS)
+# the fields each sweep mode reads, besides mode: a "tf" sweep's grid values
+# are the times, and it runs at the one amplitude sweep.delta
+SWEEP_FIELDS = {"delta": ("grid", "t_f"), "tf": ("grid", "delta")}
+SEARCH_FIELDS = tuple(f.name for f in fields(SearchConfig))
+# the fields a config must state: their dataclasses give no usable default
+REQUIRED = ("n_qubits", "local_rates", "candidate_dims", "grid")
 
 
 @dataclass(frozen=True)
@@ -87,27 +96,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class SearchSpec:
-    candidate_dims: tuple[tuple[int, int], ...]
-    num_restarts: int = 20
-    max_iterations: int = 2000
-    gradient_tolerance: float = 1e-8
-    objective_tolerance: float = 1e-12
-    seed: int = 0
-    dt: float | None = None
-
-    def to_search_config(self) -> SearchConfig:
-        return SearchConfig(
-            max_iterations=self.max_iterations,
-            gradient_tolerance=self.gradient_tolerance,
-            objective_tolerance=self.objective_tolerance,
-            num_restarts=self.num_restarts,
-            seed=self.seed,
-            candidate_dims=self.candidate_dims,
-        )
-
-
-@dataclass(frozen=True)
 class SweepSpec:
     mode: str
     grid: tuple[float, ...]
@@ -118,7 +106,7 @@ class SweepSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelSpec
-    search: SearchSpec
+    search: SearchConfig
     sweep: SweepSpec | None = None
 
 
@@ -128,12 +116,14 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _number(value, path: str, minimum=None) -> float:
+def _number(value, path: str, minimum=None, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{path}' must be a number, got {value!r}")
     value = float(value)
     if minimum is not None and value < minimum:
         raise ConfigError(f"field '{path}' must be >= {minimum}, got {value}")
+    if positive and value <= 0:
+        raise ConfigError(f"{path} must be positive, got {value}")
     return value
 
 
@@ -145,12 +135,73 @@ def _integer(value, path: str, minimum=None) -> int:
     return value
 
 
-def _reject_unknown(mapping: dict, known, section: str) -> None:
-    """A key the parser does not read is an error, so a misspelt one cannot
-    run on the defaults."""
-    unknown = sorted(set(mapping) - set(known))
+def _rates(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"field '{path}' must be a list of rates, got {value!r}")
+    return tuple(_rate(r, f"{path}[{i}]") for i, r in enumerate(value))
+
+
+def _dims(value, path: str) -> tuple[tuple[int, int], ...]:
+    pairs = isinstance(value, list) and all(isinstance(d, list) and len(d) == 2 for d in value)
+    if not (pairs and value):
+        raise ConfigError(f"{path} must be a non-empty list of [n1, n2] pairs")
+    return tuple(
+        (_integer(a, f"{path}[{i}][0]", 1), _integer(b, f"{path}[{i}][1]", 1))
+        for i, (a, b) in enumerate(value)
+    )
+
+
+def _grid(value, path: str) -> tuple[float, ...]:
+    if isinstance(value, dict):
+        start = _number(_require(value, "start", path), f"{path}.start")
+        stop = _number(_require(value, "stop", path), f"{path}.stop")
+        num = _integer(_require(value, "num", path), f"{path}.num", 2)
+        return tuple(np.linspace(start, stop, num).tolist())
+    if isinstance(value, list) and value:
+        return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+    raise ConfigError(f"{path} must be a list of values or {{start, stop, num}}")
+
+
+_count = partial(_integer, minimum=1)
+_rate = partial(_number, minimum=0.0)
+_positive = partial(_number, positive=True)
+# each field's type and bound, by name; model.delta and sweep.delta share one
+READERS = {
+    **dict.fromkeys(("n_qubits", "num_restarts", "max_iterations"), _count),
+    **dict.fromkeys(("perturbation_seed", "seed"), _integer),
+    **dict.fromkeys(("gamma_x", "gamma_z", "gamma_1", "gamma_2", "delta", "t_f"), _rate),
+    **dict.fromkeys(("gradient_tolerance", "objective_tolerance"), _positive),
+    "dt": lambda value, path: None if value is None else _positive(value, path),
+    "local_rates": _rates,
+    "candidate_dims": _dims,
+    "grid": _grid,
+}
+
+
+def _object(raw: dict, key: str) -> dict:
+    value = _require(raw, key, "$")
+    if not isinstance(value, dict):
+        raise ConfigError(f"field '{key}' must be an object")
+    return value
+
+
+def _read_section(cls, raw: dict, section: str, names, label=None, **given):
+    """``cls`` from ``given`` and each field of ``names`` through its reader;
+    an absent field keeps its dataclass default.  Any other key is an error,
+    so a misspelt or foreign one cannot run on the defaults."""
+    known = (*given, *names)
+    unknown = sorted(set(raw) - set(known))
     if unknown:
-        raise ConfigError(f"unknown field(s) in {section}: {', '.join(map(repr, unknown))}")
+        raise ConfigError(
+            f"unknown field(s) in {label or repr(section)}: {', '.join(map(repr, unknown))}"
+            f"; it reads {', '.join(map(repr, known))}"
+        )
+    read = {
+        name: READERS[name](_require(raw, name, section), f"{section}.{name}")
+        for name in names
+        if name in raw or name in REQUIRED
+    }
+    return cls(**given, **read)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -162,102 +213,30 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
-    model_raw = _require(raw, "model", "$")
-    if not isinstance(model_raw, dict):
-        raise ConfigError("field 'model' must be an object")
+    model_raw = _object(raw, "model")
     kind = _require(model_raw, "kind", "model")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
-    n_qubits = _integer(_require(model_raw, "n_qubits", "model"), "model.n_qubits", 1)
-    known = ("kind", "n_qubits", *MODEL_FIELDS[kind])
-    _reject_unknown(model_raw, known, f"'model' (kind {kind!r})")
+    names = ("n_qubits", *MODEL_FIELDS[kind])
+    label = f"'model' (kind {kind!r})"
+    model = _read_section(ModelSpec, model_raw, "model", names, label, kind=kind)
+    if "local_rates" in names and len(model.local_rates) != model.n_qubits:
+        raise ConfigError(f"model.local_rates must be a list of {model.n_qubits} rates")
 
-    kwargs: dict = {"kind": kind, "n_qubits": n_qubits}
-    if kind == "collective_xz":
-        kwargs["gamma_x"] = _number(model_raw.get("gamma_x", 1.0), "model.gamma_x", 0.0)
-        kwargs["gamma_z"] = _number(model_raw.get("gamma_z", 1.0), "model.gamma_z", 0.0)
-    elif kind == "collective_z_local_dephasing":
-        kwargs["gamma_z"] = _number(model_raw.get("gamma_z", 1.0), "model.gamma_z", 0.0)
-        kwargs["delta"] = _number(model_raw.get("delta", 0.0), "model.delta", 0.0)
-        rates = _require(model_raw, "local_rates", "model")
-        if not isinstance(rates, list) or len(rates) != n_qubits:
-            raise ConfigError(
-                f"model.local_rates must be a list of {n_qubits} rates"
-            )
-        kwargs["local_rates"] = tuple(
-            _number(r, f"model.local_rates[{i}]", 0.0) for i, r in enumerate(rates)
-        )
-    else:  # perturbed_collective_{global,local}
-        kwargs["gamma_1"] = _number(model_raw.get("gamma_1", 1.0), "model.gamma_1", 0.0)
-        kwargs["gamma_2"] = _number(model_raw.get("gamma_2", 1.0), "model.gamma_2", 0.0)
-        kwargs["delta"] = _number(model_raw.get("delta", 0.0), "model.delta", 0.0)
-        kwargs["perturbation_seed"] = _integer(
-            model_raw.get("perturbation_seed", 0), "model.perturbation_seed"
-        )
-    model = ModelSpec(**kwargs)
-
-    search_raw = _require(raw, "search", "$")
-    if not isinstance(search_raw, dict):
-        raise ConfigError("field 'search' must be an object")
-    _reject_unknown(search_raw, [f.name for f in fields(SearchSpec)], "'search'")
-    dims_raw = _require(search_raw, "candidate_dims", "search")
-    if (
-        not isinstance(dims_raw, list)
-        or not dims_raw
-        or not all(isinstance(d, list) and len(d) == 2 for d in dims_raw)
-    ):
-        raise ConfigError("search.candidate_dims must be a non-empty list of [n1, n2] pairs")
-    dims = tuple(
-        (
-            _integer(d[0], f"search.candidate_dims[{i}][0]", 1),
-            _integer(d[1], f"search.candidate_dims[{i}][1]", 1),
-        )
-        for i, d in enumerate(dims_raw)
-    )
-    dt_raw = search_raw.get("dt")
-    dt = None if dt_raw is None else _number(dt_raw, "search.dt")
-    if dt is not None and dt <= 0:
-        raise ConfigError(f"search.dt must be positive, got {dt}")
-    search = SearchSpec(
-        candidate_dims=dims,
-        num_restarts=_integer(search_raw.get("num_restarts", 20), "search.num_restarts", 1),
-        max_iterations=_integer(search_raw.get("max_iterations", 2000), "search.max_iterations", 1),
-        gradient_tolerance=_number(
-            search_raw.get("gradient_tolerance", 1e-8), "search.gradient_tolerance"
-        ),
-        objective_tolerance=_number(
-            search_raw.get("objective_tolerance", 1e-12), "search.objective_tolerance"
-        ),
-        seed=_integer(search_raw.get("seed", 0), "search.seed"),
-        dt=dt,
-    )
+    search = _read_section(SearchConfig, _object(raw, "search"), "search", SEARCH_FIELDS)
 
     sweep = None
-    if "sweep" in raw and raw["sweep"] is not None:
-        sweep_raw = raw["sweep"]
-        if not isinstance(sweep_raw, dict):
-            raise ConfigError("field 'sweep' must be an object")
-        _reject_unknown(sweep_raw, [f.name for f in fields(SweepSpec)], "'sweep'")
+    if raw.get("sweep") is not None:
+        sweep_raw = _object(raw, "sweep")
         mode = _require(sweep_raw, "mode", "sweep")
-        if mode not in ("delta", "tf"):
+        if mode not in SWEEP_FIELDS:
             raise ConfigError(f"sweep.mode must be 'delta' or 'tf', got {mode!r}")
-        grid_raw = _require(sweep_raw, "grid", "sweep")
-        if isinstance(grid_raw, dict):
-            start = _number(_require(grid_raw, "start", "sweep.grid"), "sweep.grid.start")
-            stop = _number(_require(grid_raw, "stop", "sweep.grid"), "sweep.grid.stop")
-            num = _integer(_require(grid_raw, "num", "sweep.grid"), "sweep.grid.num", 2)
-            grid = tuple(np.linspace(start, stop, num).tolist())
-        elif isinstance(grid_raw, list) and grid_raw:
-            grid = tuple(_number(v, f"sweep.grid[{i}]") for i, v in enumerate(grid_raw))
-        else:
-            raise ConfigError("sweep.grid must be a list of values or {start, stop, num}")
-        sweep = SweepSpec(
-            mode=mode,
-            grid=grid,
-            t_f=_number(sweep_raw.get("t_f", 1.0), "sweep.t_f", 0.0),
-            delta=_number(sweep_raw.get("delta", 0.1), "sweep.delta", 0.0),
-        )
-
+        sweep = _read_section(SweepSpec, sweep_raw, "sweep", SWEEP_FIELDS[mode], mode=mode)
+        if mode == "tf" and "delta" in model_raw and model.delta != sweep.delta:
+            raise ConfigError(
+                f"model.delta is {model.delta} but sweep.delta is {sweep.delta}; a 'tf' "
+                "sweep runs at sweep.delta, so drop model.delta or make the two equal"
+            )
     return ExperimentConfig(model=model, search=search, sweep=sweep)
 
 
@@ -268,41 +247,24 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(p.read_text())
 
 
+def _plain(value):
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """Round-trippable plain-dict form: parse(json.dumps(...)) == config."""
-    model = config.model
-    model_d: dict = {"kind": model.kind, "n_qubits": model.n_qubits}
-    if model.kind == "collective_xz":
-        model_d.update(gamma_x=model.gamma_x, gamma_z=model.gamma_z)
-    elif model.kind == "collective_z_local_dephasing":
-        model_d.update(
-            gamma_z=model.gamma_z, delta=model.delta, local_rates=list(model.local_rates)
-        )
-    else:
-        model_d.update(
-            gamma_1=model.gamma_1,
-            gamma_2=model.gamma_2,
-            delta=model.delta,
-            perturbation_seed=model.perturbation_seed,
-        )
-    s = config.search
-    search_d = {
-        "candidate_dims": [list(d) for d in s.candidate_dims],
-        "num_restarts": s.num_restarts,
-        "max_iterations": s.max_iterations,
-        "gradient_tolerance": s.gradient_tolerance,
-        "objective_tolerance": s.objective_tolerance,
-        "seed": s.seed,
-        "dt": s.dt,
+    """Round-trippable plain-dict form: parse(json.dumps(...)) == config.
+    Each section holds exactly the fields that parse_config reads for it."""
+
+    def section(spec, names) -> dict:
+        return {name: _plain(getattr(spec, name)) for name in names}
+
+    model, sweep = config.model, config.sweep
+    out = {
+        "model": section(model, ("kind", "n_qubits", *MODEL_FIELDS[model.kind])),
+        "search": section(config.search, SEARCH_FIELDS),
     }
-    out = {"model": model_d, "search": search_d}
-    if config.sweep is not None:
-        out["sweep"] = {
-            "mode": config.sweep.mode,
-            "grid": list(config.sweep.grid),
-            "t_f": config.sweep.t_f,
-            "delta": config.sweep.delta,
-        }
+    if sweep is not None:
+        out["sweep"] = section(sweep, ("mode", *SWEEP_FIELDS[sweep.mode]))
     return out
 
 
@@ -325,9 +287,7 @@ def build_model(spec: ModelSpec, delta_override: float | None = None) -> Lindbla
 
 
 def build_channel(config: ExperimentConfig, delta_override: float | None = None) -> KrausChannel:
-    model = build_model(config.model, delta_override)
-    dt = config.search.dt if config.search.dt is not None else default_dt(model)
-    return lindblad_to_kraus(model, dt)
+    return lindblad_to_kraus(build_model(config.model, delta_override), config.search.dt)
 
 
 def format_float(x: float) -> str:
@@ -354,12 +314,11 @@ def load_encoding(path) -> tuple[UnitaryParams, tuple[int, int]]:
     for key in ("dim", "n1", "n2", "phases", "angles"):
         if key not in raw:
             raise ConfigError(f"encoding file is missing field '{key}'")
+    dim, n1, n2 = (_count(raw[key], f"encoding.{key}") for key in ("dim", "n1", "n2"))
     params = UnitaryParams(
-        int(raw["dim"]),
-        np.asarray(raw["phases"], dtype=float),
-        np.asarray(raw["angles"], dtype=float),
+        dim, np.asarray(raw["phases"], dtype=float), np.asarray(raw["angles"], dtype=float)
     )
-    return params, (int(raw["n1"]), int(raw["n2"]))
+    return params, (n1, n2)
 
 
 def _result_entry(dims: tuple[int, int], result: SearchResult) -> dict:
@@ -401,7 +360,7 @@ def cmd_find_mns(config: ExperimentConfig, out_dir) -> dict:
     out_dir = Path(out_dir)
     started = time.monotonic()
     channel = build_channel(config)
-    results = find_mns(channel, config.search.to_search_config())
+    results = find_mns(channel, config.search)
     entries = [_result_entry(dims, res) for dims, res in results.items()]
     out_dir.mkdir(parents=True, exist_ok=True)
     for dims, res in results.items():
@@ -431,7 +390,7 @@ def cmd_find_mns(config: ExperimentConfig, out_dir) -> dict:
     return payload
 
 
-def cmd_verify_dfs(config: ExperimentConfig, encoding_path, threshold: float = 1e-8) -> dict:
+def cmd_verify_dfs(config: ExperimentConfig, encoding_path, threshold: float = DFS_THRESHOLD) -> dict:
     """Check the decoherence-free condition for a stored encoding."""
     params, (n1, n2) = load_encoding(encoding_path)
     channel = build_channel(config)
@@ -474,19 +433,11 @@ def cmd_fidelity_sweep(config: ExperimentConfig, out_dir) -> dict:
     started = time.monotonic()
     sweep = config.sweep
     u_dfs = collective_dfs_encoding(3)
-    if sweep.mode == "delta":
-        model_for = lambda value: build_model(config.model, delta_override=value)
-    else:
-        model_for = lambda _value: build_model(config.model, delta_override=sweep.delta)
+    model_for = lambda value: build_model(
+        config.model, value if sweep.mode == "delta" else sweep.delta
+    )
     points = fidelity_sweep(
-        model_for,
-        sweep.grid,
-        sweep.mode,
-        u_dfs,
-        dims,
-        config.search.to_search_config(),
-        t_f=sweep.t_f,
-        dt=config.search.dt,
+        model_for, sweep.grid, sweep.mode, u_dfs, dims, config.search, t_f=sweep.t_f
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .linalg import dagger, tensor
-from .noise import LindbladModel, default_dt, lindblad_to_kraus
+from .noise import LindbladModel, lindblad_to_kraus
 from .parametrization import UnitaryParams, polar, realize
 from .search import SearchConfig, _bfgs_minimize, find_mns
 
@@ -199,7 +199,6 @@ def fidelity_sweep(
     dims: tuple[int, int],
     config: SearchConfig,
     t_f: float = 1.0,
-    dt: float | None = None,
 ) -> list[FidelityPoint]:
     """Worst-case fidelity of searched vs reference encodings over a grid.
 
@@ -208,8 +207,9 @@ def fidelity_sweep(
     evolution time is fixed at ``t_f``; in mode "tf" the model is fixed (the
     factory is called once, with ``None`` -- pass a closure over the fixed
     perturbation), the search runs once, and the grid values are evolution
-    times.  In mode "delta" a point that raises is flagged (NaN row,
-    ``error`` set, logged to the "mns" logger), not raised.
+    times.  Channels use the step ``config.dt``.  In mode "delta" a point
+    that raises is flagged (NaN row, ``error`` set, logged to the "mns"
+    logger), not raised.
     """
     if mode not in ("delta", "tf"):
         raise ValidationError(f"sweep mode must be 'delta' or 'tf', got {mode!r}")
@@ -219,7 +219,7 @@ def fidelity_sweep(
     points: list[FidelityPoint] = []
 
     def search_best(model):
-        channel = lindblad_to_kraus(model, dt if dt is not None else default_dt(model))
+        channel = lindblad_to_kraus(model, config.dt)
         result = find_mns(channel, config)[dims]
         ok = result.per_restart[result.best_restart].converged
         return result, realize(result.best_params), ok

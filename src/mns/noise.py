@@ -43,9 +43,13 @@ __all__ = [
     "random_perturbation_unitary",
     "lindblad_to_kraus",
     "default_dt",
+    "DFS_THRESHOLD",
     "dfs_check",
     "collective_dfs_encoding",
 ]
+
+# the largest commutator defect ``dfs_check`` certifies as decoherence-free
+DFS_THRESHOLD = 1e-8
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
@@ -241,11 +245,12 @@ def random_perturbation_unitary(dim: int, delta: float, mode: str = "global", se
     raise ValidationError(f"unknown perturbation mode {mode!r}")
 
 
-def lindblad_to_kraus(model: LindbladModel, dt: float) -> KrausChannel:
-    """First-order Kraus set of one time step dt.
+def lindblad_to_kraus(model: LindbladModel, dt: float | None = None) -> KrausChannel:
+    """First-order Kraus set of one time step dt (None: ``default_dt``).
 
     Zero-rate terms are dropped; they contribute nothing to the channel map.
     """
+    dt = default_dt(model) if dt is None else dt
     if not dt > 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     dim = model.dim
@@ -268,7 +273,7 @@ def dfs_check(
     u: np.ndarray,
     n1: int,
     n2: int,
-    threshold: float = 1e-8,
+    threshold: float = DFS_THRESHOLD,
     n_states: int = 6,
     seed: int = 0,
 ) -> tuple[bool, float, list[float]]:
@@ -291,8 +296,8 @@ def dfs_check(
         raise ValidationError(f"encoding unitary shape {u.shape} does not match dim {dim}")
     if np.linalg.norm(dagger(u) @ u - np.eye(dim)) > 1e-10:
         raise ValidationError("encoding matrix is not unitary to 1e-10")
-    if n1 * n2 > dim:
-        raise ValidationError(f"encoded dimensions ({n1},{n2}) exceed channel dim {dim}")
+    if n1 < 1 or n2 < 1 or n1 * n2 > dim:
+        raise ValidationError(f"encoded dimensions ({n1},{n2}) must be >= 1, product <= {dim}")
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(n_states):

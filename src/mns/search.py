@@ -48,12 +48,13 @@ WOLFE_C2 = 0.9
 
 @dataclass(frozen=True)
 class SearchConfig:
+    candidate_dims: tuple[tuple[int, int], ...] = ()
+    num_restarts: int = 20
     max_iterations: int = 2000
     gradient_tolerance: float = 1e-8
     objective_tolerance: float = 1e-12
-    num_restarts: int = 20
     seed: int = 0
-    candidate_dims: tuple[tuple[int, int], ...] = ()
+    dt: float | None = None  # step of the first-order channel; None: default_dt
 
     def __post_init__(self):
         if self.max_iterations < 1:

@@ -90,7 +90,7 @@ def test_acceptance_2_known_excitation_sector_containment():
         config.model.n_qubits, config.model.gamma_z, config.model.delta, config.model.local_rates
     )
     channel = lindblad_to_kraus(model, default_dt(model))
-    results = find_mns(channel, config.search.to_search_config())
+    results = find_mns(channel, config.search)
 
     p_qubit = subspace_projector(results[(2, 1)])
     qubit_defect = containment_defect(p_qubit, P_TWO_EXCITED)

@@ -34,8 +34,10 @@ from mns.noise import (
 )
 from mns.objective import objective_of_unitary
 from mns.parametrization import random_params, realize
+from mns.search import SearchConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = CONFIG_DIR.parent
 
 FULL_CONFIG_TEXT = json.dumps(
     {
@@ -56,7 +58,7 @@ FULL_CONFIG_TEXT = json.dumps(
             "seed": 11,
             "dt": 0.0005,
         },
-        "sweep": {"mode": "delta", "grid": [0.0, 0.05, 0.1], "t_f": 2.0, "delta": 0.07},
+        "sweep": {"mode": "delta", "grid": [0.0, 0.05, 0.1], "t_f": 2.0},
     }
 )
 
@@ -87,6 +89,12 @@ def test_parse_config_round_trips_through_dict_form():
     assert config.search.candidate_dims == ((2, 2), (2, 1))
     assert config.sweep.grid == (0.0, 0.05, 0.1)
     assert config.search.dt == 0.0005
+
+
+def test_search_defaults_come_from_search_config():
+    model = {"kind": "collective_xz", "n_qubits": 3}
+    config = parse_config(json.dumps({"model": model, "search": {"candidate_dims": [[2, 1]]}}))
+    assert config.search == SearchConfig(candidate_dims=((2, 1),))
 
 
 def test_parse_config_defaults_and_optional_sweep():
@@ -171,6 +179,19 @@ def _mutated(mutate):
             "missing required field 'sweep.grid.num'",
         ),
         (_mutated(lambda r: r["sweep"].update(t_f=-1.0)), "field 'sweep.t_f' must be >= 0"),
+        # a sweep key the mode does not read, and a tf-mode amplitude written twice
+        (
+            _mutated(lambda r: r["sweep"].update(delta=0.07)),
+            r"unknown field\(s\) in 'sweep': 'delta'",
+        ),
+        (
+            _mutated(lambda r: r["sweep"].update(mode="tf", delta=0.07)),
+            r"unknown field\(s\) in 'sweep': 't_f'",
+        ),
+        (
+            _mutated(lambda r: r.update(sweep={"mode": "tf", "grid": [0.0], "delta": 0.05})),
+            r"model.delta is 0.07 but sweep.delta is 0.05",
+        ),
     ],
 )
 def test_parse_config_rejects_bad_fields(text, message):
@@ -215,9 +236,39 @@ def test_config_hash_ignores_key_order_but_not_values():
     assert re.fullmatch(r"[0-9a-f]{64}", config_hash(config))
 
 
+def test_tf_sweep_accepts_matching_or_absent_model_delta():
+    raw = json.loads(FULL_CONFIG_TEXT)
+    raw["sweep"] = {"mode": "tf", "grid": [0.0, 1.0], "delta": 0.07}
+    assert parse_config(json.dumps(raw)).sweep.delta == 0.07
+    del raw["model"]["delta"]
+    assert parse_config(json.dumps(raw)).sweep.delta == 0.07
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="config file not found"):
         load_config(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_config_round_trips_through_dict_form(path):
+    config = load_config(path)
+    assert parse_config(json.dumps(config_to_dict(config))) == config
+
+
+def test_benchmark_inputs_parse(tmp_path, monkeypatch):
+    """Every config the benchmark workloads write is one the parser accepts,
+    so a stricter parser cannot break the benchmark unseen."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import WORKLOADS
+
+    for name, workload_class in WORKLOADS.items():
+        out = tmp_path / name
+        out.mkdir()
+        workload = workload_class(ROOT, 1, out)
+        workload.prepare()
+        assert workload.configs, name
+        for path in workload.configs.values():
+            load_config(path)
 
 
 def test_bundled_configs_parse():
@@ -323,6 +374,38 @@ def test_load_encoding_round_trip(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match="missing field 'phases'"):
         load_encoding(path)
+
+
+def _encoding_file(tmp_path, **fields) -> Path:
+    params = random_params(8, 2.5, 1.5, seed=3)
+    payload = {"dim": 8, "n1": 2, "n2": 2, **fields}
+    payload.update(phases=list(params.phases), angles=list(params.angles))
+    path = tmp_path / "enc.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n1": 0}, "field 'encoding.n1' must be >= 1, got 0"),
+        ({"n2": -1}, "field 'encoding.n2' must be >= 1, got -1"),
+        ({"dim": 8.7}, "field 'encoding.dim' must be an integer, got 8.7"),
+        ({"dim": "x"}, "field 'encoding.dim' must be an integer, got 'x'"),
+    ],
+)
+def test_load_encoding_rejects_bad_dimensions(tmp_path, fields, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_encoding(_encoding_file(tmp_path, **fields))
+
+
+def test_cli_verify_dfs_bad_encoding_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(SMALL_COLLECTIVE_TEXT)
+    for fields in ({"n1": 0}, {"dim": "x"}):
+        enc = _encoding_file(tmp_path, **fields)
+        assert main(["verify-dfs", "--config", str(cfg), "--encoding", str(enc)]) == 1
+        assert "field 'encoding." in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,14 @@ def test_dfs_check_identity_channel_trivially_passes():
         dfs_check(identity_channel(8), np.eye(8) * 2.0, 2, 2)
 
 
+@pytest.mark.parametrize("n1, n2", [(0, 2), (2, 0)])
+def test_dfs_check_rejects_empty_encoded_factor(n1, n2):
+    # an empty encoding has no state to protect and must not be certified
+    ch = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), 1e-3)
+    with pytest.raises(ValidationError, match="must be >= 1"):
+        dfs_check(ch, collective_dfs_encoding(3), n1, n2)
+
+
 def test_collective_dfs_encoding_block_structure():
     u = collective_dfs_encoding(3)
     assert np.abs(dagger(u) @ u - np.eye(8)).max() <= 1e-15

@@ -343,7 +343,7 @@ def test_find_mns_local_dephasing_resolves_double_excitation_pair():
     # restarts: the optimum is span{|011>, |101>}, the two lowest local rates
     config = load_config(CONFIG_DIR / "sz_local_dephasing_n3.json")
     channel = build_channel(config)
-    search = replace(config.search.to_search_config(), num_restarts=9, candidate_dims=((2, 1),))
+    search = replace(config.search, num_restarts=9, candidate_dims=((2, 1),))
     result = find_mns(channel, search)[(2, 1)]
     target = np.diag([1.0 if i in (0b011, 0b101) else 0.0 for i in range(8)])
     assert projector_distance(subspace_projector(result), target) <= 1e-6
@@ -353,7 +353,7 @@ def test_find_mns_perturbed_restarts_agree_on_optimum():
     # delta = 0.1 of configs/perturbed_global_delta_sweep.json
     config = load_config(CONFIG_DIR / "perturbed_global_delta_sweep.json")
     channel = build_channel(config, delta_override=0.1)
-    result = find_mns(channel, config.search.to_search_config())[(2, 2)]
+    result = find_mns(channel, config.search)[(2, 2)]
     assert len(result.per_restart) == 10
     finals = [rec.final_j for rec in result.per_restart]
     assert max(finals) - min(finals) <= 1e-8
