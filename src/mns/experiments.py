@@ -153,6 +153,7 @@ def _dims(value, path: str) -> tuple[tuple[int, int], ...]:
 
 def _grid(value, path: str) -> tuple[float, ...]:
     if isinstance(value, dict):
+        _reject_unknown(value, ("num", "start", "stop"), repr(path))
         start = _number(_require(value, "start", path), f"{path}.start")
         stop = _number(_require(value, "stop", path), f"{path}.stop")
         num = _integer(_require(value, "num", path), f"{path}.num", 2)
@@ -185,17 +186,22 @@ def _object(raw: dict, key: str) -> dict:
     return value
 
 
-def _read_section(cls, raw: dict, section: str, names, label=None, **given):
-    """``cls`` from ``given`` and each field of ``names`` through its reader;
-    an absent field keeps its dataclass default.  Any other key is an error,
-    so a misspelt or foreign one cannot run on the defaults."""
-    known = (*given, *names)
+def _reject_unknown(raw: dict, known, label: str) -> None:
+    """Raise if ``raw`` holds a key outside ``known``, so a misspelt or
+    foreign one cannot run on the defaults."""
     unknown = sorted(set(raw) - set(known))
     if unknown:
         raise ConfigError(
-            f"unknown field(s) in {label or repr(section)}: {', '.join(map(repr, unknown))}"
+            f"unknown field(s) in {label}: {', '.join(map(repr, unknown))}"
             f"; it reads {', '.join(map(repr, known))}"
         )
+
+
+def _read_section(cls, raw: dict, section: str, names, label=None, **given):
+    """``cls`` from ``given`` and each field of ``names`` through its reader;
+    an absent field keeps its dataclass default and any other key is an
+    error."""
+    _reject_unknown(raw, (*given, *names), label or repr(section))
     read = {
         name: READERS[name](_require(raw, name, section), f"{section}.{name}")
         for name in names
@@ -315,10 +321,17 @@ def load_encoding(path) -> tuple[UnitaryParams, tuple[int, int]]:
         if key not in raw:
             raise ConfigError(f"encoding file is missing field '{key}'")
     dim, n1, n2 = (_count(raw[key], f"encoding.{key}") for key in ("dim", "n1", "n2"))
-    params = UnitaryParams(
-        dim, np.asarray(raw["phases"], dtype=float), np.asarray(raw["angles"], dtype=float)
-    )
-    return params, (n1, n2)
+    phases, angles = (_finite_list(raw[key], f"encoding.{key}") for key in ("phases", "angles"))
+    return UnitaryParams(dim, phases, angles), (n1, n2)
+
+
+def _finite_list(value, path: str) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ConfigError(f"field '{path}' must be a list of numbers, got {value!r}")
+    numbers = np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)], dtype=float)
+    if not np.isfinite(numbers).all():
+        raise ConfigError(f"field '{path}' must hold finite numbers, got {value!r}")
+    return numbers
 
 
 def _result_entry(dims: tuple[int, int], result: SearchResult) -> dict:

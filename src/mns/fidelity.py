@@ -29,8 +29,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .linalg import dagger, tensor
@@ -78,6 +76,8 @@ def evolve(model: LindbladModel, t_f: float) -> EvolvedChannel:
     if t_f == 0.0:
         sup = np.eye(dim * dim, dtype=np.complex128)
     else:
+        from scipy.linalg import expm  # here, not at the top: find-mns and verify-dfs never evolve
+
         sup = expm(liouvillian(model) * t_f)
     return EvolvedChannel(dim=dim, t_f=float(t_f), superoperator=sup)
 
@@ -118,11 +118,59 @@ def _sphere_minimum(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     mu = lam[0]
     if np.linalg.norm(y(mu)) > 1.0:  # |y| <= 1/2 at lam_0 - |b|; nextafter keeps that below lam_0
         low = np.nextafter(lam[0] - np.linalg.norm(b), -np.inf)
-        mu = brentq(lambda m: 1.0 / np.linalg.norm(y(m)) - 1.0, low, lam[0], xtol=1e-300)
+        mu = _brent_root(lambda m: 1.0 / np.linalg.norm(y(m)) - 1.0, low, lam[0], 1e-300)
     # mu can round onto a degenerate lam_i with beta_i != 0; that pole is a flat direction
     rest = np.nan_to_num(y(mu)[1:], posinf=0.0, neginf=0.0)
     r = v @ np.concatenate([[-np.copysign(np.sqrt(max(0.0, 1.0 - rest @ rest)), beta[0])], rest])
     return r / np.linalg.norm(r)
+
+
+def _brent_root(f, xa, xb, xtol: float) -> float:
+    """Root of f between xa and xb, where f changes sign: SciPy 1.17.1's
+    ``brentq`` (``Zeros/brentq.c``) with rtol = 4 eps and at most 100
+    iterations, step for step, so the points tried and the root are SciPy's
+    to the bit.  f returns NumPy floats, so the arithmetic runs on NumPy
+    scalars and a zero denominator gives inf or nan as in C, which sends the
+    step to bisection."""
+    rtol = 4 * np.finfo(float).eps
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(100):
+            if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):  # keep xcur the better end of the bracket
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (xtol + rtol * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            if fcur == 0 or abs(sbis) < delta:
+                return xcur
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # short enough: take it
+                    spre, scur = scur, stry
+                else:
+                    spre = scur = sbis
+            else:
+                spre = scur = sbis
+            xpre, fpre = xcur, fcur
+            xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+            fcur = f(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def _descent_minimum(gmat: np.ndarray, n1: int) -> float:

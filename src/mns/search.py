@@ -1,13 +1,13 @@
 """Multi-start BFGS search for minimal-noise encodings.
 
 Maximizes J by running BFGS (inverse-Hessian update, strong-Wolfe line
-search with c1=1e-4, c2=0.9) from ``num_restarts`` random initial points per
-candidate dimension pair, one restart after another.  J depends on the
-encoding unitary only through its first m = n1*n2 rows V, so BFGS moves an
-unconstrained m x N matrix X and evaluates J at V = ``polar``(X); results are
-reported in chart coordinates (``chart_of``).  Restart seeds are derived from
-the master seed and the (dims, restart) indices, so each restart can be
-reproduced on its own.
+search with c1=1e-4, c2=0.9, ported from SciPy) from ``num_restarts``
+random initial points per candidate dimension pair, one restart after
+another.  J depends on the encoding unitary only through its first
+m = n1*n2 rows V, so BFGS moves an unconstrained m x N matrix X and
+evaluates J at V = ``polar``(X); results are reported in chart coordinates
+(``chart_of``).  Restart seeds are derived from the master seed and the
+(dims, restart) indices, so each restart can be reproduced on its own.
 
 Each restart is one descent of (1 - J)/dt, written as a sum of squares R
 plus an O(dt^2) completeness term (``objective.value_and_gradient``).  R
@@ -18,13 +18,11 @@ decoherence-free winner to the precision ``dfs_check`` asks for.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import line_search
 
 from .errors import ValidationError
 from .linalg import dagger
@@ -191,15 +189,16 @@ def _bfgs_minimize(
 ) -> Descent:
     """BFGS descent of f from ``x``, where ``fg(x)`` returns (f(x), grad f(x)).
 
-    Each iteration takes a strong-Wolfe line search along the quasi-Newton
-    direction, falling back to Armijo backtracking when it fails.  The stop
-    reason is "gradient" when |grad f| <= ``gradient_tolerance`` at the final
-    point, else "stall" when an accepted step lowered f by no more than
+    Each iteration takes a strong-Wolfe step along the quasi-Newton
+    direction (``_wolfe_step``, SciPy's ``line_search`` to the bit), falling
+    back to Armijo backtracking when it fails.  The stop reason is
+    "gradient" when |grad f| <= ``gradient_tolerance`` at the final point,
+    else "stall" when an accepted step lowered f by no more than
     ``objective_tolerance`` times |f| at the new point, "line_search" when
     the backtracking failed too, or "max_iterations".
 
-    ``fg`` runs at most once per distinct point of an iteration: the line
-    search asks for f and grad f separately at the same trial points, the
+    ``fg`` runs at most once per distinct point of an iteration: the Wolfe
+    step asks for f and grad f separately at the same trial points, the
     gradient at the accepted point is one it already computed, and the
     backtracking retries step lengths a failed line search already tried.
     """
@@ -233,11 +232,7 @@ def _bfgs_minimize(
         if p @ gx >= 0:  # not a descent direction; reset the approximation
             h = np.eye(n)
             p = -gx
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # line-search failure is handled below
-            alpha, _, _, f_new, _, _ = line_search(
-                f, g, x, p, gfk=gx, old_fval=fx, c1=WOLFE_C1, c2=WOLFE_C2, maxiter=25
-            )
+        alpha, f_new = _wolfe_step(f, g, x, p, fx, gx)
         if alpha is None:
             # Armijo backtracking fallback; keeps the descent monotone.
             alpha, f_new = _backtrack(f, x, p, fx, gx)
@@ -245,8 +240,6 @@ def _bfgs_minimize(
                 reason = "line_search"
                 break
         x_new = x + alpha * p
-        if f_new is None:
-            f_new = f(x_new)
         g_new = g(x_new)
         s = x_new - x
         y = g_new - gx
@@ -271,6 +264,112 @@ def _bfgs_minimize(
     if gradient_norm <= gradient_tolerance:
         reason = "gradient"
     return Descent(x, trace, iterations, reason, gradient_norm)
+
+
+def _wolfe_step(f, g, x, p, fx, gx):
+    """Step length alpha along the descent direction p that meets the strong
+    Wolfe conditions with c1 = ``WOLFE_C1`` and c2 = ``WOLFE_C2``, and
+    f(x + alpha p); (None, None) when the zoom fails.
+
+    This is SciPy 1.17.1's ``line_search`` (``scalar_search_wolfe2`` with
+    ``_zoom``; Nocedal & Wright, Alg. 3.5-3.6) for the one call the descent
+    makes: first trial alpha = 1, the step doubling at most 25 times, no
+    maximum step.  Every expression is SciPy's, so the trial steps and the
+    result are its own to the bit.  Like SciPy, it returns the last trial
+    step when the doubling runs out.
+    """
+
+    def phi(alpha):
+        return f(x + alpha * p)
+
+    def derphi(alpha):
+        return np.dot(g(x + alpha * p), p)
+
+    derphi0 = np.dot(gx, p)
+    alpha0, alpha1 = 0, 1.0
+    phi_a0, phi_a1, derphi_a0 = fx, phi(alpha1), derphi0
+    for i in range(25):
+        if (phi_a1 > fx + WOLFE_C1 * alpha1 * derphi0) or ((phi_a1 >= phi_a0) and i > 0):
+            return _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi, derphi, fx, derphi0)
+        derphi_a1 = derphi(alpha1)
+        if abs(derphi_a1) <= -WOLFE_C2 * derphi0:
+            return alpha1, phi_a1
+        if derphi_a1 >= 0:
+            return _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi, derphi, fx, derphi0)
+        alpha0, alpha1 = alpha1, 2 * alpha1
+        phi_a0, phi_a1 = phi_a1, phi(alpha1)
+        derphi_a0 = derphi_a1
+    return alpha1, phi_a1
+
+
+def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
+    """Shrink the bracket [a_lo, a_hi] to a strong-Wolfe step: trial steps at
+    the cubic, else the quadratic interpolant's minimizer, else the midpoint;
+    (None, None) after 11 trials."""
+    phi_rec, a_rec = phi0, 0
+    for i in range(11):
+        dalpha = a_hi - a_lo
+        a, b = (a_hi, a_lo) if dalpha < 0 else (a_lo, a_hi)
+        if i > 0:
+            cchk = 0.2 * dalpha
+            a_j = _cubicmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi, a_rec, phi_rec)
+        if (i == 0) or (a_j is None) or (a_j > b - cchk) or (a_j < a + cchk):
+            qchk = 0.1 * dalpha
+            a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+            if (a_j is None) or (a_j > b - qchk) or (a_j < a + qchk):
+                a_j = a_lo + 0.5 * dalpha
+        phi_aj = phi(a_j)
+        if (phi_aj > phi0 + WOLFE_C1 * a_j * derphi0) or (phi_aj >= phi_lo):
+            phi_rec, a_rec = phi_hi, a_hi
+            a_hi, phi_hi = a_j, phi_aj
+        else:
+            derphi_aj = derphi(a_j)
+            if abs(derphi_aj) <= -WOLFE_C2 * derphi0:
+                return a_j, phi_aj
+            if derphi_aj * (a_hi - a_lo) >= 0:
+                phi_rec, a_rec = phi_hi, a_hi
+                a_hi, phi_hi = a_lo, phi_lo
+            else:
+                phi_rec, a_rec = phi_lo, a_lo
+            a_lo, phi_lo, derphi_lo = a_j, phi_aj, derphi_aj
+    return None, None
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """Minimizer of the cubic A (x-a)^3 + B (x-a)^2 + C (x-a) + fa through
+    (b, fb) and (c, fc) with slope C = fpa at a, or None."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            C = fpa
+            db = b - a
+            dc = c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.empty((2, 2))
+            d1[0, 0] = dc**2
+            d1[0, 1] = -(db**2)
+            d1[1, 0] = -(dc**3)
+            d1[1, 1] = db**3
+            A, B = np.dot(d1, np.asarray([fb - fa - C * db, fc - fa - C * dc]))
+            A /= denom
+            B /= denom
+            radical = B * B - 3 * A * C
+            xmin = a + (-B + np.sqrt(radical)) / (3 * A)
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """Minimizer of the quadratic through (a, fa), (b, fb) with slope fpa at
+    a, or None."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db = b - a * 1.0
+            B = (fb - fa - fpa * db) / (db * db)
+            xmin = a - fpa / (2.0 * B)
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
 
 
 def _backtrack(f, x, p, fx, gx, shrink: float = 0.5, max_steps: int = 40):

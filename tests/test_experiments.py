@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +180,15 @@ def _mutated(mutate):
         (
             _mutated(lambda r: r["sweep"].update(grid={"start": 0.0, "stop": 0.1})),
             "missing required field 'sweep.grid.num'",
+        ),
+        # a grid key the reader does not know is refused, not dropped
+        (
+            _mutated(
+                lambda r: r["sweep"].update(
+                    grid={"start": 0.0, "stop": 0.1, "num": 3, "endpoint": False}
+                )
+            ),
+            r"unknown field\(s\) in 'sweep.grid': 'endpoint'; it reads 'num', 'start', 'stop'$",
         ),
         (_mutated(lambda r: r["sweep"].update(t_f=-1.0)), "field 'sweep.t_f' must be >= 0"),
         # a sweep key the mode does not read, and a tf-mode amplitude written twice
@@ -378,8 +390,8 @@ def test_load_encoding_round_trip(tmp_path):
 
 def _encoding_file(tmp_path, **fields) -> Path:
     params = random_params(8, 2.5, 1.5, seed=3)
-    payload = {"dim": 8, "n1": 2, "n2": 2, **fields}
-    payload.update(phases=list(params.phases), angles=list(params.angles))
+    phases, angles = list(params.phases), list(params.angles)
+    payload = {"dim": 8, "n1": 2, "n2": 2, "phases": phases, "angles": angles, **fields}
     path = tmp_path / "enc.json"
     path.write_text(json.dumps(payload))
     return path
@@ -392,6 +404,12 @@ def _encoding_file(tmp_path, **fields) -> Path:
         ({"n2": -1}, "field 'encoding.n2' must be >= 1, got -1"),
         ({"dim": 8.7}, "field 'encoding.dim' must be an integer, got 8.7"),
         ({"dim": "x"}, "field 'encoding.dim' must be an integer, got 'x'"),
+        ({"phases": "x"}, "field 'encoding.phases' must be a list of numbers, got 'x'"),
+        ({"angles": {"0": 1.0}}, "field 'encoding.angles' must be a list of numbers"),
+        ({"phases": [0.5, "x"]}, "field 'encoding.phases[1]' must be a number, got 'x'"),
+        ({"angles": [True]}, "field 'encoding.angles[0]' must be a number, got True"),
+        ({"angles": [0.5, float("nan")]}, "field 'encoding.angles' must hold finite numbers"),
+        ({"phases": [float("inf")]}, "field 'encoding.phases' must hold finite numbers"),
     ],
 )
 def test_load_encoding_rejects_bad_dimensions(tmp_path, fields, message):
@@ -402,7 +420,7 @@ def test_load_encoding_rejects_bad_dimensions(tmp_path, fields, message):
 def test_cli_verify_dfs_bad_encoding_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(SMALL_COLLECTIVE_TEXT)
-    for fields in ({"n1": 0}, {"dim": "x"}):
+    for fields in ({"n1": 0}, {"dim": "x"}, {"phases": "x"}, {"angles": [float("nan")]}):
         enc = _encoding_file(tmp_path, **fields)
         assert main(["verify-dfs", "--config", str(cfg), "--encoding", str(enc)]) == 1
         assert "field 'encoding." in capsys.readouterr().err
@@ -715,3 +733,28 @@ def test_cli_runtime_failures_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("mns.cli.cmd_find_mns", generic_failure)
     assert main(["find-mns", "--config", str(cfg)]) == 2
     assert "unexpected failure" in capsys.readouterr().err
+
+
+def test_find_mns_and_verify_dfs_load_no_scipy(tmp_path):
+    # SciPy serves only fidelity-sweep's expm; its import costs a search-sized
+    # process most of its start-up, so a stray top-level import is a regression
+    raw = json.loads((CONFIG_DIR / "collective_xz_n3.json").read_text())
+    raw["search"]["num_restarts"] = 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    script = f"""
+import sys
+import mns.fidelity
+assert not [m for m in sys.modules if m.startswith("scipy.optimize")]
+from mns.cli import main
+assert main(["find-mns", "--config", {str(cfg)!r}, "--out-dir", {str(out)!r}]) == 0
+enc = {str(out / "encoding_2x2.json")!r}
+assert main(["verify-dfs", "--config", {str(cfg)!r}, "--encoding", enc]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "[]"

@@ -2,6 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mns.errors import ValidationError
 from mns.fidelity import (
@@ -11,7 +12,7 @@ from mns.fidelity import (
     logical_map,
     worst_case_fidelity,
 )
-from mns.fidelity import _sphere_minimum
+from mns.fidelity import _brent_root, _sphere_minimum
 from mns.linalg import dagger, random_density_matrix, tensor
 from mns.noise import (
     LindbladModel,
@@ -275,6 +276,45 @@ def test_worst_case_fidelity_qubit_matches_dense_bloch_grid():
             grid = _bloch_grid_minimum(u, dims, ev)
             assert fi <= grid + 1e-12
             assert abs(fi - grid) <= 1e-9
+
+
+def test_brent_root_is_scipy_brentq():
+    # the secular equations |y(mu)| = 1 of random 3x3 problems, bracketed as
+    # _sphere_minimum brackets them, with |b| from 1e-8 to 10: the port must
+    # try SciPy's points and land on its root, to the bit; the textbook roots
+    # after them also send it through rejected interpolation steps
+    rng = np.random.default_rng(15)
+    cases = []
+    for _ in range(300):
+        c = rng.normal(size=(3, 3))
+        c = c + c.T
+        b = rng.normal(size=3)
+        b *= 10.0 ** rng.uniform(-8, 1) / np.linalg.norm(b)
+        lam, v = np.linalg.eigh(c)
+        beta = v.T @ b
+
+        def secular(mu, beta=beta, lam=lam):
+            with np.errstate(divide="ignore"):
+                return 1.0 / np.linalg.norm(-beta / (2.0 * (lam - mu))) - 1.0
+
+        cases.append((secular, np.nextafter(lam[0] - np.linalg.norm(b), -np.inf), lam[0]))
+    cases += [
+        (lambda x: np.exp(x) - 1e4, -5.0, 20.0),
+        (lambda x: np.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
+        (lambda x: np.cbrt(x - 1.0 / 3.0), -2.0, 5.0),
+        (lambda x: (x - 0.7) ** 5 + 1e-3 * (x - 0.7), -1.0, 3.0),
+    ]
+    for f, low, high in cases:
+        tried = []
+
+        def logged(x, f=f):
+            tried.append(x)
+            return f(np.float64(x))
+
+        expected = scipy.optimize.brentq(logged, low, high, xtol=1e-300)
+        expected_tries, tried[:] = tried[:], []
+        assert _brent_root(logged, np.float64(low), np.float64(high), 1e-300) == expected
+        assert tried == expected_tries
 
 
 def test_sphere_minimum_hard_case():

@@ -1,8 +1,10 @@
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mns.errors import ValidationError
 from mns.experiments import build_channel, load_config
@@ -21,6 +23,7 @@ from mns.search import (
     SearchConfig,
     _bfgs_minimize,
     _initial_point,
+    _wolfe_step,
     bfgs_maximize,
     default_candidate_dims,
     find_mns,
@@ -139,6 +142,67 @@ def test_bfgs_minimize_reports_each_stop_reason():
         assert run.gradient_norm == np.linalg.norm(args[0](run.x)[1])
         if reason != "gradient":
             assert run.gradient_norm > args[3]
+
+
+def _test_functions(rng, n):
+    """(f, grad f) of a random convex quadratic, a quartic with a random
+    quadratic part, and the Rosenbrock function, in n variables."""
+    a = rng.normal(size=(n, n))
+    a = a @ a.T + 0.1 * np.eye(n)
+    b = rng.normal(size=n)
+    c = rng.normal(size=(n, n))
+    c = c + c.T
+    return (
+        (lambda x: 0.5 * x @ a @ x - b @ x, lambda x: a @ x - b),
+        (lambda x: np.sum(x**4) + 0.5 * x @ c @ x, lambda x: 4 * x**3 + c @ x),
+        (scipy.optimize.rosen, scipy.optimize.rosen_der),
+    )
+
+
+def test_wolfe_step_is_scipy_line_search(monkeypatch):
+    # the port must take SciPy's trial steps to the bit: random lines along
+    # descent directions and along arbitrary ones (where the zoom fails),
+    # with steps from 1e-3 to 1e3 times the gradient
+    zooms = []
+    zoom = mns.search._zoom
+    monkeypatch.setattr(mns.search, "_zoom", lambda *args: zooms.append(1) or zoom(*args))
+    rng = np.random.default_rng(15)
+    failed = 0
+    for trial in range(200):
+        n = int(rng.integers(2, 6))
+        for f, g in _test_functions(rng, n):
+            x = rng.normal(size=n)
+            fx, gx = f(x), g(x)
+            p = -gx if trial % 2 else rng.normal(size=n)
+            p = p * 10.0 ** rng.uniform(-3, 3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                alpha, _, _, f_new, _, _ = scipy.optimize.line_search(
+                    f, g, x, p, gfk=gx, old_fval=fx, c1=1e-4, c2=0.9, maxiter=25
+                )
+            assert _wolfe_step(f, g, x, p, fx, gx) == (alpha, f_new)
+            failed += alpha is None
+    assert len(zooms) > 300 and 10 < failed < 300
+
+
+def test_wolfe_step_returns_last_doubling_when_it_runs_out():
+    # along -grad of a linear f the slope never flattens: 25 doublings of
+    # alpha = 1 and SciPy's answer is the last trial, 2^25
+    c = np.array([1.0, -2.0, 0.5])
+
+    def f(x):
+        return c @ x
+
+    def g(x):
+        return c
+
+    x = np.array([0.3, 0.1, -0.2])
+    step = _wolfe_step(f, g, x, -c, f(x), c)
+    assert step == (2.0**25, f(x - 2.0**25 * c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = scipy.optimize.line_search(f, g, x, -c, gfk=c, old_fval=f(x), maxiter=25)
+    assert step == (expected[0], expected[3])
 
 
 def test_restart_records_carry_stop_reason(collective_search, local_dephasing_search):
