@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .fidelity import fidelity_sweep
+from .fidelity import FidelityPoint, fidelity_sweep
 from .noise import (
     DFS_THRESHOLD,
     KrausChannel,
@@ -119,7 +120,12 @@ def _require(mapping: dict, key: str, path: str):
 def _number(value, path: str, minimum=None, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{path}' must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):  # json reads NaN and Infinity tokens
+        raise ConfigError(f"field '{path}' must be a finite number, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"field '{path}' must be >= {minimum}, got {value}")
     if positive and value <= 0:
@@ -328,10 +334,7 @@ def load_encoding(path) -> tuple[UnitaryParams, tuple[int, int]]:
 def _finite_list(value, path: str) -> np.ndarray:
     if not isinstance(value, list):
         raise ConfigError(f"field '{path}' must be a list of numbers, got {value!r}")
-    numbers = np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)], dtype=float)
-    if not np.isfinite(numbers).all():
-        raise ConfigError(f"field '{path}' must hold finite numbers, got {value!r}")
-    return numbers
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)], dtype=float)
 
 
 def _result_entry(dims: tuple[int, int], result: SearchResult) -> dict:
@@ -357,6 +360,21 @@ def _result_entry(dims: tuple[int, int], result: SearchResult) -> dict:
             }
             for rec in result.per_restart
         ],
+    }
+
+
+def _point_entry(pt: FidelityPoint) -> dict:
+    """A sweep point for result.json; a failed point's numbers are null, not
+    the NaN tokens that strict JSON readers refuse."""
+    failed = pt.error is not None
+    return {
+        "param": pt.param,
+        "fi_mns": None if failed else pt.fi_mns,
+        "fi_dfs": None if failed else pt.fi_dfs,
+        "j_opt": None if failed else pt.j_opt,
+        "converged": pt.converged,
+        "mns_params": None if pt.mns_params is None else _params_dict(pt.mns_params),
+        "error": pt.error,
     }
 
 
@@ -478,18 +496,7 @@ def cmd_fidelity_sweep(config: ExperimentConfig, out_dir) -> dict:
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "duration_seconds": round(time.monotonic() - started, 3),
         "csv": csv_path.name,
-        "points": [
-            {
-                "param": pt.param,
-                "fi_mns": pt.fi_mns,
-                "fi_dfs": pt.fi_dfs,
-                "j_opt": pt.j_opt,
-                "converged": pt.converged,
-                "mns_params": None if pt.mns_params is None else _params_dict(pt.mns_params),
-                "error": pt.error,
-            }
-            for pt in points
-        ],
+        "points": [_point_entry(pt) for pt in points],
     }
     _write_result(out_dir, payload)
     print(f"sweep written to {csv_path}")
@@ -524,9 +531,11 @@ def cmd_show_result(path) -> dict:
     if points:
         print(f"  sweep points: {len(points)}")
         for pt in points:
+            fi_mns, fi_dfs = (
+                "null" if pt[key] is None else format_float(pt[key]) for key in ("fi_mns", "fi_dfs")
+            )
             print(
-                f"    param={format_float(pt['param'])} "
-                f"fi_mns={format_float(pt['fi_mns'])} fi_dfs={format_float(pt['fi_dfs'])}"
+                f"    param={format_float(pt['param'])} fi_mns={fi_mns} fi_dfs={fi_dfs}"
                 + (f" error={pt['error']}" if pt.get("error") else "")
             )
     return payload

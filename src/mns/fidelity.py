@@ -34,7 +34,7 @@ from .errors import ValidationError
 from .linalg import dagger, tensor
 from .noise import LindbladModel, lindblad_to_kraus
 from .parametrization import UnitaryParams, polar, realize
-from .search import SearchConfig, _bfgs_minimize, find_mns
+from .search import SearchConfig, _lockstep, find_mns
 
 __all__ = [
     "EvolvedChannel",
@@ -175,7 +175,8 @@ def _brent_root(f, xa, xb, xtol: float) -> float:
 
 def _descent_minimum(gmat: np.ndarray, n1: int) -> float:
     """Least f(z/|z|) reached by BFGS over (Re z, Im z) from every basis state
-    and every equal-weight pair of basis states with relative phase 1 or i.
+    and every equal-weight pair of basis states with relative phase 1 or i,
+    the starts run as lanes of one ``_lockstep`` descent.
     f = v^H S v / 2 with v = vec(z z^dag) and S = G + G^H; at a unit z its
     gradient is 2 K z with K = unvec(S v), and the normalization z/|z| is the
     m = 1 case of ``polar``.  BFGS stops on saddles, and the starts are saddles
@@ -183,23 +184,24 @@ def _descent_minimum(gmat: np.ndarray, n1: int) -> float:
     along negative curvature until there is none or it lowers f no further."""
     s = gmat + dagger(gmat)
 
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        v, pullback = polar(x, 1)
-        z = v[0]
-        kz = (s @ np.outer(z, z.conj()).reshape(-1)).reshape(n1, n1) @ z
-        return 0.5 * float(np.real(z.conj() @ kz)), pullback(2.0 * kz[None, :])
+    def fg(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v, pullback = polar(xs, 1)
+        z = v[:, 0, :, None]  # (R, n1, 1)
+        zz = (z * dagger(z)).reshape(-1, n1 * n1, 1)
+        kz = (s @ zz).reshape(-1, n1, n1) @ z
+        return 0.5 * (dagger(z) @ kz)[:, 0, 0].real, pullback(2.0 * kz.swapaxes(1, 2))
 
-    def descend(x0: np.ndarray) -> tuple[float, np.ndarray]:
-        x, trace, *_ = _bfgs_minimize(fg, x0, 200, 1e-12, 0.0)
-        return trace[-1], x / np.linalg.norm(x)
+    def descend(starts) -> list[tuple[float, np.ndarray]]:
+        runs = _lockstep(fg, starts, 200, 1e-12, 0.0)
+        return [(run.trace[-1], run.x / np.linalg.norm(run.x)) for run in runs]
 
     eye = np.eye(2 * n1)  # eye[a] is |a>, eye[n1 + a] is i|a>
     pairs = [eye[a] + eye[b + k] for a in range(n1) for b in range(a + 1, n1) for k in (0, n1)]
-    best, x = min(map(descend, [*eye[:n1], *pairs]), key=lambda found: found[0])
+    best, x = min(descend([*eye[:n1], *pairs]), key=lambda found: found[0])
     while True:
-        hess = np.array([fg(x + d)[1] - fg(x - d)[1] for d in 1e-5 * eye]) / 2e-5
+        hess = (fg(x + 1e-5 * eye)[1] - fg(x - 1e-5 * eye)[1]) / 2e-5
         lam, vec = np.linalg.eigh(hess)
-        if not (lam[0] < -1e-6 and (found := descend(x + 0.1 * vec[:, 0]))[0] < best):
+        if not (lam[0] < -1e-6 and (found := descend([x + 0.1 * vec[:, 0]])[0])[0] < best):
             return float(best)
         best, x = found
 

@@ -33,7 +33,8 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -59,26 +59,41 @@ __all__ = [
 ]
 
 
+def _lane_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum conj(a) b per lane of two C-contiguous (R, ...) stacks, as one
+    real dot per lane through ``matmul``: its result for a lane does not
+    depend on which other lanes share the stack."""
+    lanes = len(a)
+    dots = a.view(np.float64).reshape(lanes, 1, -1) @ b.view(np.float64).reshape(lanes, -1, 1)
+    return dots.reshape(lanes)
+
+
 def _residuals(
     channel: KrausChannel, v: np.ndarray, n1: int, n2: int
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """1 - J at the orthonormal encoded rows V, with the pieces it is built
-    from: the residuals r, the blocks M and V (I - S).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """1 - J at each orthonormal encoded row block V of a stack v of shape
+    (lanes, m, N), with the pieces it is built from: the residuals r, the
+    blocks M and V (I - S).
 
     M_k = Tr_H1(V E_k V^dag)/n1 and r_k = E_k V^dag - V^dag (I (x) M_k),
-    stacked as r[k, n, i, a] with (i, a) the H1 (x) H2 index of column
-    i*n2 + a.  1 - J = R + (1/m) tr(V (I - S) V^dag) with
+    stacked as r[lane, k, n*n1 + i, a] with (i, a) the H1 (x) H2 index of
+    column i*n2 + a.  1 - J = R + (1/m) tr(V (I - S) V^dag) with
     R = (1/m) sum_k ||r_k||^2 and I - S the channel's ``completeness_gap``.
+    Every sum runs through ``matmul``, one BLAS call per lane.
     """
     m, dim, ops = n1 * n2, channel.dim, channel.stack()
-    k = len(ops)
-    vd = v.conj().T
-    ev = (ops.reshape(k * dim, dim) @ vd).reshape(k, dim, n1, n2)
-    mk = np.einsum("ian,knib->kab", v.reshape(n1, n2, dim), ev) / n1
-    r = ev - (vd.reshape(dim * n1, n2) @ mk).reshape(k, dim, n1, n2)
+    lanes, k = len(v), len(ops)
+    vd = v.conj().swapaxes(1, 2)
+    ev = (ops.reshape(k * dim, dim) @ vd).reshape(lanes, k, dim * n1, n2)
+    # M_k = sum_i V_i E_k V_i^dag / n1 with V_i the rows of H1 index i: one
+    # product contracting (i, n)
+    rows = v.reshape(lanes, 1, n1, n2, dim).transpose(0, 1, 3, 2, 4).reshape(lanes, 1, n2, n1 * dim)
+    cols = ev.reshape(lanes, k, dim, n1, n2).transpose(0, 1, 3, 2, 4).reshape(lanes, k, n1 * dim, n2)
+    mk = (rows @ cols) / n1
+    r = ev - vd.reshape(lanes, 1, dim * n1, n2) @ mk
     v_gap = v @ channel.completeness_gap
-    value = (np.vdot(r, r).real + np.vdot(v, v_gap).real) / m
-    return float(value), r, mk, v_gap
+    value = (_lane_dots(r, r) + _lane_dots(v, v_gap)) / m
+    return value, r, mk, v_gap
 
 
 def objective_of_unitary(channel: KrausChannel, u: np.ndarray, n1: int, n2: int) -> float:
@@ -91,19 +106,21 @@ def objective_of_unitary(channel: KrausChannel, u: np.ndarray, n1: int, n2: int)
     dim, m = channel.dim, n1 * n2
     if n1 < 1 or n2 < 1 or m > dim:
         raise ValidationError(f"encoded block {n1}x{n2} does not fit in channel dim {dim}")
-    v = np.asarray(u, dtype=np.complex128)[:m]
+    v = np.ascontiguousarray(np.asarray(u, dtype=np.complex128)[:m])
     if v.shape != (m, dim):
         raise ValidationError(f"encoding needs {m} rows of length {dim}, got {v.shape}")
     if np.linalg.norm(v @ v.conj().T - np.eye(m)) > 1e-10:
         raise ValidationError("encoded rows are not orthonormal to 1e-10")
-    return 1.0 - _residuals(channel, v, n1, n2)[0]
+    return float(1.0 - _residuals(channel, v[None], n1, n2)[0][0])
 
 
 def value_and_gradient(
     channel: KrausChannel, v: np.ndarray, n1: int, n2: int
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """1 - J at the orthonormal encoded rows V, and G with
-    d(1 - J) = Re tr(G^dag dV).
+    d(1 - J) = Re tr(G^dag dV), for V of shape (..., m, N): one value and one
+    G per leading index, a single block (m, N) being a stack of one.  Each
+    block's result is the same to the bit whatever shares its stack.
 
     1 - J = R + (1/m) tr(V (I - S) V^dag) with R = (1/m) sum_k ||r_k||^2 (see
     ``_residuals``).  M_k is the least-squares choice of M in
@@ -114,15 +131,21 @@ def value_and_gradient(
     if n1 < 1 or n2 < 1 or n1 * n2 > dim:
         raise ValidationError(f"encoded block {n1}x{n2} does not fit in channel dim {dim}")
     m = n1 * n2
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (m, dim):
-        raise ValidationError(f"encoded rows must have shape {(m, dim)}, got {v.shape}")
+    v = np.ascontiguousarray(v, dtype=np.complex128)
+    if v.shape[-2:] != (m, dim):
+        raise ValidationError(f"encoded rows must have shape (..., {m}, {dim}), got {v.shape}")
+    ops, lead = channel.stack(), v.shape[:-2]
+    v = v.reshape(-1, m, dim)
+    lanes, k = len(v), len(ops)
     value, r, mk, v_gap = _residuals(channel, v, n1, n2)
     rc = r.conj()
-    g = rc.reshape(-1, m).T @ channel.stack().reshape(-1, dim)
-    g -= np.einsum("kab,knib->ian", mk, rc).reshape(m, dim)
+    g = rc.reshape(lanes, k * dim, m).swapaxes(1, 2) @ ops.reshape(k * dim, dim)
+    # sum_k (I (x) M_k) r_k^dag as one product contracting (k, b)
+    mrow = mk.transpose(0, 2, 1, 3).reshape(lanes, n2, k * n2)
+    rcol = rc.reshape(lanes, k, dim, n1, n2).transpose(0, 1, 4, 2, 3).reshape(lanes, k * n2, dim * n1)
+    g -= (mrow @ rcol).reshape(lanes, n2, dim, n1).transpose(0, 3, 1, 2).reshape(lanes, m, dim)
     g += v_gap
-    return value, (2.0 / m) * g
+    return value.reshape(lead)[()], ((2.0 / m) * g).reshape(*lead, m, dim)
 
 
 def gradient_analytic(

@@ -36,6 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import dagger
 
 __all__ = [
     "UnitaryParams",
@@ -180,7 +181,9 @@ def chart_of(u: np.ndarray) -> UnitaryParams:
 
 def polar(x: np.ndarray, m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """The isometry V = (X X^dag)^(-1/2) X of the m x N matrix X packed as
-    x = [Re X | Im X] (row-major), and its pullback.
+    x = [Re X | Im X] (row-major), and its pullback; for x of shape (..., 2mN)
+    one V of shape (..., m, N) per leading index, a single x being a stack of
+    one.  Each point's result is the same to the bit whatever shares its stack.
 
     ``pullback(g)`` takes the gradient G of a real f(V), df = Re tr(G^dag dV),
     to the gradient of f(V(x)) in x.  With X X^dag = Q diag(lam) Q^dag and
@@ -189,18 +192,20 @@ def polar(x: np.ndarray, m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.
     of lam^(-1/2).  So the pullback is F G + (M + M^dag) X with M =
     Q((Q^dag X G^dag Q) o K)Q^dag: at orthonormal X, G - (G V^dag + V G^dag) V / 2.
     """
-    half = x.size // 2
-    xm = (x[:half] + 1j * x[half:]).reshape(m, -1)
-    lam, q = np.linalg.eigh(xm @ xm.conj().T)
-    s = np.sqrt(lam)
-    f = (q / s) @ q.conj().T
-    kern = -1.0 / (s[:, None] * s * (s[:, None] + s))
+    half = x.shape[-1] // 2
+    xm = (x[..., :half] + 1j * x[..., half:]).reshape(*x.shape[:-1], m, -1)
+    lam, q = np.linalg.eigh(xm @ dagger(xm))
+    row = np.sqrt(lam)[..., None, :]
+    col = row.swapaxes(-1, -2)
+    qd = dagger(q)
+    f = (q / row) @ qd
+    kern = -1.0 / (col * row * (col + row))
 
     def pullback(g: np.ndarray) -> np.ndarray:
-        qd = q.conj().T
-        mm = q @ ((qd @ xm @ g.conj().T @ q) * kern) @ qd
-        gx = f @ g + (mm + mm.conj().T) @ xm
-        return np.concatenate([gx.real.ravel(), gx.imag.ravel()])
+        mm = q @ ((qd @ xm @ dagger(g) @ q) * kern) @ qd
+        gx = f @ g + (mm + dagger(mm)) @ xm
+        flat = gx.reshape(*gx.shape[:-2], -1)
+        return np.concatenate([flat.real, flat.imag], axis=-1)
 
     return f @ xm, pullback
 

@@ -2,12 +2,17 @@
 
 Maximizes J by running BFGS (inverse-Hessian update, strong-Wolfe line
 search with c1=1e-4, c2=0.9, ported from SciPy) from ``num_restarts``
-random initial points per candidate dimension pair, one restart after
-another.  J depends on the encoding unitary only through its first
-m = n1*n2 rows V, so BFGS moves an unconstrained m x N matrix X and
-evaluates J at V = ``polar``(X); results are reported in chart coordinates
-(``chart_of``).  Restart seeds are derived from the master seed and the
-(dims, restart) indices, so each restart can be reproduced on its own.
+random initial points per candidate dimension pair.  J depends on the
+encoding unitary only through its first m = n1*n2 rows V, so BFGS moves an
+unconstrained m x N matrix X and evaluates J at V = ``polar``(X); results are
+reported in chart coordinates (``chart_of``).
+
+The restarts of one dimension pair run in lockstep (``_lockstep``): each is a
+lane that hands over the next point it needs, and one call of ``polar`` and
+``value_and_gradient`` evaluates every lane's point as a stack.  A lane's
+results do not depend on which other lanes share the stack, and restart
+seeds are derived from the master seed and the (dims, restart) indices, so
+each restart can be reproduced on its own.
 
 Each restart is one descent of (1 - J)/dt, written as a sum of squares R
 plus an O(dt^2) completeness term (``objective.value_and_gradient``).  R
@@ -18,7 +23,7 @@ decoherence-free winner to the precision ``dfs_check`` asks for.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -118,42 +123,60 @@ def bfgs_maximize(
     ``max_iterations``; ``stop_reason`` says which (see ``_bfgs_minimize``)
     and ``converged`` is true for the first two.  A failed line search
     returns the best point found so far with ``degraded=True`` instead of
-    raising.  X starts at the first m = n1*n2 rows of ``realize(initial)``;
-    f and its gradient come from one ``value_and_gradient`` call per
-    distinct point of an iteration.  The trace and ``j_final`` report J.
+    raising.  X starts at the first m = n1*n2 rows of ``realize(initial)``.
+    The trace and ``j_final`` report J.  It is the one-lane case of the
+    ascents ``find_mns`` runs together.
     """
+    return _ascend(channel, dims, [initial], config)[0]
+
+
+def _ascend(
+    channel: KrausChannel,
+    dims: tuple[int, int],
+    initials: list[UnitaryParams],
+    config: SearchConfig,
+) -> list[BfgsOutcome]:
+    """``bfgs_maximize`` from each initial point, as lanes of one
+    ``_lockstep`` run: f and its gradient come from one stacked ``polar`` and
+    ``value_and_gradient`` call per round of the lanes' points."""
     n1, n2 = dims
     if n1 * n2 > channel.dim:
         raise ValidationError(f"encoded block {n1}x{n2} exceeds channel dim {channel.dim}")
-    if initial.dim != channel.dim:
+    if any(initial.dim != channel.dim for initial in initials):
         raise ValidationError("initial parameters live on the wrong dimension")
 
     m = n1 * n2
     scale = channel.dt or 1.0
 
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        v, pullback = polar(x, m)
-        value, gradient = value_and_gradient(channel, v, n1, n2)
-        return value / scale, pullback(gradient) / scale
+    def fg(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v, pullback = polar(xs, m)
+        values, gradients = value_and_gradient(channel, v, n1, n2)
+        return values / scale, pullback(gradients) / scale
 
-    run = _bfgs_minimize(
+    runs = _lockstep(
         fg,
-        _flat(realize(initial)[:m]),
+        [_flat(realize(initial)[:m]) for initial in initials],
         config.max_iterations,
         config.gradient_tolerance,
         config.objective_tolerance,
     )
-    trace = tuple(1.0 - scale * f for f in run.trace)
-    return BfgsOutcome(
-        j_final=trace[-1],
-        params_final=chart_of(_complete(polar(run.x, m)[0])),
-        trace=trace,
-        iterations=run.iterations,
-        converged=run.stop_reason in ("gradient", "stall"),
-        degraded=run.stop_reason == "line_search",
-        stop_reason=run.stop_reason,
-        gradient_norm=run.gradient_norm,
-    )
+    finals = polar(np.array([run.x for run in runs]), m)[0]
+    outcomes = []
+    for run, v in zip(runs, finals):
+        trace = tuple(1.0 - scale * f for f in run.trace)
+        outcomes.append(
+            BfgsOutcome(
+                j_final=trace[-1],
+                params_final=chart_of(_complete(v)),
+                trace=trace,
+                iterations=run.iterations,
+                converged=run.stop_reason in ("gradient", "stall"),
+                degraded=run.stop_reason == "line_search",
+                stop_reason=run.stop_reason,
+                gradient_norm=run.gradient_norm,
+            )
+        )
+    return outcomes
 
 
 def _flat(v: np.ndarray) -> np.ndarray:
@@ -180,14 +203,49 @@ class Descent(NamedTuple):
     gradient_norm: float
 
 
+def _lockstep(
+    fg: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    starts,
+    max_iterations: int,
+    gradient_tolerance: float,
+    objective_tolerance: float,
+) -> list[Descent]:
+    """One ``_bfgs_minimize`` descent from each start point, all run
+    together: ``fg`` takes an (R, n) stack of points to the R values of f
+    and the (R, n) gradients.
+
+    Every round stacks the point each unfinished lane waits on, makes one
+    ``fg`` call and sends each lane its row; a lane that finishes leaves the
+    stack.  A lane sees only its own rows, so where ``fg`` computes each row
+    independently of the others, each descent is the one it would be alone.
+    """
+    lanes = [
+        _bfgs_minimize(x, max_iterations, gradient_tolerance, objective_tolerance)
+        for x in starts
+    ]
+    waiting = {i: next(lane) for i, lane in enumerate(lanes)}
+    descents: list[Descent] = [None] * len(lanes)
+    while waiting:
+        active = list(waiting)
+        values, gradients = fg(np.array([waiting[i] for i in active]))
+        for i, value, gradient in zip(active, values.tolist(), gradients):
+            try:
+                waiting[i] = lanes[i].send((value, gradient))
+            except StopIteration as stop:
+                descents[i] = stop.value
+                del waiting[i]
+    return descents
+
+
 def _bfgs_minimize(
-    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x: np.ndarray,
     max_iterations: int,
     gradient_tolerance: float,
     objective_tolerance: float,
-) -> Descent:
-    """BFGS descent of f from ``x``, where ``fg(x)`` returns (f(x), grad f(x)).
+) -> Generator[np.ndarray, tuple[float, np.ndarray], Descent]:
+    """BFGS descent of f from ``x``, as a generator: it yields each point
+    where it needs f, is sent (f(x), grad f(x)) back, and returns the
+    ``Descent``.  ``_lockstep`` runs it.
 
     Each iteration takes a strong-Wolfe step along the quasi-Newton
     direction (``_wolfe_step``, SciPy's ``line_search`` to the bit), falling
@@ -197,26 +255,20 @@ def _bfgs_minimize(
     ``objective_tolerance`` times |f| at the new point, "line_search" when
     the backtracking failed too, or "max_iterations".
 
-    ``fg`` runs at most once per distinct point of an iteration: the Wolfe
+    It yields each distinct point of an iteration at most once: the Wolfe
     step asks for f and grad f separately at the same trial points, the
-    gradient at the accepted point is one it already computed, and the
+    gradient at the accepted point is one it already has, and the
     backtracking retries step lengths a failed line search already tried.
     """
     seen: dict[bytes, tuple[float, np.ndarray]] = {}
 
-    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(x: np.ndarray):
         key = x.tobytes()
         if key not in seen:
-            seen[key] = fg(x)
+            seen[key] = yield x
         return seen[key]
 
-    def f(x: np.ndarray) -> float:
-        return evaluate(x)[0]
-
-    def g(x: np.ndarray) -> np.ndarray:
-        return evaluate(x)[1]
-
-    fx, gx = evaluate(x)
+    fx, gx = yield from evaluate(x)
     n = x.size
     h = np.eye(n)
     trace = [fx]
@@ -225,26 +277,26 @@ def _bfgs_minimize(
 
     for it in range(1, max_iterations + 1):
         seen.clear()  # keep only the current iteration's points
-        if np.linalg.norm(gx) <= gradient_tolerance:
+        if _norm(gx) <= gradient_tolerance:
             break
         iterations = it
         p = -h @ gx
         if p @ gx >= 0:  # not a descent direction; reset the approximation
             h = np.eye(n)
             p = -gx
-        alpha, f_new = _wolfe_step(f, g, x, p, fx, gx)
+        alpha, f_new = yield from _wolfe_step(evaluate, x, p, fx, gx)
         if alpha is None:
             # Armijo backtracking fallback; keeps the descent monotone.
-            alpha, f_new = _backtrack(f, x, p, fx, gx)
+            alpha, f_new = yield from _backtrack(evaluate, x, p, fx, gx)
             if alpha is None:
                 reason = "line_search"
                 break
         x_new = x + alpha * p
-        g_new = g(x_new)
+        g_new = (yield from evaluate(x_new))[1]
         s = x_new - x
         y = g_new - gx
         sy = s @ y
-        if sy > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
+        if sy > 1e-14 * _norm(s) * _norm(y):
             # H += w s^T + s w^T, the BFGS inverse update with
             # w = rho ((rho y^T H y + 1)/2 s - H y)
             rho = 1.0 / sy
@@ -260,16 +312,23 @@ def _bfgs_minimize(
             reason = "stall"
             break
 
-    gradient_norm = float(np.linalg.norm(gx))
+    gradient_norm = float(_norm(gx))
     if gradient_norm <= gradient_tolerance:
         reason = "gradient"
     return Descent(x, trace, iterations, reason, gradient_norm)
 
 
-def _wolfe_step(f, g, x, p, fx, gx):
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D real array to the bit (it computes
+    sqrt(x.dot(x)) too), without the dispatch the loop pays per call."""
+    return np.sqrt(x.dot(x))
+
+
+def _wolfe_step(fg, x, p, fx, gx):
     """Step length alpha along the descent direction p that meets the strong
     Wolfe conditions with c1 = ``WOLFE_C1`` and c2 = ``WOLFE_C2``, and
-    f(x + alpha p); (None, None) when the zoom fails.
+    f(x + alpha p); (None, None) when the zoom fails.  A generator, like
+    ``fg``: ``yield from fg(y)`` gives (f(y), grad f(y)).
 
     This is SciPy 1.17.1's ``line_search`` (``scalar_search_wolfe2`` with
     ``_zoom``; Nocedal & Wright, Alg. 3.5-3.6) for the one call the descent
@@ -280,24 +339,24 @@ def _wolfe_step(f, g, x, p, fx, gx):
     """
 
     def phi(alpha):
-        return f(x + alpha * p)
+        return (yield from fg(x + alpha * p))[0]
 
     def derphi(alpha):
-        return np.dot(g(x + alpha * p), p)
+        return np.dot((yield from fg(x + alpha * p))[1], p)
 
     derphi0 = np.dot(gx, p)
     alpha0, alpha1 = 0, 1.0
-    phi_a0, phi_a1, derphi_a0 = fx, phi(alpha1), derphi0
+    phi_a0, phi_a1, derphi_a0 = fx, (yield from phi(alpha1)), derphi0
     for i in range(25):
         if (phi_a1 > fx + WOLFE_C1 * alpha1 * derphi0) or ((phi_a1 >= phi_a0) and i > 0):
-            return _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi, derphi, fx, derphi0)
-        derphi_a1 = derphi(alpha1)
+            return (yield from _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi, derphi, fx, derphi0))
+        derphi_a1 = yield from derphi(alpha1)
         if abs(derphi_a1) <= -WOLFE_C2 * derphi0:
             return alpha1, phi_a1
         if derphi_a1 >= 0:
-            return _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi, derphi, fx, derphi0)
+            return (yield from _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi, derphi, fx, derphi0))
         alpha0, alpha1 = alpha1, 2 * alpha1
-        phi_a0, phi_a1 = phi_a1, phi(alpha1)
+        phi_a0, phi_a1 = phi_a1, (yield from phi(alpha1))
         derphi_a0 = derphi_a1
     return alpha1, phi_a1
 
@@ -318,12 +377,12 @@ def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
             a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
             if (a_j is None) or (a_j > b - qchk) or (a_j < a + qchk):
                 a_j = a_lo + 0.5 * dalpha
-        phi_aj = phi(a_j)
+        phi_aj = yield from phi(a_j)
         if (phi_aj > phi0 + WOLFE_C1 * a_j * derphi0) or (phi_aj >= phi_lo):
             phi_rec, a_rec = phi_hi, a_hi
             a_hi, phi_hi = a_j, phi_aj
         else:
-            derphi_aj = derphi(a_j)
+            derphi_aj = yield from derphi(a_j)
             if abs(derphi_aj) <= -WOLFE_C2 * derphi0:
                 return a_j, phi_aj
             if derphi_aj * (a_hi - a_lo) >= 0:
@@ -372,11 +431,11 @@ def _quadmin(a, fa, fpa, b, fb):
     return xmin if np.isfinite(xmin) else None
 
 
-def _backtrack(f, x, p, fx, gx, shrink: float = 0.5, max_steps: int = 40):
+def _backtrack(fg, x, p, fx, gx, shrink: float = 0.5, max_steps: int = 40):
     slope = gx @ p
     alpha = 1.0
     for _ in range(max_steps):
-        f_try = f(x + alpha * p)
+        f_try = (yield from fg(x + alpha * p))[0]
         if f_try <= fx + WOLFE_C1 * alpha * slope:
             return alpha, f_try
         alpha *= shrink
@@ -414,32 +473,32 @@ def find_mns(
             raise ValidationError(
                 f"candidate dims ({n1},{n2}) exceed channel dim {channel.dim}"
             )
-        records = []
-        final_params = []
-        for r in range(config.num_restarts):
-            seed_key = (config.seed, di, r)
-            rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-            outcome = bfgs_maximize(channel, (n1, n2), _initial_point(channel.dim, rng), config)
-            records.append(
-                RestartRecord(
-                    index=r,
-                    seed=seed_key,
-                    final_j=outcome.j_final,
-                    iterations=outcome.iterations,
-                    converged=outcome.converged,
-                    degraded=outcome.degraded,
-                    trace=outcome.trace,
-                    stop_reason=outcome.stop_reason,
-                    gradient_norm=outcome.gradient_norm,
-                )
+        seeds = [(config.seed, di, r) for r in range(config.num_restarts)]
+        initials = [
+            _initial_point(channel.dim, np.random.default_rng(np.random.SeedSequence(key)))
+            for key in seeds
+        ]
+        outcomes = _ascend(channel, (n1, n2), initials, config)
+        records = [
+            RestartRecord(
+                index=r,
+                seed=seed_key,
+                final_j=outcome.j_final,
+                iterations=outcome.iterations,
+                converged=outcome.converged,
+                degraded=outcome.degraded,
+                trace=outcome.trace,
+                stop_reason=outcome.stop_reason,
+                gradient_norm=outcome.gradient_norm,
             )
-            final_params.append(outcome.params_final)
+            for r, (seed_key, outcome) in enumerate(zip(seeds, outcomes))
+        ]
 
         final_j = np.array([rec.final_j for rec in records])
         best = int(np.argmax(final_j))
         best_j = float(final_j[best])
         agreement = float(np.mean(final_j >= best_j - 1e-6))
-        best_params = final_params[best]
+        best_params = outcomes[best].params_final
         is_dfs = dfs_check(channel, realize(best_params), n1, n2)[0]
         results[(n1, n2)] = SearchResult(
             dims=(n1, n2, channel.dim - n1 * n2),

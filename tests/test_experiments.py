@@ -110,6 +110,78 @@ def test_parse_config_defaults_and_optional_sweep():
     assert config.model.gamma_x == 1.0
 
 
+LOCAL_DEPHASING_MODEL = {
+    "kind": "collective_z_local_dephasing",
+    "n_qubits": 3,
+    "gamma_z": 1.0,
+    "delta": 0.1,
+    "local_rates": [0.33, 0.47, 0.85],
+}
+# every field read as a float: (the model it is read for, or None for
+# FULL_CONFIG_TEXT's, and the field's path)
+FLOAT_FIELDS = [
+    ({"kind": "collective_xz", "n_qubits": 3}, "model.gamma_x"),
+    ({"kind": "collective_xz", "n_qubits": 3}, "model.gamma_z"),
+    (LOCAL_DEPHASING_MODEL, "model.gamma_z"),
+    (LOCAL_DEPHASING_MODEL, "model.delta"),
+    (LOCAL_DEPHASING_MODEL, "model.local_rates[1]"),
+    (None, "model.gamma_1"),
+    (None, "model.gamma_2"),
+    (None, "model.delta"),
+    (None, "search.gradient_tolerance"),
+    (None, "search.objective_tolerance"),
+    (None, "search.dt"),
+    (None, "sweep.grid[2]"),
+    (None, "sweep.grid.start"),
+    (None, "sweep.grid.stop"),
+    (None, "sweep.t_f"),
+    (None, "sweep.delta"),
+]
+
+
+def _set_path(raw: dict, path: str, value) -> None:
+    """Set the field at a path like "sweep.grid[2]" or "sweep.grid.start",
+    turning the sweep into the mode or grid form the field belongs to."""
+    if path == "sweep.delta":
+        raw["sweep"] = {"mode": "tf", "grid": [0.5, 1.0]}
+        del raw["model"]["delta"]
+    if path.startswith("sweep.grid."):
+        raw["sweep"]["grid"] = {"start": 0.0, "stop": 0.1, "num": 3}
+    *parents, name = re.split(r"\.|\[", path)
+    target = raw
+    for key in parents:
+        target = target[key]
+    if name.endswith("]"):
+        target[int(name[:-1])] = value
+    else:
+        target[name] = value
+
+
+@pytest.mark.parametrize(
+    "token", ["NaN", "Infinity", "-Infinity", "1e999", pytest.param("1" + "0" * 400, id="int1e400")]
+)
+def test_parse_config_rejects_non_finite_numbers(token):
+    # Python's json reads NaN and +-Infinity tokens, 1e999 as inf and a
+    # 401-digit integer as an int no float can hold
+    for model, path in FLOAT_FIELDS:
+        raw = json.loads(FULL_CONFIG_TEXT)
+        if model is not None:
+            raw["model"] = dict(model)
+        _set_path(raw, path, "TOKEN")
+        text = json.dumps(raw).replace('"TOKEN"', token)
+        with pytest.raises(ConfigError, match=re.escape(f"field '{path}' must be a finite number")):
+            parse_config(text)
+
+
+def test_cli_rejects_infinite_gradient_tolerance(tmp_path, capsys):
+    # an infinite tolerance would report every restart converged at iteration 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(SMALL_COLLECTIVE_TEXT.replace('"seed": 1', '"seed": 1, "gradient_tolerance": Infinity'))
+    assert main(["find-mns", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "field 'search.gradient_tolerance' must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _mutated(mutate):
     raw = json.loads(FULL_CONFIG_TEXT)
     mutate(raw)
@@ -408,8 +480,8 @@ def _encoding_file(tmp_path, **fields) -> Path:
         ({"angles": {"0": 1.0}}, "field 'encoding.angles' must be a list of numbers"),
         ({"phases": [0.5, "x"]}, "field 'encoding.phases[1]' must be a number, got 'x'"),
         ({"angles": [True]}, "field 'encoding.angles[0]' must be a number, got True"),
-        ({"angles": [0.5, float("nan")]}, "field 'encoding.angles' must hold finite numbers"),
-        ({"phases": [float("inf")]}, "field 'encoding.phases' must hold finite numbers"),
+        ({"angles": [0.5, float("nan")]}, "field 'encoding.angles[1]' must be a finite number"),
+        ({"phases": [float("inf")]}, "field 'encoding.phases[0]' must be a finite number"),
     ],
 )
 def test_load_encoding_rejects_bad_dimensions(tmp_path, fields, message):
@@ -603,6 +675,31 @@ def test_cmd_fidelity_sweep_csv_contract_and_determinism(tmp_path):
     assert second["fi_mns"] >= second["fi_dfs"] - 1e-9
     assert payload_a["points"] == payload_b["points"]
     assert json.loads((tmp_path / "a" / "result.json").read_text())["csv"] == "sweep.csv"
+
+
+def test_cmd_fidelity_sweep_writes_null_for_a_failed_point(tmp_path, monkeypatch, capsys):
+    build = build_model
+
+    def failing_build(spec, delta_override=None):
+        if delta_override == 0.05:
+            raise ValueError("no model for 0.05")
+        return build(spec, delta_override)
+
+    monkeypatch.setattr("mns.experiments.build_model", failing_build)
+    cmd_fidelity_sweep(parse_config(SMALL_SWEEP_TEXT), tmp_path)
+
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    path = tmp_path / "result.json"
+    failed = json.loads(path.read_text(), parse_constant=refuse)["points"][1]
+    assert failed["error"] == "ValueError: no model for 0.05"
+    assert failed["fi_mns"] is None and failed["fi_dfs"] is None and failed["j_opt"] is None
+    assert not failed["converged"] and failed["mns_params"] is None
+    capsys.readouterr()
+    cmd_show_result(path)
+    shown = capsys.readouterr().out.splitlines()
+    assert f"    param={format_float(0.05)} fi_mns=null fi_dfs=null error=ValueError: no model for 0.05" in shown
 
 
 def test_cmd_fidelity_sweep_validation_errors(tmp_path):

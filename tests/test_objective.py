@@ -307,6 +307,29 @@ def test_value_and_gradient_matches_finite_differences():
             assert np.linalg.norm(ga - gf) <= 1e-6 * max(1.0, np.linalg.norm(gf))
 
 
+def test_value_and_gradient_rows_of_a_stack_are_bitwise_stacks_of_one(collective_channel):
+    # the search evaluates every restart's point in one call: each row's value
+    # and G must not depend on which rows share the stack
+    four_qubits = lindblad_to_kraus(collective_xz(4, 1.0, 1.0), DT)
+    cases = (
+        (collective_channel, (2, 1)),
+        (collective_channel, (2, 2)),
+        (collective_channel, (3, 1)),
+        (random_kraus_channel(8, 3, seed=34), (2, 3)),
+        (four_qubits, (2, 4)),
+        (four_qubits, (3, 3)),
+    )
+    for channel, (n1, n2) in cases:
+        vs = np.stack([realize(_random_point(channel.dim, seed))[: n1 * n2] for seed in range(7)])
+        for lo, hi in ((0, 7), (2, 5), (3, 4)):
+            values, grads = value_and_gradient(channel, vs[lo:hi], n1, n2)
+            assert values.shape == (hi - lo,) and grads.shape == vs[lo:hi].shape
+            for row in range(hi - lo):
+                value, grad = value_and_gradient(channel, vs[lo + row], n1, n2)
+                assert np.array_equal(values[row], value)
+                assert np.array_equal(grads[row], grad)
+
+
 def test_channel_arrays_are_cached_read_only():
     # the stack and I - sum_k E_k^dag E_k are built once per channel and
     # cannot be written through; repeated evaluations give identical results

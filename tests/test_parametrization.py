@@ -200,3 +200,19 @@ def test_polar_is_an_isometry_with_exact_pullback(m, dim):
     proj = g - 0.5 * (g @ dagger(v0) + v0 @ dagger(g)) @ v0
     flat_proj = np.concatenate([proj.real.ravel(), proj.imag.ravel()])
     assert np.abs(pullback0(g) - flat_proj).max() <= 1e-13
+
+
+@pytest.mark.parametrize("m,dim", [(1, 3), (2, 8), (3, 8), (4, 16)])
+def test_polar_rows_of_a_stack_are_bitwise_stacks_of_one(m, dim):
+    # the search evaluates every restart's point in one call: each row's
+    # isometry and pullback must not depend on which rows share the stack
+    rng = np.random.default_rng(m * dim)
+    xs = rng.standard_normal((7, 2 * m * dim))
+    gs = rng.standard_normal((7, m, dim)) + 1j * rng.standard_normal((7, m, dim))
+    for lo, hi in ((0, 7), (2, 5), (3, 4)):
+        v, pullback = polar(xs[lo:hi], m)
+        pulled = pullback(gs[lo:hi])
+        for row in range(hi - lo):
+            v1, pullback1 = polar(xs[lo + row], m)
+            assert np.array_equal(v[row], v1)
+            assert np.array_equal(pulled[row], pullback1(gs[lo + row]))

@@ -21,8 +21,8 @@ from mns.parametrization import realize
 import mns.search
 from mns.search import (
     SearchConfig,
-    _bfgs_minimize,
     _initial_point,
+    _lockstep,
     _wolfe_step,
     bfgs_maximize,
     default_candidate_dims,
@@ -74,20 +74,41 @@ def test_bfgs_traces_non_decreasing(collective_search, local_dephasing_search):
             assert rec.trace[-1] == rec.final_j
 
 
+def _count_evaluations(monkeypatch) -> tuple[list[list[bytes]], list[bytes]]:
+    """Record the points each BFGS lane hands to ``_lockstep``, one list per
+    lane, and the rows its stacked evaluations receive."""
+    lanes: list[list[bytes]] = []
+    rows: list[bytes] = []
+    minimize, lockstep = mns.search._bfgs_minimize, mns.search._lockstep
+
+    def counted_minimize(*args):
+        points: list[bytes] = []
+        lanes.append(points)
+        run = minimize(*args)
+        x = next(run)
+        while True:
+            points.append(x.tobytes())
+            try:
+                x = run.send((yield x))
+            except StopIteration as stop:
+                return stop.value
+
+    def counted_lockstep(fg, *args):
+        def counted(xs):
+            rows.extend(x.tobytes() for x in xs)
+            return fg(xs)
+
+        return lockstep(counted, *args)
+
+    monkeypatch.setattr(mns.search, "_bfgs_minimize", counted_minimize)
+    monkeypatch.setattr(mns.search, "_lockstep", counted_lockstep)
+    return lanes, rows
+
+
 def test_bfgs_evaluates_each_point_once(
     collective_channel, local_dephasing_channel, monkeypatch
 ):
-    seen: list[bytes] = []
-    minimize = mns.search._bfgs_minimize
-
-    def counted_minimize(fg, x, *args):
-        def counted(x):
-            seen.append(x.tobytes())
-            return fg(x)
-
-        return minimize(counted, x, *args)
-
-    monkeypatch.setattr(mns.search, "_bfgs_minimize", counted_minimize)
+    lanes, rows = _count_evaluations(monkeypatch)
     # the collective restart converges through the line search alone; the
     # flat local-dephasing landscape also sends steps to the backtracking
     # fallback, which retries step lengths the line search already tried
@@ -96,10 +117,14 @@ def test_bfgs_evaluates_each_point_once(
         (local_dephasing_channel, (2, 1), SearchConfig(num_restarts=1, **TIGHT)),
     )
     for channel, dims, config in cases:
-        seen.clear()
+        lanes.clear()
+        rows.clear()
         rng = np.random.default_rng(np.random.SeedSequence((1, 0, 0)))
         out = bfgs_maximize(channel, dims, _initial_point(8, rng), config)
         assert out.converged and not out.degraded
+        assert len(lanes) == 1
+        seen = lanes[0]
+        assert seen and rows == seen
         assert len(set(seen)) == len(seen)
         if dims == (2, 2):
             # one evaluation per iteration plus the start and the rare extra
@@ -112,8 +137,8 @@ def test_bfgs_minimize_reports_each_stop_reason():
     a = np.diag([1.0, 100.0])
     x0 = np.array([1.0, 0.7])
 
-    def fg(x):
-        return 0.5 * x @ a @ x, a @ x
+    def fg(xs):
+        return 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs), xs @ a
 
     cases = [
         ("gradient", (fg, x0, 100, 1e-8, 0.0), lambda run: run.gradient_norm <= 1e-8),
@@ -131,17 +156,39 @@ def test_bfgs_minimize_reports_each_stop_reason():
         # a gradient of the wrong sign: no step along -grad lowers f
         (
             "line_search",
-            (lambda x: (0.5 * x @ x, -x), x0, 100, 1e-30, 0.0),
+            (lambda xs: (0.5 * np.einsum("ri,ri->r", xs, xs), -xs), x0, 100, 1e-30, 0.0),
             lambda run: run.iterations == 1 and run.trace == [0.5 * x0 @ x0],
         ),
     ]
-    for reason, args, check in cases:
-        run = _bfgs_minimize(*args)
+    for reason, (f, start, *rules), check in cases:
+        (run,) = _lockstep(f, [start], *rules)
         assert run.stop_reason == reason
         assert check(run), reason
-        assert run.gradient_norm == np.linalg.norm(args[0](run.x)[1])
+        assert run.gradient_norm == np.linalg.norm(f(run.x[None])[1][0])
         if reason != "gradient":
-            assert run.gradient_norm > args[3]
+            assert run.gradient_norm > rules[1]
+
+
+def test_lockstep_lanes_match_lanes_run_alone():
+    # four descents of different lengths and stop reasons run together, and
+    # each alone: a lane's records do not depend on the others in the stack
+    a = np.diag([1.0, 100.0, 3.0])
+
+    def fg(xs):
+        return 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs) + np.sum(xs**4, axis=1), xs @ a + 4 * xs**3
+
+    starts = np.random.default_rng(5).normal(size=(4, 3))
+    together = _lockstep(fg, starts, 30, 1e-10, 1e-12)
+    assert len({run.iterations for run in together}) > 1
+    for start, run in zip(starts, together):
+        (alone,) = _lockstep(fg, [start], 30, 1e-10, 1e-12)
+        assert np.array_equal(run.x, alone.x)
+        assert (run.trace, run.iterations, run.stop_reason, run.gradient_norm) == (
+            alone.trace,
+            alone.iterations,
+            alone.stop_reason,
+            alone.gradient_norm,
+        )
 
 
 def _test_functions(rng, n):
@@ -159,13 +206,29 @@ def _test_functions(rng, n):
     )
 
 
+def _ask(x):
+    """The evaluation a lane hands on: yield the point, receive (f, grad f)."""
+    return (yield x)
+
+
+def _answer(run, f, g):
+    """Drive a generator that yields points, answering each with (f(x), g(x)),
+    and return its result."""
+    x = next(run)
+    while True:
+        try:
+            x = run.send((f(x), g(x)))
+        except StopIteration as stop:
+            return stop.value
+
+
 def test_wolfe_step_is_scipy_line_search(monkeypatch):
     # the port must take SciPy's trial steps to the bit: random lines along
     # descent directions and along arbitrary ones (where the zoom fails),
     # with steps from 1e-3 to 1e3 times the gradient
     zooms = []
     zoom = mns.search._zoom
-    monkeypatch.setattr(mns.search, "_zoom", lambda *args: zooms.append(1) or zoom(*args))
+    monkeypatch.setattr(mns.search, "_zoom", lambda *args: zooms.append(1) or (yield from zoom(*args)))
     rng = np.random.default_rng(15)
     failed = 0
     for trial in range(200):
@@ -180,7 +243,7 @@ def test_wolfe_step_is_scipy_line_search(monkeypatch):
                 alpha, _, _, f_new, _, _ = scipy.optimize.line_search(
                     f, g, x, p, gfk=gx, old_fval=fx, c1=1e-4, c2=0.9, maxiter=25
                 )
-            assert _wolfe_step(f, g, x, p, fx, gx) == (alpha, f_new)
+            assert _answer(_wolfe_step(_ask, x, p, fx, gx), f, g) == (alpha, f_new)
             failed += alpha is None
     assert len(zooms) > 300 and 10 < failed < 300
 
@@ -197,7 +260,7 @@ def test_wolfe_step_returns_last_doubling_when_it_runs_out():
         return c
 
     x = np.array([0.3, 0.1, -0.2])
-    step = _wolfe_step(f, g, x, -c, f(x), c)
+    step = _answer(_wolfe_step(_ask, x, -c, f(x), c), f, g)
     assert step == (2.0**25, f(x - 2.0**25 * c))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -236,18 +299,17 @@ def test_bfgs_dimension_checks(collective_channel):
 def test_find_mns_runs_one_descent_per_restart(collective_channel, monkeypatch):
     # one stage: each restart is one descent, and a DFS winner gets no
     # second pass after the restarts
-    calls: list[int] = []
-    minimize = mns.search._bfgs_minimize
-
-    def counted_minimize(*args):
-        calls.append(1)
-        return minimize(*args)
-
-    monkeypatch.setattr(mns.search, "_bfgs_minimize", counted_minimize)
+    lanes, rows = _count_evaluations(monkeypatch)
     config = SearchConfig(num_restarts=2, seed=1, candidate_dims=((2, 1), (2, 2)))
     results = find_mns(collective_channel, config)
     assert results[(2, 2)].is_dfs
-    assert len(calls) == config.num_restarts * len(config.candidate_dims)
+    assert len(lanes) == config.num_restarts * len(config.candidate_dims)
+    records = [(dims, rec) for dims, res in results.items() for rec in res.per_restart]
+    for points, (dims, rec) in zip(lanes, records):
+        assert points and len(set(points)) == len(points)
+        if dims == (2, 2):
+            assert len(points) <= 1.1 * rec.iterations + 1
+    assert sorted(rows) == sorted(x for points in lanes for x in points)
 
 
 def test_find_mns_collective_model_is_dfs(collective_channel, collective_search):
@@ -347,6 +409,38 @@ def test_restarts_agreeing_in_j_describe_same_subspace(
         u = realize(out.params_final)
         projs.append(dagger(u) @ block_projector(3, 8) @ u)
     assert projector_distance(projs[0], projs[1]) <= 1e-6
+
+
+def test_restarts_in_the_stack_are_bitwise_the_restarts_alone():
+    # configs/sz_local_dephasing_n3.json, dims (2, 1), seed 1, nine restarts:
+    # each record and final point is the same to the bit as the restart run
+    # on its own, though the lanes stop at different iterations
+    config = load_config(CONFIG_DIR / "sz_local_dephasing_n3.json")
+    channel = build_channel(config)
+    search = replace(config.search, seed=1, num_restarts=9, candidate_dims=((2, 1),))
+    result = find_mns(channel, search)[(2, 1)]
+    assert [rec.seed for rec in result.per_restart] == [(1, 0, r) for r in range(9)]
+    assert len({rec.iterations for rec in result.per_restart}) > 1
+    initials = [
+        _initial_point(8, np.random.default_rng(np.random.SeedSequence(rec.seed)))
+        for rec in result.per_restart
+    ]
+    stacked = mns.search._ascend(channel, (2, 1), initials, search)
+    for rec, initial, lane in zip(result.per_restart, initials, stacked):
+        alone = bfgs_maximize(channel, (2, 1), initial, search)
+        assert (rec.trace, rec.iterations, rec.stop_reason, rec.gradient_norm) == (
+            alone.trace,
+            alone.iterations,
+            alone.stop_reason,
+            alone.gradient_norm,
+        )
+        assert rec.final_j == alone.j_final and rec.converged == alone.converged
+        assert lane.trace == alone.trace
+        assert np.array_equal(lane.params_final.phases, alone.params_final.phases)
+        assert np.array_equal(lane.params_final.angles, alone.params_final.angles)
+    best = stacked[result.best_restart].params_final
+    assert np.array_equal(result.best_params.phases, best.phases)
+    assert np.array_equal(result.best_params.angles, best.angles)
 
 
 def test_subspace_projector_properties(collective_search):
