@@ -1,14 +1,11 @@
 """Exact time evolution and worst-case fidelity of encoded states.
 
-Evolution uses the vectorized Liouvillian.  With row-major vectorization
-(vec(rho) = rho.reshape(-1), so vec(A rho B) = (A (x) B^T) vec(rho)) the
-generator of d(rho)/dt = sum_i gamma_i D[V_i] rho is
-
-    L = sum_i gamma_i ( V_i (x) conj(V_i)
-                        - 1/2 (V_i^dag V_i) (x) I
-                        - 1/2 I (x) (V_i^dag V_i)^T ),
-
-and the channel over [0, t_f] is expm(L * t_f) (scaling-and-squaring).
+The channel over [0, t_f] is exp(L t_f), for the model's row-major
+vectorized Liouvillian L (``noise.liouvillian``).  Every model built here
+has Hermitian Lindblad operators, so L is Hermitian and
+exp(L t_f) = Q diag(exp(lam t_f)) Q^dag comes from one eigendecomposition
+per model (``LindbladModel.spectrum``): each time costs one product.  A
+non-Hermitian generator (amplitude damping, say) takes SciPy's ``expm``.
 
 Fidelity of an encoding with encoded rows V (dims (n1, n2)) for a logical
 pure state psi:
@@ -31,15 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import dagger, tensor
-from .noise import LindbladModel, lindblad_to_kraus
+from .linalg import dagger
+from .noise import LindbladModel, lindblad_to_kraus, liouvillian
 from .parametrization import UnitaryParams, polar, realize
 from .search import SearchConfig, _lockstep, find_mns
 
 __all__ = [
     "EvolvedChannel",
     "FidelityPoint",
-    "liouvillian",
     "evolve",
     "logical_map",
     "worst_case_fidelity",
@@ -49,36 +45,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvolvedChannel:
-    """expm(L t_f) acting on row-major vectorized density matrices."""
+    """exp(L t_f) acting on row-major vectorized density matrices."""
 
     dim: int
     t_f: float
     superoperator: np.ndarray
 
 
-def liouvillian(model: LindbladModel) -> np.ndarray:
-    dim = model.dim
-    eye = np.eye(dim, dtype=np.complex128)
-    ll = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for rate, op in model.terms:
-        if rate == 0.0:
-            continue
-        vv = dagger(op) @ op
-        ll += rate * (tensor(op, op.conj()) - 0.5 * tensor(vv, eye) - 0.5 * tensor(eye, vv.T))
-    return ll
-
-
 def evolve(model: LindbladModel, t_f: float) -> EvolvedChannel:
-    """Exact channel for evolution time t_f >= 0."""
-    if t_f < 0:
-        raise ValidationError(f"t_f must be >= 0, got {t_f}")
+    """Exact channel for a finite evolution time t_f >= 0: from the model's
+    cached eigendecomposition when its Liouvillian is Hermitian, by
+    ``scipy.linalg.expm`` when it is not."""
+    if not (np.isfinite(t_f) and t_f >= 0):
+        raise ValidationError(f"t_f must be finite and >= 0, got {t_f}")
     dim = model.dim
     if t_f == 0.0:
         sup = np.eye(dim * dim, dtype=np.complex128)
-    else:
-        from scipy.linalg import expm  # here, not at the top: find-mns and verify-dfs never evolve
+    elif model.spectrum is None:
+        from scipy.linalg import expm  # here, not at the top: no bundled model needs it
 
         sup = expm(liouvillian(model) * t_f)
+    else:
+        lam, q = model.spectrum
+        sup = (q * np.exp(lam * t_f)) @ dagger(q)
     return EvolvedChannel(dim=dim, t_f=float(t_f), superoperator=sup)
 
 

@@ -11,6 +11,19 @@ completeness defect scales as c*dt^2 with a model-dependent constant
 c = ||(sum_i gamma_i V_i^dag V_i)^2||_F / 4.  Each channel keeps the gap
 I - sum_k E_k^dag E_k, which the objective's sum-of-squares form needs.
 
+The exact dynamics is generated by the Liouvillian.  With row-major
+vectorization (vec(rho) = rho.reshape(-1), so vec(A rho B) =
+(A (x) B^T) vec(rho)) d vec(rho)/dt = L vec(rho) with
+
+    L = sum_i gamma_i ( V_i (x) conj(V_i)
+                        - 1/2 (V_i^dag V_i) (x) I
+                        - 1/2 I (x) (V_i^dag V_i)^T )
+
+(``liouvillian``).  For a Hermitian V_i, conj(V_i) = V_i^T and each term
+is a Hermitian matrix, so L is Hermitian whenever every V_i is, as in every
+model built here.  Each model keeps one eigendecomposition of L
+(``LindbladModel.spectrum``).
+
 ``dfs_check`` is the one test of protection: [E_k, rho] = 0 for encoded
 states rho.  The search's ``is_dfs`` is its verdict.
 
@@ -36,6 +49,7 @@ __all__ = [
     "qubit_operator",
     "collective_operator",
     "LindbladModel",
+    "liouvillian",
     "KrausChannel",
     "collective_xz",
     "collective_z_with_local_dephasing",
@@ -78,7 +92,11 @@ def collective_operator(op: np.ndarray, n_qubits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Dissipative model d(rho)/dt = sum_i gamma_i D[V_i] rho on n qubits."""
+    """Dissipative model d(rho)/dt = sum_i gamma_i D[V_i] rho on n qubits.
+
+    The eigendecomposition of its Liouvillian (``spectrum``) is built once,
+    on first use, so every evolution time of one model shares it.
+    """
 
     n_qubits: int
     terms: tuple[tuple[float, np.ndarray], ...]
@@ -106,6 +124,31 @@ class LindbladModel:
 
     def max_rate(self) -> float:
         return max((r for r, _ in self.terms), default=0.0)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(lam, Q) as read-only arrays with liouvillian(self) =
+        Q diag(lam) Q^dag, when the Liouvillian is Hermitian to rounding
+        (relative Frobenius norm 1e-14); None when it is not, as for
+        amplitude damping."""
+        ll = liouvillian(self)
+        if np.linalg.norm(ll - dagger(ll)) > 1e-14 * np.linalg.norm(ll):
+            return None
+        lam, q = np.linalg.eigh(ll)
+        return _read_only(lam), _read_only(q)
+
+
+def liouvillian(model: LindbladModel) -> np.ndarray:
+    """The generator L of d vec(rho)/dt = L vec(rho) (module docstring)."""
+    dim = model.dim
+    eye = np.eye(dim, dtype=np.complex128)
+    ll = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    for rate, op in model.terms:
+        if rate == 0.0:
+            continue
+        vv = dagger(op) @ op
+        ll += rate * (tensor(op, op.conj()) - 0.5 * tensor(vv, eye) - 0.5 * tensor(eye, vv.T))
+    return ll
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,8 @@ def kraus_apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
 
 
 def evolved_apply(evolved: EvolvedChannel, rho: np.ndarray) -> np.ndarray:
-    """expm(L t_f) applied to a row-major vectorized density matrix."""
+    """The evolved channel exp(L t_f) applied to a density matrix, as its
+    superoperator times the row-major vectorized matrix."""
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (evolved.dim, evolved.dim):
         raise ValidationError(f"state shape {rho.shape} does not match dim {evolved.dim}")

@@ -832,22 +832,28 @@ def test_cli_runtime_failures_exit_2(tmp_path, capsys, monkeypatch):
     assert "unexpected failure" in capsys.readouterr().err
 
 
-def test_find_mns_and_verify_dfs_load_no_scipy(tmp_path):
-    # SciPy serves only fidelity-sweep's expm; its import costs a search-sized
-    # process most of its start-up, so a stray top-level import is a regression
-    raw = json.loads((CONFIG_DIR / "collective_xz_n3.json").read_text())
-    raw["search"]["num_restarts"] = 1
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(raw))
+def test_cli_commands_load_no_scipy(tmp_path):
+    # SciPy serves only the expm of a non-Hermitian generator, which no bundled
+    # model has; its import costs a search-sized process most of its start-up,
+    # so a stray import on any command's path is a regression
+    def one_restart(name):
+        raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        raw["search"]["num_restarts"] = 1
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    cfg, sweep_cfg = one_restart("collective_xz_n3"), one_restart("perturbed_global_tf_sweep")
     out = tmp_path / "out"
     script = f"""
 import sys
 import mns.fidelity
 assert not [m for m in sys.modules if m.startswith("scipy.optimize")]
 from mns.cli import main
-assert main(["find-mns", "--config", {str(cfg)!r}, "--out-dir", {str(out)!r}]) == 0
+assert main(["find-mns", "--config", {cfg!r}, "--out-dir", {str(out)!r}]) == 0
 enc = {str(out / "encoding_2x2.json")!r}
-assert main(["verify-dfs", "--config", {str(cfg)!r}, "--encoding", enc]) == 0
+assert main(["verify-dfs", "--config", {cfg!r}, "--encoding", enc]) == 0
+assert main(["fidelity-sweep", "--config", {sweep_cfg!r}, "--out-dir", {str(out)!r}]) == 0
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -1,14 +1,17 @@
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
+import mns.noise
 from mns.errors import ValidationError
+from mns.experiments import build_model, load_config
 from mns.fidelity import (
     evolve,
     fidelity_sweep,
-    liouvillian,
     logical_map,
     worst_case_fidelity,
 )
@@ -20,6 +23,7 @@ from mns.noise import (
     collective_dfs_encoding,
     collective_xz,
     collective_z_with_local_dephasing,
+    liouvillian,
     perturbed_collective,
     random_perturbation_unitary,
 )
@@ -37,6 +41,7 @@ from oracles import (
 )
 
 LOCAL_RATES = (0.33, 0.47, 0.85)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _dephasing(gamma=1.0):
@@ -143,6 +148,53 @@ def test_evolve_is_cptp():
             choi = choi_matrix(ev.superoperator)
             assert np.abs(choi - dagger(choi)).max() <= 1e-10
             assert np.linalg.eigvalsh(choi).min() >= -1e-9
+
+
+def test_evolve_rejects_non_finite_time():
+    # a NaN superoperator would surface later, in worst_case_fidelity, as an
+    # unrelated "Eigenvalues did not converge"
+    for t in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="t_f"):
+            evolve(collective_xz(2), t)
+
+
+@pytest.mark.parametrize(
+    "name", [*sorted(path.stem for path in CONFIG_DIR.glob("*.json")), "collective_xz_n4"]
+)
+def test_evolve_spectrum_matches_expm(name):
+    # every bundled model has Hermitian Lindblad operators, so evolve takes
+    # the eigendecomposition route; it agrees with expm to rounding
+    if name == "collective_xz_n4":
+        model = collective_xz(4)
+    else:
+        model = build_model(load_config(CONFIG_DIR / f"{name}.json").model)
+    assert model.spectrum is not None
+    ll = liouvillian(model)
+    for t in (0.01, 0.1, 1.0, 3.0):
+        expected = scipy.linalg.expm(ll * t)
+        got = evolve(model, t).superoperator
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_evolve_amplitude_damping_takes_expm_route(monkeypatch):
+    # sigma_minus = |0><1| decays |1>: its Liouvillian is not Hermitian
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+    gamma = 0.7
+    model = LindbladModel(1, ((gamma, np.array([[0.0, 1.0], [0.0, 0.0]])),))
+    assert model.spectrum is None
+    rho = np.array([[0.3, 0.2 - 0.4j], [0.2 + 0.4j, 0.7]])
+    for t in (0.1, 1.0, 3.0):
+        ev = evolve(model, t)
+        out = evolved_apply(ev, rho)
+        assert abs(out[1, 1] - 0.7 * np.exp(-gamma * t)) <= 1e-12
+        assert abs(out[0, 0] - (1.0 - 0.7 * np.exp(-gamma * t))) <= 1e-12
+        assert abs(out[0, 1] - (0.2 - 0.4j) * np.exp(-gamma * t / 2)) <= 1e-12
+        choi = choi_matrix(ev.superoperator)
+        assert np.abs(choi - dagger(choi)).max() <= 1e-12
+        assert np.linalg.eigvalsh(choi).min() >= -1e-12
+    assert len(calls) == 3
 
 
 def test_choi_matrix_identity_superoperator():
@@ -450,6 +502,28 @@ def test_fidelity_sweep_tf_mode():
     assert abs(points[0].fi_dfs - 1.0) <= 1e-9
     assert points[1].fi_mns <= points[0].fi_mns + 1e-9
     assert points[0].j_opt == points[1].j_opt  # single search in tf mode
+
+
+def test_fidelity_sweep_tf_mode_decomposes_once(monkeypatch):
+    # the evolve calls of a tf-mode sweep share one Liouvillian and one eigh
+    builds, eighs = [], []
+    build, eigh = mns.noise.liouvillian, np.linalg.eigh
+    monkeypatch.setattr(mns.noise, "liouvillian", lambda model: builds.append(1) or build(model))
+
+    def counting_eigh(a, *args, **kwargs):
+        if a.shape == (64, 64):
+            eighs.append(1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((2, 2),))
+    grid = [0.0, 0.1, 0.5, 1.0, 3.0]
+    points = fidelity_sweep(
+        lambda _v: _perturbed(0.05), grid, "tf", collective_dfs_encoding(3), (2, 2), config
+    )
+    assert [pt.param for pt in points] == grid
+    assert len(builds) == 1
+    assert len(eighs) == 1
 
 
 def test_fidelity_sweep_flags_failed_points():
