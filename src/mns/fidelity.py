@@ -1,11 +1,11 @@
 """Exact time evolution and worst-case fidelity of encoded states.
 
-The channel over [0, t_f] is exp(L t_f), for the model's row-major
-vectorized Liouvillian L (``noise.liouvillian``).  Every model built here
-has Hermitian Lindblad operators, so L is Hermitian and
-exp(L t_f) = Q diag(exp(lam t_f)) Q^dag comes from one eigendecomposition
-per model (``LindbladModel.spectrum``): each time costs one product.  A
-non-Hermitian generator (amplitude damping, say) takes SciPy's ``expm``.
+The channel over [0, t] is exp(L t), for the model's row-major vectorized
+Liouvillian L (``noise.liouvillian``).  Every model built here has
+Hermitian Lindblad operators, so L is Hermitian and
+L = Q diag(lam) Q^dag comes from one eigendecomposition per model
+(``LindbladModel.spectrum``).  A non-Hermitian generator (amplitude
+damping, say) takes SciPy's ``expm`` once per time (``evolve``).
 
 Fidelity of an encoding with encoded rows V (dims (n1, n2)) for a logical
 pure state psi:
@@ -15,14 +15,20 @@ pure state psi:
 with Lambda the evolved channel.  The projected partial trace is not
 renormalized, so population that leaks out of the encoded block counts as
 infidelity.  f is a quadratic form in |psi><psi| through the logical map
-(``logical_map``).  The worst case minimizes f over pure states: exactly
-for a qubit (a quadratic on the Bloch sphere), by multi-start BFGS descent
-for larger logical dimensions.
+G = P Sup P^dag / n2, where P traces H2 out of the decoded output
+(``logical_map``).  From the spectrum, G(t) = A diag(exp(lam t)) A^dag / n2
+with A = P Q: a sweep forms A once per encoding, and each time then costs
+an (n1^2 x N^2)(N^2 x n1^2) product, with no N^2 x N^2 superoperator
+(``_logical_maps``).  The worst case minimizes f over pure states: exactly
+for a qubit (a quadratic on the Bloch sphere), for every map of a sweep in
+one stacked pass, and by multi-start BFGS descent for larger logical
+dimensions.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +62,7 @@ def evolve(model: LindbladModel, t_f: float) -> EvolvedChannel:
     """Exact channel for a finite evolution time t_f >= 0: from the model's
     cached eigendecomposition when its Liouvillian is Hermitian, by
     ``scipy.linalg.expm`` when it is not."""
-    if not (np.isfinite(t_f) and t_f >= 0):
-        raise ValidationError(f"t_f must be finite and >= 0, got {t_f}")
+    _check_time(t_f)
     dim = model.dim
     if t_f == 0.0:
         sup = np.eye(dim * dim, dtype=np.complex128)
@@ -71,19 +76,56 @@ def evolve(model: LindbladModel, t_f: float) -> EvolvedChannel:
     return EvolvedChannel(dim=dim, t_f=float(t_f), superoperator=sup)
 
 
+def _traced(v: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Tr_out(a) for a = V (x) conj(V): the n1^2 x N^2 matrix that takes a
+    row-major vectorized N x N operator X to the vectorized Tr_H2[V X V^dag].
+    Its conjugate transpose is Tr_in(a^dag), which takes vec(rho1) to
+    vec(V^dag (rho1 (x) I) V)."""
+    w = v.reshape(n1, n2, -1)
+    return np.einsum("iax,jay->ijxy", w, w.conj()).reshape(n1 * n1, -1)
+
+
 def logical_map(superoperator: np.ndarray, v: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """Matrix of rho1 -> Tr_H2[V Lambda(V^dag (rho1 (x) I/n2) V) V^dag] on
     row-major vectorized H1 operators, for the superoperator of Lambda and
     the encoded rows V.
 
     With vec(A rho B) = (A (x) B^T) vec(rho), a = V (x) conj(V) decodes and
-    a^dag encodes, so a Sup a^dag is Lambda restricted to the encoded block.
-    Tracing H2 out of its output and contracting its input with I/n2 leaves
-    the n1^2 x n1^2 logical map.
+    a^dag encodes.  Tracing H2 out of the output and contracting the input
+    with I/n2 leaves Tr_out(a) Sup Tr_in(a^dag) / n2 (``_traced``).
     """
-    a = np.kron(v, v.conj())
-    blk = (a @ superoperator @ a.conj().T).reshape((n1, n2) * 4)
-    return np.einsum("iajakblb->ijkl", blk).reshape(n1 * n1, n1 * n1) / n2
+    p = _traced(v, n1, n2)
+    return p @ superoperator @ dagger(p) / n2
+
+
+def _check_time(t: float) -> None:
+    if not (np.isfinite(t) and t >= 0):
+        raise ValidationError(f"t_f must be finite and >= 0, got {t}")
+
+
+def _logical_maps(model: LindbladModel, times, isometries, n1: int, n2: int) -> np.ndarray:
+    """``logical_map`` of exp(L t) for each isometry (first axis) and each
+    time (second axis).  For a Hermitian L = Q diag(lam) Q^dag it is
+    A diag(exp(lam t)) A^dag / n2 with A = Tr_out(a) Q, formed once per
+    isometry; at t = 0 the channel is the identity itself, as in ``evolve``.
+    A non-Hermitian L takes one ``evolve`` per time, shared by the
+    isometries."""
+    for t in times:
+        _check_time(t)
+    if model.spectrum is None:
+        sups = [evolve(model, t).superoperator for t in times]
+        return np.array([[logical_map(sup, v, n1, n2) for sup in sups] for v in isometries])
+    lam, q = model.spectrum
+    times = np.asarray(times, dtype=float)
+    growth = np.exp(np.multiply.outer(times, lam))[:, None, :]
+    identity = np.eye(lam.size, dtype=np.complex128)
+    maps = []
+    for v in isometries:
+        a = _traced(v, n1, n2) @ q
+        g = (a * growth) @ dagger(a) / n2
+        g[times == 0.0] = logical_map(identity, v, n1, n2)
+        maps.append(g)
+    return np.array(maps)
 
 
 # Columns vec(sigma_mu)/2 for sigma = (I, X, Y, Z): vec((I + r.sigma)/2) = _BLOCH @ (1, r).
@@ -91,27 +133,51 @@ _BLOCH = 0.5 * np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, 
 
 
 def _sphere_minimum(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Unit r minimizing b.r + r^T c r for symmetric 3x3 c: the trust-region
-    boundary problem (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553
-    (1983)).  With c = V diag(lam) V^T and beta = V^T b, r = V y where
+    """Unit r minimizing b.r + r^T c r, for each row of a (K, 3) stack b and
+    symmetric 3x3 matrix of a (K, 3, 3) stack c: the trust-region boundary
+    problem (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).
+    With c = V diag(lam) V^T and beta = V^T b, r = V y where
     y_i = -beta_i / (2 (lam_i - mu)) and mu < lam_0 is the root of |y| = 1, or
     mu = lam_0 in the hard case (beta_0 = 0 and |y(lam_0)| <= 1).  y_0 comes
-    from |y| = 1, which stays accurate where mu sits next to lam_0."""
+    from |y| = 1, which stays accurate where mu sits next to lam_0.  One
+    stacked ``eigh`` serves the stack; each root is found on Python floats."""
     lam, v = np.linalg.eigh(c)
-    beta = v.T @ b
+    beta = np.einsum("kji,kj->ki", v, b)
+    sizes = np.linalg.norm(b, axis=1)
+    ys = [_boundary_y(*args) for args in zip(lam.tolist(), beta.tolist(), sizes.tolist())]
+    r = np.einsum("kij,kj->ki", v, ys)
+    return r / np.linalg.norm(r, axis=1, keepdims=True)
 
-    def y(mu: float) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(beta == 0.0, 0.0, -beta / (2.0 * (lam - mu)))
+
+def _boundary_y(lam: list[float], beta: list[float], size_b: float) -> list[float]:
+    """y = V^T r of ``_sphere_minimum`` for one problem.  A pole lam_i = mu
+    with beta_i != 0 makes |y| infinite; in the returned y it is a flat
+    direction and gets 0 (mu can round onto a degenerate lam_i)."""
+    terms = [(lam_i, beta_i) for lam_i, beta_i in zip(lam, beta) if beta_i != 0.0]
+
+    def size(mu: float) -> float:  # |y(mu)|
+        squares = 0.0
+        for lam_i, beta_i in terms:
+            if lam_i == mu:
+                return math.inf
+            y_i = beta_i / (2.0 * (lam_i - mu))
+            squares += y_i * y_i  # overflows to inf, where ** would raise
+        return math.sqrt(squares)
+
+    def secular(mu) -> float:
+        s = size(float(mu))
+        return 1.0 / s - 1.0 if s else math.inf
 
     mu = lam[0]
-    if np.linalg.norm(y(mu)) > 1.0:  # |y| <= 1/2 at lam_0 - |b|; nextafter keeps that below lam_0
-        low = np.nextafter(lam[0] - np.linalg.norm(b), -np.inf)
-        mu = _brent_root(lambda m: 1.0 / np.linalg.norm(y(m)) - 1.0, low, lam[0], 1e-300)
-    # mu can round onto a degenerate lam_i with beta_i != 0; that pole is a flat direction
-    rest = np.nan_to_num(y(mu)[1:], posinf=0.0, neginf=0.0)
-    r = v @ np.concatenate([[-np.copysign(np.sqrt(max(0.0, 1.0 - rest @ rest)), beta[0])], rest])
-    return r / np.linalg.norm(r)
+    if size(mu) > 1.0:  # |y| <= 1/2 at lam_0 - |b|; nextafter keeps that below lam_0
+        low = np.nextafter(np.float64(mu) - size_b, -np.inf)
+        mu = float(_brent_root(secular, low, np.float64(mu), 1e-300))
+    rest = [
+        0.0 if beta_i == 0.0 or lam_i == mu else -beta_i / (2.0 * (lam_i - mu))
+        for lam_i, beta_i in zip(lam[1:], beta[1:])
+    ]
+    y0 = math.sqrt(max(0.0, 1.0 - (rest[0] * rest[0] + rest[1] * rest[1])))
+    return [-math.copysign(y0, beta[0]), *rest]
 
 
 def _brent_root(f, xa, xb, xtol: float) -> float:
@@ -195,23 +261,47 @@ def _descent_minimum(gmat: np.ndarray, n1: int) -> float:
         best, x = found
 
 
-def worst_case_fidelity(u: np.ndarray, dims: tuple[int, int], evolved: EvolvedChannel) -> float:
-    """Minimize f(psi) over pure logical states: exactly for a qubit, where f
-    is a quadratic a + b.r + r^T C r in the Bloch vector (``_sphere_minimum``),
-    and by the multi-start descent of ``_descent_minimum`` otherwise."""
+def _minima(maps: np.ndarray, n1: int) -> np.ndarray:
+    """Least f(psi) over pure logical states for each logical map of an
+    (K, n1^2, n1^2) stack.  For a qubit f is a quadratic a + b.r + r^T C r in
+    the Bloch vector: one Bloch-form product and one stacked
+    ``_sphere_minimum`` serve the whole stack.  Larger logical dimensions take
+    the multi-start descent of ``_descent_minimum``, map by map."""
+    if n1 != 2:
+        return np.array([_descent_minimum(gmat, n1) for gmat in maps])
+    q = np.real(dagger(_BLOCH) @ maps @ _BLOCH)
+    b = q[:, 0, 1:] + q[:, 1:, 0]
+    c = 0.5 * (q[:, 1:, 1:] + q[:, 1:, 1:].swapaxes(1, 2))
+    r = _sphere_minimum(b, c)
+    return q[:, 0, 0] + np.einsum("ki,ki->k", b, r) + np.einsum("ki,kij,kj->k", r, c, r)
+
+
+def _encoded_rows(u, dims: tuple[int, int], dim: int) -> np.ndarray:
     n1, n2 = dims
     u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (evolved.dim, evolved.dim):
-        raise ValidationError(f"unitary shape {u.shape} does not match dim {evolved.dim}")
-    if n1 * n2 > evolved.dim:
-        raise ValidationError(f"encoded block {n1}x{n2} exceeds dim {evolved.dim}")
-    gmat = logical_map(evolved.superoperator, u[: n1 * n2], n1, n2)
-    if n1 != 2:
-        return _descent_minimum(gmat, n1)
-    q = np.real(dagger(_BLOCH) @ gmat @ _BLOCH)
-    b, c = q[0, 1:] + q[1:, 0], 0.5 * (q[1:, 1:] + q[1:, 1:].T)
-    r = _sphere_minimum(b, c)
-    return float(q[0, 0] + b @ r + r @ c @ r)
+    if u.shape != (dim, dim):
+        raise ValidationError(f"unitary shape {u.shape} does not match dim {dim}")
+    if n1 * n2 > dim:
+        raise ValidationError(f"encoded block {n1}x{n2} exceeds dim {dim}")
+    return u[: n1 * n2]
+
+
+def worst_case_fidelity(u: np.ndarray, dims: tuple[int, int], evolved: EvolvedChannel) -> float:
+    """Minimize f(psi) over pure logical states: the one-map case of
+    ``_minima``, exact for a qubit."""
+    n1, n2 = dims
+    v = _encoded_rows(u, dims, evolved.dim)
+    return float(_minima(logical_map(evolved.superoperator, v, n1, n2)[None], n1)[0])
+
+
+def _worst_cases(model: LindbladModel, times, unitaries, dims: tuple[int, int]) -> np.ndarray:
+    """``worst_case_fidelity`` of each unitary's encoding (rows) under the
+    model's evolution to each time (columns): the maps come from
+    ``_logical_maps`` and their minima from one ``_minima`` call."""
+    n1, n2 = dims
+    rows = [_encoded_rows(u, dims, model.dim) for u in unitaries]
+    maps = _logical_maps(model, times, rows, n1, n2)
+    return _minima(maps.reshape(-1, n1 * n1, n1 * n1), n1).reshape(len(rows), len(times))
 
 
 @dataclass(frozen=True)
@@ -246,9 +336,10 @@ def fidelity_sweep(
     evolution time is fixed at ``t_f``; in mode "tf" the model is fixed (the
     factory is called once, with ``None`` -- pass a closure over the fixed
     perturbation), the search runs once, and the grid values are evolution
-    times.  Channels use the step ``config.dt``.  In mode "delta" a point
-    that raises is flagged (NaN row, ``error`` set, logged to the "mns"
-    logger), not raised.
+    times.  Channels use the step ``config.dt``.  Each model's two encodings
+    are scored at all of its times in one pass (``_worst_cases``).  In mode
+    "delta" a point that raises is flagged (NaN row, ``error`` set, logged to
+    the "mns" logger), not raised.
     """
     if mode not in ("delta", "tf"):
         raise ValidationError(f"sweep mode must be 'delta' or 'tf', got {mode!r}")
@@ -257,33 +348,29 @@ def fidelity_sweep(
         raise ValidationError("sweep grid is empty")
     points: list[FidelityPoint] = []
 
-    def search_best(model):
+    def scored(params, model, times) -> list[FidelityPoint]:
         channel = lindblad_to_kraus(model, config.dt)
         result = find_mns(channel, config)[dims]
         ok = result.per_restart[result.best_restart].converged
-        return result, realize(result.best_params), ok
-
-    def point(param, model, t, found) -> FidelityPoint:
-        result, u_mns, ok = found
-        evolved = evolve(model, t)
-        return FidelityPoint(
-            param=param,
-            fi_mns=worst_case_fidelity(u_mns, dims, evolved),
-            fi_dfs=worst_case_fidelity(u_dfs, dims, evolved),
-            j_opt=result.best_j,
-            converged=ok,
-            mns_params=result.best_params,
-        )
+        fi_mns, fi_dfs = _worst_cases(model, times, (realize(result.best_params), u_dfs), dims)
+        return [
+            FidelityPoint(
+                param=param,
+                fi_mns=float(mns),
+                fi_dfs=float(dfs),
+                j_opt=result.best_j,
+                converged=ok,
+                mns_params=result.best_params,
+            )
+            for param, mns, dfs in zip(params, fi_mns, fi_dfs)
+        ]
 
     if mode == "tf":
-        model = model_for(None)
-        found = search_best(model)
-        return [point(t, model, t, found) for t in grid]
+        return scored(grid, model_for(None), grid)
 
     for value in grid:
         try:
-            model = model_for(value)
-            points.append(point(value, model, t_f, search_best(model)))
+            points += scored([value], model_for(value), [t_f])
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             logging.getLogger("mns").warning("sweep point %r failed: %s", value, error)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -98,14 +99,22 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class BfgsOutcome:
+    """One ascent's result.  ``isometry_final`` is the encoded rows V at the
+    final point; ``params_final``, its chart coordinates, is computed on
+    first use, since ``find_mns`` reads only the winner's."""
+
     j_final: float
-    params_final: UnitaryParams
+    isometry_final: np.ndarray
     trace: tuple[float, ...]
     iterations: int
     converged: bool
     degraded: bool
     stop_reason: str
     gradient_norm: float
+
+    @cached_property
+    def params_final(self) -> UnitaryParams:
+        return chart_of(_complete(self.isometry_final))
 
 
 def bfgs_maximize(
@@ -167,7 +176,7 @@ def _ascend(
         outcomes.append(
             BfgsOutcome(
                 j_final=trace[-1],
-                params_final=chart_of(_complete(v)),
+                isometry_final=v,
                 trace=trace,
                 iterations=run.iterations,
                 converged=run.stop_reason in ("gradient", "stall"),

@@ -1,4 +1,4 @@
-"""The benchmark's traced mode, run end to end on its quickest workload."""
+"""The benchmark's traced mode, run end to end on its quickest workloads."""
 
 import json
 import subprocess
@@ -8,15 +8,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_bench_run_ends_in_its_result_line():
+def _reject_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def _traced_result(workload: str) -> dict:
     # the traced mode wraps search and fidelity functions by name; a target
     # whose call pattern changes must still leave a run that ends in its one
-    # JSON result line, with nothing printed after it
+    # strict-JSON result line, with nothing printed after it
     run = subprocess.run(
         [
             sys.executable,
             str(ROOT / "bench" / "run.py"),
-            "--workload", "collective_dfs",
+            "--workload", workload,
             "--seed", "1",
             "--seconds", "0",
             "--trace", "1",
@@ -27,7 +31,20 @@ def test_traced_bench_run_ends_in_its_result_line():
         timeout=300,
         check=True,
     )
-    result = json.loads(run.stdout.splitlines()[-1])
+    result = json.loads(run.stdout.splitlines()[-1], parse_constant=_reject_constant)
     assert result["correct"] is True
     assert result["failed"] == 0 and result["attempted"] > 0
+    return result
+
+
+def test_traced_bench_run_ends_in_its_result_line():
+    result = _traced_result("collective_dfs")
     assert result["metrics"]["search.iterations"]["value"] > 0
+
+
+def test_traced_fidelity_sweep_run_ends_in_its_result_line():
+    # the sweep no longer calls the wrapped evolve and worst_case_fidelity
+    # on a Hermitian model, so their metrics read 0 calls
+    result = _traced_result("fidelity_sweep")
+    assert result["metrics"]["search.iterations"]["value"] > 0
+    assert result["metrics"]["fidelity.self.s"]["value"] > 0

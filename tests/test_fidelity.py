@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+import mns.fidelity
 import mns.noise
 from mns.errors import ValidationError
 from mns.experiments import build_model, load_config
@@ -15,7 +16,7 @@ from mns.fidelity import (
     logical_map,
     worst_case_fidelity,
 )
-from mns.fidelity import _brent_root, _sphere_minimum
+from mns.fidelity import _BLOCH, _brent_root, _logical_maps, _minima, _sphere_minimum, _worst_cases
 from mns.linalg import dagger, random_density_matrix, tensor
 from mns.noise import (
     LindbladModel,
@@ -27,6 +28,7 @@ from mns.noise import (
     perturbed_collective,
     random_perturbation_unitary,
 )
+from mns.parametrization import realize
 from mns.search import SearchConfig
 from oracles import (
     basis_state_encoding,
@@ -174,6 +176,32 @@ def test_evolve_spectrum_matches_expm(name):
         expected = scipy.linalg.expm(ll * t)
         got = evolve(model, t).superoperator
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize(
+    "name", [*sorted(path.stem for path in CONFIG_DIR.glob("*.json")), "collective_xz_n4"]
+)
+@pytest.mark.parametrize("dims", [(2, 2), (2, 4)])
+def test_spectral_logical_maps_match_dense_maps(name, dims):
+    # the maps a sweep forms from the cached spectrum against logical_map of
+    # the N^2 x N^2 superoperator; at t = 0 both use the identity channel
+    if name == "collective_xz_n4":
+        model = collective_xz(4)
+    else:
+        model = build_model(load_config(CONFIG_DIR / f"{name}.json").model)
+    n1, n2 = dims
+    times = [0.0, 0.01, 0.1, 1.0, 3.0]
+    rows = [collective_dfs_encoding(3)[:4]] if model.dim == 8 and dims == (2, 2) else []
+    rows.append(haar_random_unitary(model.dim, 60 + model.dim)[: n1 * n2])
+    maps = _logical_maps(model, times, rows, n1, n2)
+    assert maps.shape == (len(rows), len(times), n1 * n1, n1 * n1)
+    for v, row in zip(rows, maps):
+        for t, got in zip(times, row):
+            dense = logical_map(evolve(model, t).superoperator, v, n1, n2)
+            if t == 0.0:
+                assert np.array_equal(got, dense)
+            else:
+                assert np.abs(got - dense).max() <= 1e-13
 
 
 def test_evolve_amplitude_damping_takes_expm_route(monkeypatch):
@@ -374,7 +402,7 @@ def test_sphere_minimum_hard_case():
     # stationary point, -b / (2 (c - lam_min)) = (0, -1/8, 0), lies inside
     # the ball: mu = lam_min and the lowest direction fills |r| = 1.
     b, c = np.array([0.0, 0.5, 0.0]), np.diag([-1.0, 1.0, 1.0])
-    r = _sphere_minimum(b, c)
+    (r,) = _sphere_minimum(b[None], c[None])
     value = b @ r + r @ c @ r
     assert abs(np.linalg.norm(r) - 1.0) <= 1e-15
     assert np.abs(np.abs(r) - [np.sqrt(63 / 64), 1 / 8, 0.0]).max() <= 1e-15
@@ -387,6 +415,39 @@ def test_sphere_minimum_hard_case():
     brute = (pts @ b + np.einsum("ki,ij,kj->k", pts, c, pts)).min()
     assert value <= brute
     assert brute - value <= 1e-3
+
+
+def _bloch_form_map(a, b, c):
+    """The qubit logical map whose f is a + b.r + r^T c r on the Bloch sphere."""
+    q = np.zeros((4, 4))
+    q[0, 0], q[0, 1:], q[1:, 0], q[1:, 1:] = a, b / 2, b / 2, c
+    return 4.0 * _BLOCH @ q @ dagger(_BLOCH)
+
+
+def test_stacked_worst_cases_match_one_map_at_a_time():
+    # a 21-time sweep of two encodings scored in one stack against
+    # worst_case_fidelity at each time, plus Bloch-form problems with known
+    # minima: a pole (beta_0 != 0, so |y(lam_0)| is infinite and the secular
+    # function meets it at the bracket's end), a pole on a degenerate lowest
+    # eigenvalue, and the hard case (beta_0 = 0, mu = lam_0)
+    model = _perturbed(0.1)
+    times = [0.0, *np.sort(np.random.default_rng(18).uniform(0.0, 1.0, 19)), 1.0]
+    unitaries = [collective_dfs_encoding(3), haar_random_unitary(8, 18)]
+    stacked = _worst_cases(model, times, unitaries, (2, 2))
+    assert stacked.shape == (2, 21)
+    for u, row in zip(unitaries, stacked):
+        for t, fi in zip(times, row):
+            assert abs(fi - worst_case_fidelity(u, (2, 2), evolve(model, t))) <= 1e-14
+    cases = [
+        (_bloch_form_map(1.0, np.array([0.3, 0.0, 0.0]), np.diag([-1.0, 1.0, 1.0])), 1.0 - 1.3),
+        (_bloch_form_map(1.0, np.array([0.3, 0.4, 0.0]), np.diag([-1.0, -1.0, 1.0])), 1.0 - 1.5),
+        (_bloch_form_map(2.0, np.array([0.0, 0.5, 0.0]), np.diag([-1.0, 1.0, 1.0])), 2.0 - 33 / 32),
+    ]
+    maps = np.array([g for g, _ in cases])
+    minima = _minima(maps, 2)
+    for (g, expected), fi in zip(cases, minima):
+        assert abs(fi - _minima(g[None], 2)[0]) <= 1e-14
+        assert abs(fi - expected) <= 1e-14
 
 
 def test_worst_case_fidelity_qutrit_dephasing_closed_form():
@@ -516,6 +577,8 @@ def test_fidelity_sweep_tf_mode_decomposes_once(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    evolved = []
+    monkeypatch.setattr(mns.fidelity, "evolve", lambda *args: evolved.append(args) or evolve(*args))
     config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((2, 2),))
     grid = [0.0, 0.1, 0.5, 1.0, 3.0]
     points = fidelity_sweep(
@@ -524,6 +587,29 @@ def test_fidelity_sweep_tf_mode_decomposes_once(monkeypatch):
     assert [pt.param for pt in points] == grid
     assert len(builds) == 1
     assert len(eighs) == 1
+    assert evolved == []  # the maps come from the spectrum, not from superoperators
+
+
+def test_fidelity_sweep_amplitude_damping_takes_expm_route(monkeypatch):
+    # sigma_minus on the first of two qubits, plus collective dephasing: the
+    # Liouvillian is not Hermitian, so each nonzero time takes one expm,
+    # shared by both encodings
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+    lowering = tensor(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+    model = LindbladModel(2, ((0.7, lowering), (0.3, mns.noise.collective_operator(PAULI_Z, 2))))
+    assert model.spectrum is None
+    config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((2, 1),))
+    grid = [0.0, 0.5, 1.0]
+    u_ref = haar_random_unitary(4, 19)
+    points = fidelity_sweep(lambda _v: model, grid, "tf", u_ref, (2, 1), config)
+    assert len(calls) == 2
+    u_mns = realize(points[0].mns_params)
+    for t, pt in zip(grid, points):
+        ev = evolve(model, t)
+        assert abs(pt.fi_mns - worst_case_fidelity(u_mns, (2, 1), ev)) <= 1e-14
+        assert abs(pt.fi_dfs - worst_case_fidelity(u_ref, (2, 1), ev)) <= 1e-14
 
 
 def test_fidelity_sweep_flags_failed_points():

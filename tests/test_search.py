@@ -436,11 +436,24 @@ def test_restarts_in_the_stack_are_bitwise_the_restarts_alone():
         )
         assert rec.final_j == alone.j_final and rec.converged == alone.converged
         assert lane.trace == alone.trace
-        assert np.array_equal(lane.params_final.phases, alone.params_final.phases)
-        assert np.array_equal(lane.params_final.angles, alone.params_final.angles)
+        assert lane.isometry_final.tobytes() == alone.isometry_final.tobytes()
     best = stacked[result.best_restart].params_final
     assert np.array_equal(result.best_params.phases, best.phases)
     assert np.array_equal(result.best_params.angles, best.angles)
+
+
+def test_find_mns_charts_only_the_winners(monkeypatch):
+    # one chart_of per dimension pair, for the winning restart; the other
+    # lanes keep their final isometry uncharted
+    charted = []
+    chart_of = mns.search.chart_of
+    monkeypatch.setattr(mns.search, "chart_of", lambda u: charted.append(1) or chart_of(u))
+    config = load_config(CONFIG_DIR / "sz_local_dephasing_n3.json")
+    search = replace(config.search, seed=1, num_restarts=3, candidate_dims=((2, 1), (3, 1)))
+    results = find_mns(build_channel(config), search)
+    assert len(charted) == 2
+    for result in results.values():
+        assert len(result.per_restart) == 3
 
 
 def test_subspace_projector_properties(collective_search):
