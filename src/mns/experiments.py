@@ -381,7 +381,8 @@ def _point_entry(pt: FidelityPoint) -> dict:
 def _write_result(out_dir: Path, payload: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "result.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    # no indent: only then does json.dumps take its C encoder
+    path.write_text(json.dumps(payload) + "\n")
     return path
 
 

@@ -4,8 +4,8 @@ The channel over [0, t] is exp(L t), for the model's row-major vectorized
 Liouvillian L (``noise.liouvillian``).  Every model built here has
 Hermitian Lindblad operators, so L is Hermitian and
 L = Q diag(lam) Q^dag comes from one eigendecomposition per model
-(``LindbladModel.spectrum``).  A non-Hermitian generator (amplitude
-damping, say) takes SciPy's ``expm`` once per time (``evolve``).
+(``LindbladModel.spectrum``).  A model whose Liouvillian is not Hermitian
+(amplitude damping, say) is refused at any time t > 0.
 
 Fidelity of an encoding with encoded rows V (dims (n1, n2)) for a logical
 pure state psi:
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import dagger
-from .noise import LindbladModel, lindblad_to_kraus, liouvillian
+from .noise import LindbladModel, lindblad_to_kraus
 from .parametrization import UnitaryParams, polar, realize
 from .search import SearchConfig, _lockstep, find_mns
 
@@ -59,17 +59,12 @@ class EvolvedChannel:
 
 
 def evolve(model: LindbladModel, t_f: float) -> EvolvedChannel:
-    """Exact channel for a finite evolution time t_f >= 0: from the model's
-    cached eigendecomposition when its Liouvillian is Hermitian, by
-    ``scipy.linalg.expm`` when it is not."""
+    """Exact channel for a finite evolution time t_f >= 0, from the model's
+    cached eigendecomposition; the identity at t_f = 0."""
     _check_time(t_f)
     dim = model.dim
     if t_f == 0.0:
         sup = np.eye(dim * dim, dtype=np.complex128)
-    elif model.spectrum is None:
-        from scipy.linalg import expm  # here, not at the top: no bundled model needs it
-
-        sup = expm(liouvillian(model) * t_f)
     else:
         lam, q = model.spectrum
         sup = (q * np.exp(lam * t_f)) @ dagger(q)
@@ -107,14 +102,9 @@ def _logical_maps(model: LindbladModel, times, isometries, n1: int, n2: int) -> 
     """``logical_map`` of exp(L t) for each isometry (first axis) and each
     time (second axis).  For a Hermitian L = Q diag(lam) Q^dag it is
     A diag(exp(lam t)) A^dag / n2 with A = Tr_out(a) Q, formed once per
-    isometry; at t = 0 the channel is the identity itself, as in ``evolve``.
-    A non-Hermitian L takes one ``evolve`` per time, shared by the
-    isometries."""
+    isometry; at t = 0 the channel is the identity itself, as in ``evolve``."""
     for t in times:
         _check_time(t)
-    if model.spectrum is None:
-        sups = [evolve(model, t).superoperator for t in times]
-        return np.array([[logical_map(sup, v, n1, n2) for sup in sups] for v in isometries])
     lam, q = model.spectrum
     times = np.asarray(times, dtype=float)
     growth = np.exp(np.multiply.outer(times, lam))[:, None, :]

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, commutator, dagger, direct_sum_embed, random_density_matrix, tensor
+from .linalg import as_matrix, dagger, random_density_matrix, tensor
 from .parametrization import realize, random_params
 
 __all__ = [
@@ -67,7 +67,6 @@ DFS_THRESHOLD = 1e-8
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-_EYE2 = np.eye(2, dtype=np.complex128)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -79,10 +78,7 @@ def qubit_operator(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     """Embed a single-qubit operator on ``qubit`` (1-based, leftmost first)."""
     if not 1 <= qubit <= n_qubits:
         raise ValidationError(f"qubit index {qubit} outside 1..{n_qubits}")
-    out = np.array([[1.0 + 0.0j]])
-    for k in range(1, n_qubits + 1):
-        out = tensor(out, op if k == qubit else _EYE2)
-    return out
+    return tensor(tensor(np.eye(2 ** (qubit - 1)), op), np.eye(2 ** (n_qubits - qubit)))
 
 
 def collective_operator(op: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -126,14 +122,17 @@ class LindbladModel:
         return max((r for r, _ in self.terms), default=0.0)
 
     @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(lam, Q) as read-only arrays with liouvillian(self) =
-        Q diag(lam) Q^dag, when the Liouvillian is Hermitian to rounding
-        (relative Frobenius norm 1e-14); None when it is not, as for
+        Q diag(lam) Q^dag.  Raises ValidationError when the Liouvillian is
+        not Hermitian to rounding (relative Frobenius norm 1e-14), as for
         amplitude damping."""
         ll = liouvillian(self)
         if np.linalg.norm(ll - dagger(ll)) > 1e-14 * np.linalg.norm(ll):
-            return None
+            raise ValidationError(
+                "the Liouvillian is not Hermitian; exact evolution needs "
+                "Hermitian Lindblad operators"
+            )
         lam, q = np.linalg.eigh(ll)
         return _read_only(lam), _read_only(q)
 
@@ -329,9 +328,10 @@ def dfs_check(
     bundled model, the two agree; for other sets this one is stricter.
 
     Draws ``n_states`` random logical density matrices rho_1, encodes each as
-    rho = U^dag (rho_1 (x) I/n2 (+) 0) U, and returns (defect <= threshold,
-    defect, per_operator): per_operator[k] is the largest Frobenius norm of
-    [E_k, rho] over the states, and defect the largest of those.
+    rho = V^dag (rho_1 (x) I/n2) V with V the first n1*n2 rows of U, and
+    returns (defect <= threshold, defect, per_operator): per_operator[k] is
+    the largest Frobenius norm of [E_k, rho] over the states, and defect the
+    largest of those.  Every commutator comes from one stacked product.
     """
     u = as_matrix(u, "encoding unitary")
     dim = channel.dim
@@ -342,15 +342,12 @@ def dfs_check(
     if n1 < 1 or n2 < 1 or n1 * n2 > dim:
         raise ValidationError(f"encoded dimensions ({n1},{n2}) must be >= 1, product <= {dim}")
     rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(n_states):
-        rho1 = random_density_matrix(n1, rng)
-        block = tensor(rho1, np.eye(n2) / n2)
-        states.append(dagger(u) @ direct_sum_embed(block, dim) @ u)
-    per_operator = [
-        max((float(np.linalg.norm(commutator(op, rho))) for rho in states), default=0.0)
-        for op in channel.operators
-    ]
+    rho1 = np.array([random_density_matrix(n1, rng) for _ in range(n_states)]).reshape(-1, n1, n1)
+    v = u[: n1 * n2]
+    states = dagger(v) @ np.kron(rho1, np.eye(n2) / n2) @ v  # (S, N, N)
+    ops = channel.stack()[:, None]  # (K, 1, N, N)
+    norms = np.linalg.norm(ops @ states - states @ ops, axis=(2, 3))  # (K, S)
+    per_operator = norms.max(axis=1, initial=0.0).tolist()
     defect = max(per_operator)
     return defect <= threshold, defect, per_operator
 

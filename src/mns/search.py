@@ -23,8 +23,9 @@ decoherence-free winner to the precision ``dfs_check`` asks for.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Generator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -40,7 +41,6 @@ __all__ = [
     "SearchConfig",
     "RestartRecord",
     "SearchResult",
-    "BfgsOutcome",
     "bfgs_maximize",
     "find_mns",
     "default_candidate_dims",
@@ -75,15 +75,35 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class RestartRecord:
+    """One restart's ascent, from the seed of its initial point.
+
+    The trace and ``final_j`` report J.  ``isometry_final`` is the encoded
+    rows V at the final point; ``params_final``, its chart coordinates, is
+    computed on first use, since ``find_mns`` reads only the winner's.
+    """
+
     index: int
     seed: tuple[int, ...]
     final_j: float
     iterations: int
-    converged: bool
-    degraded: bool
     trace: tuple[float, ...]
     stop_reason: str
     gradient_norm: float
+    isometry_final: np.ndarray = field(compare=False)
+
+    @property
+    def converged(self) -> bool:
+        """Stopped on the gradient or the stall rule."""
+        return self.stop_reason in ("gradient", "stall")
+
+    @property
+    def degraded(self) -> bool:
+        """Stopped because the line search and its fallback both failed."""
+        return self.stop_reason == "line_search"
+
+    @cached_property
+    def params_final(self) -> UnitaryParams:
+        return chart_of(_complete(self.isometry_final))
 
 
 @dataclass(frozen=True)
@@ -97,32 +117,12 @@ class SearchResult:
     agreement_fraction: float
 
 
-@dataclass(frozen=True)
-class BfgsOutcome:
-    """One ascent's result.  ``isometry_final`` is the encoded rows V at the
-    final point; ``params_final``, its chart coordinates, is computed on
-    first use, since ``find_mns`` reads only the winner's."""
-
-    j_final: float
-    isometry_final: np.ndarray
-    trace: tuple[float, ...]
-    iterations: int
-    converged: bool
-    degraded: bool
-    stop_reason: str
-    gradient_norm: float
-
-    @cached_property
-    def params_final(self) -> UnitaryParams:
-        return chart_of(_complete(self.isometry_final))
-
-
 def bfgs_maximize(
     channel: KrausChannel,
     dims: tuple[int, int],
     initial: UnitaryParams,
     config: SearchConfig,
-) -> BfgsOutcome:
+) -> RestartRecord:
     """Run one BFGS ascent of J from ``initial``, as a descent of
     f = (1 - J)/dt with dt the channel's step (1 for an exact channel), so
     the tolerances mean the same for every step size.
@@ -133,25 +133,26 @@ def bfgs_maximize(
     and ``converged`` is true for the first two.  A failed line search
     returns the best point found so far with ``degraded=True`` instead of
     raising.  X starts at the first m = n1*n2 rows of ``realize(initial)``.
-    The trace and ``j_final`` report J.  It is the one-lane case of the
-    ascents ``find_mns`` runs together.
+    It is the one-lane case of the ascents ``find_mns`` runs together, and
+    its record is restart 0 with seed ().
     """
-    return _ascend(channel, dims, [initial], config)[0]
+    return _ascend(channel, dims, {(): initial}, config)[0]
 
 
 def _ascend(
     channel: KrausChannel,
     dims: tuple[int, int],
-    initials: list[UnitaryParams],
+    initials: dict[tuple[int, ...], UnitaryParams],
     config: SearchConfig,
-) -> list[BfgsOutcome]:
-    """``bfgs_maximize`` from each initial point, as lanes of one
-    ``_lockstep`` run: f and its gradient come from one stacked ``polar`` and
-    ``value_and_gradient`` call per round of the lanes' points."""
+) -> list[RestartRecord]:
+    """``bfgs_maximize`` from each restart's initial point, keyed by its seed
+    and indexed in order, as lanes of one ``_lockstep`` run: f and its
+    gradient come from one stacked ``polar`` and ``value_and_gradient`` call
+    per round of the lanes' points."""
     n1, n2 = dims
     if n1 * n2 > channel.dim:
         raise ValidationError(f"encoded block {n1}x{n2} exceeds channel dim {channel.dim}")
-    if any(initial.dim != channel.dim for initial in initials):
+    if any(initial.dim != channel.dim for initial in initials.values()):
         raise ValidationError("initial parameters live on the wrong dimension")
 
     m = n1 * n2
@@ -164,28 +165,28 @@ def _ascend(
 
     runs = _lockstep(
         fg,
-        [_flat(realize(initial)[:m]) for initial in initials],
+        [_flat(realize(initial)[:m]) for initial in initials.values()],
         config.max_iterations,
         config.gradient_tolerance,
         config.objective_tolerance,
     )
     finals = polar(np.array([run.x for run in runs]), m)[0]
-    outcomes = []
-    for run, v in zip(runs, finals):
+    records = []
+    for index, (seed, run, v) in enumerate(zip(initials, runs, finals)):
         trace = tuple(1.0 - scale * f for f in run.trace)
-        outcomes.append(
-            BfgsOutcome(
-                j_final=trace[-1],
-                isometry_final=v,
-                trace=trace,
+        records.append(
+            RestartRecord(
+                index=index,
+                seed=seed,
+                final_j=trace[-1],
                 iterations=run.iterations,
-                converged=run.stop_reason in ("gradient", "stall"),
-                degraded=run.stop_reason == "line_search",
+                trace=trace,
                 stop_reason=run.stop_reason,
                 gradient_norm=run.gradient_norm,
+                isometry_final=v,
             )
         )
-    return outcomes
+    return records
 
 
 def _flat(v: np.ndarray) -> np.ndarray:
@@ -257,27 +258,22 @@ def _bfgs_minimize(
     ``Descent``.  ``_lockstep`` runs it.
 
     Each iteration takes a strong-Wolfe step along the quasi-Newton
-    direction (``_wolfe_step``, SciPy's ``line_search`` to the bit), falling
-    back to Armijo backtracking when it fails.  The stop reason is
-    "gradient" when |grad f| <= ``gradient_tolerance`` at the final point,
-    else "stall" when an accepted step lowered f by no more than
+    direction p (``_wolfe_step``, SciPy's ``line_search`` to the bit), falling
+    back to Armijo backtracking (``_backtrack``) when it fails.  The stop
+    reason is "gradient" when |grad f| <= ``gradient_tolerance`` at the final
+    point, else "stall" when an accepted step lowered f by no more than
     ``objective_tolerance`` times |f| at the new point, "line_search" when
     the backtracking failed too, or "max_iterations".
 
-    It yields each distinct point of an iteration at most once: the Wolfe
-    step asks for f and grad f separately at the same trial points, the
-    gradient at the accepted point is one it already has, and the
-    backtracking retries step lengths a failed line search already tried.
+    Both line searches work on phi(alpha) = f(x + alpha p): they yield step
+    lengths and are sent (phi(alpha), phi'(alpha)).  The loop builds
+    x + alpha p once per step length and keeps the iteration's
+    (point, f, grad f) by alpha, so it yields each point of an iteration at
+    most once: the accepted point and its gradient come from that table, and
+    the backtracking's retries of step lengths a failed line search already
+    tried are answered from it.
     """
-    seen: dict[bytes, tuple[float, np.ndarray]] = {}
-
-    def evaluate(x: np.ndarray):
-        key = x.tobytes()
-        if key not in seen:
-            seen[key] = yield x
-        return seen[key]
-
-    fx, gx = yield from evaluate(x)
+    fx, gx = yield x
     n = x.size
     h = np.eye(n)
     trace = [fx]
@@ -285,23 +281,33 @@ def _bfgs_minimize(
     iterations = 0
 
     for it in range(1, max_iterations + 1):
-        seen.clear()  # keep only the current iteration's points
         if _norm(gx) <= gradient_tolerance:
             break
         iterations = it
-        p = -h @ gx
-        if p @ gx >= 0:  # not a descent direction; reset the approximation
+        p = -(h @ gx)
+        slope = p @ gx
+        if slope >= 0:  # not a descent direction; reset the approximation
             h = np.eye(n)
             p = -gx
-        alpha, f_new = yield from _wolfe_step(evaluate, x, p, fx, gx)
-        if alpha is None:
-            # Armijo backtracking fallback; keeps the descent monotone.
-            alpha, f_new = yield from _backtrack(evaluate, x, p, fx, gx)
-            if alpha is None:
-                reason = "line_search"
+            slope = p @ gx
+        tried: dict[float, tuple[np.ndarray, float, np.ndarray]] = {}
+        for search in (_wolfe_step(fx, slope), _backtrack(fx, slope)):
+            alpha = next(search)
+            try:
+                while True:
+                    if alpha not in tried:
+                        point = x + alpha * p
+                        tried[alpha] = (point, *(yield point))
+                    _, f, g = tried[alpha]
+                    alpha = search.send((f, np.dot(g, p)))
+            except StopIteration as stop:
+                alpha, f_new = stop.value
+            if alpha is not None:
                 break
-        x_new = x + alpha * p
-        g_new = (yield from evaluate(x_new))[1]
+        else:
+            reason = "line_search"
+            break
+        x_new, _, g_new = tried[alpha]
         s = x_new - x
         y = g_new - gx
         sy = s @ y
@@ -311,7 +317,7 @@ def _bfgs_minimize(
             rho = 1.0 / sy
             hy = h @ y
             w = rho * ((0.5 * (rho * (y @ hy) + 1.0)) * s - hy)
-            update = np.outer(w, s)
+            update = w[:, None] * s
             update += update.T
             h += update
         improvement = fx - f_new
@@ -321,7 +327,7 @@ def _bfgs_minimize(
             reason = "stall"
             break
 
-    gradient_norm = float(_norm(gx))
+    gradient_norm = _norm(gx)
     if gradient_norm <= gradient_tolerance:
         reason = "gradient"
     return Descent(x, trace, iterations, reason, gradient_norm)
@@ -330,50 +336,43 @@ def _bfgs_minimize(
 def _norm(x: np.ndarray) -> float:
     """``np.linalg.norm`` of a 1-D real array to the bit (it computes
     sqrt(x.dot(x)) too), without the dispatch the loop pays per call."""
-    return np.sqrt(x.dot(x))
+    return math.sqrt(x.dot(x))
 
 
-def _wolfe_step(fg, x, p, fx, gx):
-    """Step length alpha along the descent direction p that meets the strong
-    Wolfe conditions with c1 = ``WOLFE_C1`` and c2 = ``WOLFE_C2``, and
-    f(x + alpha p); (None, None) when the zoom fails.  A generator, like
-    ``fg``: ``yield from fg(y)`` gives (f(y), grad f(y)).
+def _wolfe_step(phi0, derphi0):
+    """Step length alpha > 0 that meets the strong Wolfe conditions with
+    c1 = ``WOLFE_C1`` and c2 = ``WOLFE_C2`` for phi(alpha) = f(x + alpha p),
+    given phi(0) and phi'(0) < 0, and phi(alpha); (None, None) when the zoom
+    fails.  A generator: it yields each step length it tries and is sent
+    (phi(alpha), phi'(alpha)) back.
 
-    This is SciPy 1.17.1's ``line_search`` (``scalar_search_wolfe2`` with
-    ``_zoom``; Nocedal & Wright, Alg. 3.5-3.6) for the one call the descent
-    makes: first trial alpha = 1, the step doubling at most 25 times, no
-    maximum step.  Every expression is SciPy's, so the trial steps and the
-    result are its own to the bit.  Like SciPy, it returns the last trial
+    This is SciPy 1.17.1's ``scalar_search_wolfe2`` with ``_zoom`` (Nocedal &
+    Wright, Alg. 3.5-3.6), as ``line_search`` calls it for the one call the
+    descent makes: first trial alpha = 1, the step doubling at most 25 times,
+    no maximum step.  Every expression is SciPy's, so the trial steps and
+    the result are its own to the bit.  Like SciPy, it returns the last trial
     step when the doubling runs out.
     """
-
-    def phi(alpha):
-        return (yield from fg(x + alpha * p))[0]
-
-    def derphi(alpha):
-        return np.dot((yield from fg(x + alpha * p))[1], p)
-
-    derphi0 = np.dot(gx, p)
     alpha0, alpha1 = 0, 1.0
-    phi_a0, phi_a1, derphi_a0 = fx, (yield from phi(alpha1)), derphi0
+    phi_a0, derphi_a0 = phi0, derphi0
+    phi_a1, derphi_a1 = yield alpha1
     for i in range(25):
-        if (phi_a1 > fx + WOLFE_C1 * alpha1 * derphi0) or ((phi_a1 >= phi_a0) and i > 0):
-            return (yield from _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi, derphi, fx, derphi0))
-        derphi_a1 = yield from derphi(alpha1)
+        if (phi_a1 > phi0 + WOLFE_C1 * alpha1 * derphi0) or ((phi_a1 >= phi_a0) and i > 0):
+            return (yield from _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi0, derphi0))
         if abs(derphi_a1) <= -WOLFE_C2 * derphi0:
             return alpha1, phi_a1
         if derphi_a1 >= 0:
-            return (yield from _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi, derphi, fx, derphi0))
+            return (yield from _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi0, derphi0))
         alpha0, alpha1 = alpha1, 2 * alpha1
-        phi_a0, phi_a1 = phi_a1, (yield from phi(alpha1))
-        derphi_a0 = derphi_a1
+        phi_a0, derphi_a0 = phi_a1, derphi_a1
+        phi_a1, derphi_a1 = yield alpha1
     return alpha1, phi_a1
 
 
-def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
+def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi0, derphi0):
     """Shrink the bracket [a_lo, a_hi] to a strong-Wolfe step: trial steps at
     the cubic, else the quadratic interpolant's minimizer, else the midpoint;
-    (None, None) after 11 trials."""
+    (None, None) after 11 trials.  Yields step lengths, like ``_wolfe_step``."""
     phi_rec, a_rec = phi0, 0
     for i in range(11):
         dalpha = a_hi - a_lo
@@ -386,12 +385,11 @@ def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
             a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
             if (a_j is None) or (a_j > b - qchk) or (a_j < a + qchk):
                 a_j = a_lo + 0.5 * dalpha
-        phi_aj = yield from phi(a_j)
+        phi_aj, derphi_aj = yield a_j
         if (phi_aj > phi0 + WOLFE_C1 * a_j * derphi0) or (phi_aj >= phi_lo):
             phi_rec, a_rec = phi_hi, a_hi
             a_hi, phi_hi = a_j, phi_aj
         else:
-            derphi_aj = yield from derphi(a_j)
             if abs(derphi_aj) <= -WOLFE_C2 * derphi0:
                 return a_j, phi_aj
             if derphi_aj * (a_hi - a_lo) >= 0:
@@ -440,13 +438,15 @@ def _quadmin(a, fa, fpa, b, fb):
     return xmin if np.isfinite(xmin) else None
 
 
-def _backtrack(fg, x, p, fx, gx, shrink: float = 0.5, max_steps: int = 40):
-    slope = gx @ p
+def _backtrack(phi0, derphi0, shrink: float = 0.5, max_steps: int = 40):
+    """First of the step lengths 1, ``shrink``, ``shrink``^2, .. that meets
+    the Armijo condition, and phi there; (None, None) after ``max_steps``.
+    Yields step lengths, like ``_wolfe_step``."""
     alpha = 1.0
     for _ in range(max_steps):
-        f_try = (yield from fg(x + alpha * p))[0]
-        if f_try <= fx + WOLFE_C1 * alpha * slope:
-            return alpha, f_try
+        phi_a, _ = yield alpha
+        if phi_a <= phi0 + WOLFE_C1 * alpha * derphi0:
+            return alpha, phi_a
         alpha *= shrink
     return None, None
 
@@ -483,31 +483,17 @@ def find_mns(
                 f"candidate dims ({n1},{n2}) exceed channel dim {channel.dim}"
             )
         seeds = [(config.seed, di, r) for r in range(config.num_restarts)]
-        initials = [
-            _initial_point(channel.dim, np.random.default_rng(np.random.SeedSequence(key)))
+        initials = {
+            key: _initial_point(channel.dim, np.random.default_rng(np.random.SeedSequence(key)))
             for key in seeds
-        ]
-        outcomes = _ascend(channel, (n1, n2), initials, config)
-        records = [
-            RestartRecord(
-                index=r,
-                seed=seed_key,
-                final_j=outcome.j_final,
-                iterations=outcome.iterations,
-                converged=outcome.converged,
-                degraded=outcome.degraded,
-                trace=outcome.trace,
-                stop_reason=outcome.stop_reason,
-                gradient_norm=outcome.gradient_norm,
-            )
-            for r, (seed_key, outcome) in enumerate(zip(seeds, outcomes))
-        ]
+        }
+        records = _ascend(channel, (n1, n2), initials, config)
 
         final_j = np.array([rec.final_j for rec in records])
         best = int(np.argmax(final_j))
         best_j = float(final_j[best])
         agreement = float(np.mean(final_j >= best_j - 1e-6))
-        best_params = outcomes[best].params_final
+        best_params = records[best].params_final
         is_dfs = dfs_check(channel, realize(best_params), n1, n2)[0]
         results[(n1, n2)] = SearchResult(
             dims=(n1, n2, channel.dim - n1 * n2),

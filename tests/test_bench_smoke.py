@@ -34,6 +34,10 @@ def _traced_result(workload: str) -> dict:
     result = json.loads(run.stdout.splitlines()[-1], parse_constant=_reject_constant)
     assert result["correct"] is True
     assert result["failed"] == 0 and result["attempted"] > 0
+    # the tracer leaves out the metrics of a target the package no longer
+    # defines, so a dropped target shows here as a missing name
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(result["metrics"]) == sorted(metric["name"] for metric in declared)
     return result
 
 

@@ -833,9 +833,9 @@ def test_cli_runtime_failures_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_commands_load_no_scipy(tmp_path):
-    # SciPy serves only the expm of a non-Hermitian generator, which no bundled
-    # model has; its import costs a search-sized process most of its start-up,
-    # so a stray import on any command's path is a regression
+    # mns does not depend on SciPy, only its tests and benchmark do; the
+    # import costs a search-sized process most of its start-up, so a stray
+    # import on any command's path is a regression
     def one_restart(name):
         raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
         raw["search"]["num_restarts"] = 1

@@ -11,6 +11,7 @@ import mns.noise
 from mns.errors import ValidationError
 from mns.experiments import build_model, load_config
 from mns.fidelity import (
+    EvolvedChannel,
     evolve,
     fidelity_sweep,
     logical_map,
@@ -109,6 +110,11 @@ def _random_lindblad(n_qubits, seed):
     return LindbladModel(n_qubits, tuple(terms))
 
 
+def _expm_channel(model, t):
+    # exp(L t) by SciPy, for the non-Hermitian generators evolve refuses
+    return EvolvedChannel(model.dim, t, scipy.linalg.expm(liouvillian(model) * t))
+
+
 def test_liouvillian_dephasing_closed_form():
     gamma = 0.8
     ll = liouvillian(_dephasing(gamma))
@@ -204,25 +210,24 @@ def test_spectral_logical_maps_match_dense_maps(name, dims):
                 assert np.abs(got - dense).max() <= 1e-13
 
 
-def test_evolve_amplitude_damping_takes_expm_route(monkeypatch):
-    # sigma_minus = |0><1| decays |1>: its Liouvillian is not Hermitian
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
-    gamma = 0.7
-    model = LindbladModel(1, ((gamma, np.array([[0.0, 1.0], [0.0, 0.0]])),))
-    assert model.spectrum is None
-    rho = np.array([[0.3, 0.2 - 0.4j], [0.2 + 0.4j, 0.7]])
-    for t in (0.1, 1.0, 3.0):
-        ev = evolve(model, t)
-        out = evolved_apply(ev, rho)
-        assert abs(out[1, 1] - 0.7 * np.exp(-gamma * t)) <= 1e-12
-        assert abs(out[0, 0] - (1.0 - 0.7 * np.exp(-gamma * t))) <= 1e-12
-        assert abs(out[0, 1] - (0.2 - 0.4j) * np.exp(-gamma * t / 2)) <= 1e-12
-        choi = choi_matrix(ev.superoperator)
-        assert np.abs(choi - dagger(choi)).max() <= 1e-12
-        assert np.linalg.eigvalsh(choi).min() >= -1e-12
-    assert len(calls) == 3
+def test_non_hermitian_liouvillian_is_refused():
+    # sigma_minus = |0><1| decays |1>: its Liouvillian is not Hermitian, and
+    # exact evolution has only the eigendecomposition route, so evolve at
+    # t > 0 and a tf sweep refuse the model; t = 0 needs no spectrum
+    lowering = np.array([[0.0, 1.0], [0.0, 0.0]])
+    model = LindbladModel(1, ((0.7, lowering),))
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        model.spectrum
+    assert np.array_equal(evolve(model, 0.0).superoperator, np.eye(4))
+    for t in (0.1, 1.0):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            evolve(model, t)
+    two = LindbladModel(
+        2, ((0.7, tensor(lowering, np.eye(2))), (0.3, mns.noise.collective_operator(PAULI_Z, 2)))
+    )
+    config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((2, 1),))
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        fidelity_sweep(lambda _v: two, [0.0, 0.5], "tf", haar_random_unitary(4, 19), (2, 1), config)
 
 
 def test_choi_matrix_identity_superoperator():
@@ -312,7 +317,7 @@ def test_logical_map_matches_direct_action(dims):
     n1, n2 = dims
     u = haar_random_unitary(8, 40 + n1 * n2)
     model = _random_lindblad(3, n1 + n2)
-    ev = evolve(model, 0.7)
+    ev = _expm_channel(model, 0.7)
     channel = random_kraus_channel(8, 3, seed=n1 * n2)
     kraus_sup = sum(np.kron(e, e.conj()) for e in channel.operators)
     cases = [
@@ -350,7 +355,7 @@ def test_worst_case_fidelity_qubit_matches_dense_bloch_grid():
     for seed, (n_qubits, dims) in enumerate(cases):
         model = _random_lindblad(n_qubits, seed)
         for t in (0.4, 1.1):
-            ev = evolve(model, t)
+            ev = _expm_channel(model, t)
             u = haar_random_unitary(model.dim, 100 + seed)
             fi = worst_case_fidelity(u, dims, ev)
             grid = _bloch_grid_minimum(u, dims, ev)
@@ -588,28 +593,6 @@ def test_fidelity_sweep_tf_mode_decomposes_once(monkeypatch):
     assert len(builds) == 1
     assert len(eighs) == 1
     assert evolved == []  # the maps come from the spectrum, not from superoperators
-
-
-def test_fidelity_sweep_amplitude_damping_takes_expm_route(monkeypatch):
-    # sigma_minus on the first of two qubits, plus collective dephasing: the
-    # Liouvillian is not Hermitian, so each nonzero time takes one expm,
-    # shared by both encodings
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
-    lowering = tensor(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-    model = LindbladModel(2, ((0.7, lowering), (0.3, mns.noise.collective_operator(PAULI_Z, 2))))
-    assert model.spectrum is None
-    config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((2, 1),))
-    grid = [0.0, 0.5, 1.0]
-    u_ref = haar_random_unitary(4, 19)
-    points = fidelity_sweep(lambda _v: model, grid, "tf", u_ref, (2, 1), config)
-    assert len(calls) == 2
-    u_mns = realize(points[0].mns_params)
-    for t, pt in zip(grid, points):
-        ev = evolve(model, t)
-        assert abs(pt.fi_mns - worst_case_fidelity(u_mns, (2, 1), ev)) <= 1e-14
-        assert abs(pt.fi_dfs - worst_case_fidelity(u_ref, (2, 1), ev)) <= 1e-14
 
 
 def test_fidelity_sweep_flags_failed_points():

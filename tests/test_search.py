@@ -63,7 +63,7 @@ def test_bfgs_from_optimum_terminates_immediately(collective_channel, collective
     out = bfgs_maximize(collective_channel, (2, 2), collective_search.best_params, config)
     assert out.iterations <= 2
     assert out.converged
-    assert out.j_final >= 1.0 - 1e-6
+    assert out.final_j >= 1.0 - 1e-6
 
 
 def test_bfgs_traces_non_decreasing(collective_search, local_dephasing_search):
@@ -206,18 +206,15 @@ def _test_functions(rng, n):
     )
 
 
-def _ask(x):
-    """The evaluation a lane hands on: yield the point, receive (f, grad f)."""
-    return (yield x)
-
-
-def _answer(run, f, g):
-    """Drive a generator that yields points, answering each with (f(x), g(x)),
-    and return its result."""
-    x = next(run)
+def _answer(search, f, g, x, p):
+    """Drive a line search over phi(alpha) = f(x + alpha p), answering each
+    step length it yields with (phi(alpha), phi'(alpha)) computed as SciPy's
+    ``line_search`` computes them, and return its result."""
+    alpha = next(search)
     while True:
+        y = x + alpha * p
         try:
-            x = run.send((f(x), g(x)))
+            alpha = search.send((f(y), np.dot(g(y), p)))
         except StopIteration as stop:
             return stop.value
 
@@ -243,7 +240,7 @@ def test_wolfe_step_is_scipy_line_search(monkeypatch):
                 alpha, _, _, f_new, _, _ = scipy.optimize.line_search(
                     f, g, x, p, gfk=gx, old_fval=fx, c1=1e-4, c2=0.9, maxiter=25
                 )
-            assert _answer(_wolfe_step(_ask, x, p, fx, gx), f, g) == (alpha, f_new)
+            assert _answer(_wolfe_step(fx, np.dot(gx, p)), f, g, x, p) == (alpha, f_new)
             failed += alpha is None
     assert len(zooms) > 300 and 10 < failed < 300
 
@@ -260,7 +257,7 @@ def test_wolfe_step_returns_last_doubling_when_it_runs_out():
         return c
 
     x = np.array([0.3, 0.1, -0.2])
-    step = _answer(_wolfe_step(_ask, x, -c, f(x), c), f, g)
+    step = _answer(_wolfe_step(f(x), np.dot(c, -c)), f, g, x, -c)
     assert step == (2.0**25, f(x - 2.0**25 * c))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -285,7 +282,7 @@ def test_bfgs_identity_channel_converges_at_start():
     )
     assert out.iterations == 0
     assert out.converged
-    assert abs(out.j_final - 1.0) <= 1e-12
+    assert abs(out.final_j - 1.0) <= 1e-12
 
 
 def test_bfgs_dimension_checks(collective_channel):
@@ -405,7 +402,7 @@ def test_restarts_agreeing_in_j_describe_same_subspace(
         out = bfgs_maximize(
             local_dephasing_channel, (3, 1), _initial_point(8, rng), config
         )
-        assert out.j_final == rec.final_j
+        assert out.final_j == rec.final_j
         u = realize(out.params_final)
         projs.append(dagger(u) @ block_projector(3, 8) @ u)
     assert projector_distance(projs[0], projs[1]) <= 1e-6
@@ -421,21 +418,23 @@ def test_restarts_in_the_stack_are_bitwise_the_restarts_alone():
     result = find_mns(channel, search)[(2, 1)]
     assert [rec.seed for rec in result.per_restart] == [(1, 0, r) for r in range(9)]
     assert len({rec.iterations for rec in result.per_restart}) > 1
-    initials = [
-        _initial_point(8, np.random.default_rng(np.random.SeedSequence(rec.seed)))
+    initials = {
+        rec.seed: _initial_point(8, np.random.default_rng(np.random.SeedSequence(rec.seed)))
         for rec in result.per_restart
-    ]
+    }
     stacked = mns.search._ascend(channel, (2, 1), initials, search)
-    for rec, initial, lane in zip(result.per_restart, initials, stacked):
+    for rec, initial, lane in zip(result.per_restart, initials.values(), stacked):
         alone = bfgs_maximize(channel, (2, 1), initial, search)
+        assert (alone.index, alone.seed) == (0, ())
         assert (rec.trace, rec.iterations, rec.stop_reason, rec.gradient_norm) == (
             alone.trace,
             alone.iterations,
             alone.stop_reason,
             alone.gradient_norm,
         )
-        assert rec.final_j == alone.j_final and rec.converged == alone.converged
-        assert lane.trace == alone.trace
+        assert rec.final_j == alone.final_j and rec.converged == alone.converged
+        assert (lane.index, lane.seed, lane.trace) == (rec.index, rec.seed, alone.trace)
+        assert rec.isometry_final.tobytes() == alone.isometry_final.tobytes()
         assert lane.isometry_final.tobytes() == alone.isometry_final.tobytes()
     best = stacked[result.best_restart].params_final
     assert np.array_equal(result.best_params.phases, best.phases)
