@@ -210,20 +210,27 @@ def test_spectral_logical_maps_match_dense_maps(name, dims):
                 assert np.abs(got - dense).max() <= 1e-13
 
 
-def test_non_hermitian_liouvillian_is_refused():
+_LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_evolve_refuses_non_hermitian_liouvillian():
     # sigma_minus = |0><1| decays |1>: its Liouvillian is not Hermitian, and
     # exact evolution has only the eigendecomposition route, so evolve at
-    # t > 0 and a tf sweep refuse the model; t = 0 needs no spectrum
-    lowering = np.array([[0.0, 1.0], [0.0, 0.0]])
-    model = LindbladModel(1, ((0.7, lowering),))
+    # t > 0 refuses the model; t = 0 needs no spectrum
+    model = LindbladModel(1, ((0.7, _LOWERING),))
     with pytest.raises(ValidationError, match="not Hermitian"):
         model.spectrum
     assert np.array_equal(evolve(model, 0.0).superoperator, np.eye(4))
     for t in (0.1, 1.0):
         with pytest.raises(ValidationError, match="not Hermitian"):
             evolve(model, t)
+
+
+def test_fidelity_sweep_refuses_non_hermitian_liouvillian():
+    # sigma_minus on the first of two qubits, plus collective dephasing: the
+    # Liouvillian is not Hermitian, so a tf sweep has no spectrum to score from
     two = LindbladModel(
-        2, ((0.7, tensor(lowering, np.eye(2))), (0.3, mns.noise.collective_operator(PAULI_Z, 2)))
+        2, ((0.7, tensor(_LOWERING, np.eye(2))), (0.3, mns.noise.collective_operator(PAULI_Z, 2)))
     )
     config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((2, 1),))
     with pytest.raises(ValidationError, match="not Hermitian"):
