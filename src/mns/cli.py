@@ -32,11 +32,11 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
-def _add_common(parser: argparse.ArgumentParser, with_out_dir: bool = True) -> None:
+def _add_search(parser: argparse.ArgumentParser) -> None:
+    """The arguments of the commands that run a search."""
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override search.seed")
-    if with_out_dir:
-        parser.add_argument("--out-dir", default="results", help="output directory")
+    parser.add_argument("--out-dir", default="results", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,15 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("find-mns", help="optimize an encoding for a noise model")
-    _add_common(p)
+    _add_search(p)
 
     p = sub.add_parser("verify-dfs", help="check the decoherence-free condition")
-    _add_common(p, with_out_dir=False)
+    p.add_argument("--config", required=True, help="path to a JSON experiment config")
     p.add_argument("--encoding", required=True, help="encoding JSON written by find-mns")
     p.add_argument("--threshold", type=float, default=DFS_THRESHOLD, help="defect threshold")
 
     p = sub.add_parser("fidelity-sweep", help="sweep worst-case fidelity over a grid")
-    _add_common(p)
+    _add_search(p)
 
     p = sub.add_parser("show-result", help="summarize a result.json file")
     p.add_argument("result", help="path to result.json")
@@ -75,13 +75,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "show-result":
             cmd_show_result(args.result)
+        elif args.command == "verify-dfs":
+            cmd_verify_dfs(load_config(args.config), args.encoding, threshold=args.threshold)
         else:
             config = _with_seed(load_config(args.config), args.seed)
             if args.command == "find-mns":
                 cmd_find_mns(config, args.out_dir)
-            elif args.command == "verify-dfs":
-                cmd_verify_dfs(config, args.encoding, threshold=args.threshold)
-            elif args.command == "fidelity-sweep":
+            else:
                 cmd_fidelity_sweep(config, args.out_dir)
         return EXIT_OK
     except (ConfigError, ValidationError) as exc:

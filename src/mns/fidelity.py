@@ -40,7 +40,6 @@ from .parametrization import UnitaryParams, polar, realize
 from .search import SearchConfig, _lockstep, find_mns
 
 __all__ = [
-    "EvolvedChannel",
     "FidelityPoint",
     "evolve",
     "logical_map",
@@ -49,26 +48,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvolvedChannel:
-    """exp(L t_f) acting on row-major vectorized density matrices."""
-
-    dim: int
-    t_f: float
-    superoperator: np.ndarray
-
-
-def evolve(model: LindbladModel, t_f: float) -> EvolvedChannel:
-    """Exact channel for a finite evolution time t_f >= 0, from the model's
-    cached eigendecomposition; the identity at t_f = 0."""
+def evolve(model: LindbladModel, t_f: float) -> np.ndarray:
+    """Superoperator exp(L t_f) of the exact channel over a finite time
+    t_f >= 0, acting on row-major vectorized N x N density matrices (an
+    N^2 x N^2 matrix).  It comes from the model's cached eigendecomposition,
+    and is the identity itself at t_f = 0."""
     _check_time(t_f)
-    dim = model.dim
     if t_f == 0.0:
-        sup = np.eye(dim * dim, dtype=np.complex128)
-    else:
-        lam, q = model.spectrum
-        sup = (q * np.exp(lam * t_f)) @ dagger(q)
-    return EvolvedChannel(dim=dim, t_f=float(t_f), superoperator=sup)
+        return np.eye(model.dim**2, dtype=np.complex128)
+    lam, q = model.spectrum
+    return (q * np.exp(lam * t_f)) @ dagger(q)
 
 
 def _traced(v: np.ndarray, n1: int, n2: int) -> np.ndarray:
@@ -102,18 +91,19 @@ def _logical_maps(model: LindbladModel, times, isometries, n1: int, n2: int) -> 
     """``logical_map`` of exp(L t) for each isometry (first axis) and each
     time (second axis).  For a Hermitian L = Q diag(lam) Q^dag it is
     A diag(exp(lam t)) A^dag / n2 with A = Tr_out(a) Q, formed once per
-    isometry; at t = 0 the channel is the identity itself, as in ``evolve``."""
+    isometry.  At t = 0 the channel is the identity itself, as in ``evolve``,
+    and the map is Tr_out(a) Tr_in(a^dag) / n2."""
     for t in times:
         _check_time(t)
     lam, q = model.spectrum
     times = np.asarray(times, dtype=float)
     growth = np.exp(np.multiply.outer(times, lam))[:, None, :]
-    identity = np.eye(lam.size, dtype=np.complex128)
     maps = []
     for v in isometries:
-        a = _traced(v, n1, n2) @ q
+        p = _traced(v, n1, n2)
+        a = p @ q
         g = (a * growth) @ dagger(a) / n2
-        g[times == 0.0] = logical_map(identity, v, n1, n2)
+        g[times == 0.0] = p @ dagger(p) / n2
         maps.append(g)
     return np.array(maps)
 
@@ -276,12 +266,13 @@ def _encoded_rows(u, dims: tuple[int, int], dim: int) -> np.ndarray:
     return u[: n1 * n2]
 
 
-def worst_case_fidelity(u: np.ndarray, dims: tuple[int, int], evolved: EvolvedChannel) -> float:
-    """Minimize f(psi) over pure logical states: the one-map case of
-    ``_minima``, exact for a qubit."""
+def worst_case_fidelity(u: np.ndarray, dims: tuple[int, int], superoperator: np.ndarray) -> float:
+    """Minimize f(psi) over pure logical states for the encoding of U's
+    first n1*n2 rows under the channel with this N^2 x N^2 superoperator
+    (``evolve``'s): the one-map case of ``_minima``, exact for a qubit."""
     n1, n2 = dims
-    v = _encoded_rows(u, dims, evolved.dim)
-    return float(_minima(logical_map(evolved.superoperator, v, n1, n2)[None], n1)[0])
+    v = _encoded_rows(u, dims, math.isqrt(len(superoperator)))
+    return float(_minima(logical_map(superoperator, v, n1, n2)[None], n1)[0])
 
 
 def _worst_cases(model: LindbladModel, times, unitaries, dims: tuple[int, int]) -> np.ndarray:

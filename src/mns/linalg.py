@@ -62,10 +62,9 @@ def direct_sum_embed(block: np.ndarray, total_dim: int) -> np.ndarray:
     return out
 
 
-def random_density_matrix(dim: int, seed=None, rank: int | None = None) -> np.ndarray:
-    """Random full-rank (by default) density matrix, Wishart-normalized."""
+def random_density_matrix(dim: int, seed=None) -> np.ndarray:
+    """Random full-rank density matrix, Wishart-normalized."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    r = dim if rank is None else rank
-    g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real

@@ -304,10 +304,10 @@ def lindblad_to_kraus(model: LindbladModel, dt: float | None = None) -> KrausCha
     return KrausChannel(dim=dim, operators=tuple(ops), dt=dt)
 
 
-def default_dt(model: LindbladModel, target: float = 1e-3) -> float:
-    """Step size with max(rate) * dt = target (1e-3 by default)."""
+def default_dt(model: LindbladModel) -> float:
+    """Step size with max(rate) * dt = 1e-3; 1e-3 for a model with no rate."""
     top = model.max_rate()
-    return target / top if top > 0 else target
+    return 1e-3 / top if top > 0 else 1e-3
 
 
 def dfs_check(
@@ -316,8 +316,6 @@ def dfs_check(
     n1: int,
     n2: int,
     threshold: float = DFS_THRESHOLD,
-    n_states: int = 6,
-    seed: int = 0,
 ) -> tuple[bool, float, list[float]]:
     """Test the decoherence-free condition [E_k, rho] = 0 for encoded states.
 
@@ -327,7 +325,8 @@ def dfs_check(
     coupling out of the block.  For Hermitian Kraus sets, which covers every
     bundled model, the two agree; for other sets this one is stricter.
 
-    Draws ``n_states`` random logical density matrices rho_1, encodes each as
+    Draws six random logical density matrices rho_1 from a fixed seed (0),
+    so the verdict on a given U is reproducible, encodes each as
     rho = V^dag (rho_1 (x) I/n2) V with V the first n1*n2 rows of U, and
     returns (defect <= threshold, defect, per_operator): per_operator[k] is
     the largest Frobenius norm of [E_k, rho] over the states, and defect the
@@ -341,8 +340,8 @@ def dfs_check(
         raise ValidationError("encoding matrix is not unitary to 1e-10")
     if n1 < 1 or n2 < 1 or n1 * n2 > dim:
         raise ValidationError(f"encoded dimensions ({n1},{n2}) must be >= 1, product <= {dim}")
-    rng = np.random.default_rng(seed)
-    rho1 = np.array([random_density_matrix(n1, rng) for _ in range(n_states)]).reshape(-1, n1, n1)
+    rng = np.random.default_rng(0)
+    rho1 = np.array([random_density_matrix(n1, rng) for _ in range(6)])
     v = u[: n1 * n2]
     states = dagger(v) @ np.kron(rho1, np.eye(n2) / n2) @ v  # (S, N, N)
     ops = channel.stack()[:, None]  # (K, 1, N, N)

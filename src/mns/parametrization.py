@@ -98,6 +98,17 @@ class UnitaryParams:
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "angles", angles)
 
+    def __eq__(self, other) -> bool:
+        """Equal dims and equal entries, so that ``==`` answers for the
+        dataclasses that hold a UnitaryParams (``SearchResult``)."""
+        if not isinstance(other, UnitaryParams):
+            return NotImplemented
+        return (
+            self.dim == other.dim
+            and np.array_equal(self.phases, other.phases)
+            and np.array_equal(self.angles, other.angles)
+        )
+
 
 def random_params(
     dim: int,

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -78,8 +77,7 @@ class RestartRecord:
     """One restart's ascent, from the seed of its initial point.
 
     The trace and ``final_j`` report J.  ``isometry_final`` is the encoded
-    rows V at the final point; ``params_final``, its chart coordinates, is
-    computed on first use, since ``find_mns`` reads only the winner's.
+    rows V at the final point; ``find_mns`` charts only the winner's.
     """
 
     index: int
@@ -100,10 +98,6 @@ class RestartRecord:
     def degraded(self) -> bool:
         """Stopped because the line search and its fallback both failed."""
         return self.stop_reason == "line_search"
-
-    @cached_property
-    def params_final(self) -> UnitaryParams:
-        return chart_of(_complete(self.isometry_final))
 
 
 @dataclass(frozen=True)
@@ -438,16 +432,17 @@ def _quadmin(a, fa, fpa, b, fb):
     return xmin if np.isfinite(xmin) else None
 
 
-def _backtrack(phi0, derphi0, shrink: float = 0.5, max_steps: int = 40):
-    """First of the step lengths 1, ``shrink``, ``shrink``^2, .. that meets
-    the Armijo condition, and phi there; (None, None) after ``max_steps``.
-    Yields step lengths, like ``_wolfe_step``."""
+def _backtrack(phi0, derphi0):
+    """First of the step lengths 1, 1/2, 1/4, .. that meets the Armijo
+    condition with c1 = ``WOLFE_C1``, and phi there; (None, None) after 40
+    halvings, at steps below 2^-39.  Yields step lengths, like
+    ``_wolfe_step``."""
     alpha = 1.0
-    for _ in range(max_steps):
+    for _ in range(40):
         phi_a, _ = yield alpha
         if phi_a <= phi0 + WOLFE_C1 * alpha * derphi0:
             return alpha, phi_a
-        alpha *= shrink
+        alpha *= 0.5
     return None, None
 
 
@@ -469,11 +464,13 @@ def find_mns(
     """Multi-start search over every candidate dimension pair in the config.
 
     Returns one SearchResult per (n1, n2): the restart with the highest J
-    wins, ties by lowest restart index, and is reported as found.
-    ``is_dfs`` is ``dfs_check``'s verdict on it, which tests
-    [E_k, rho] = 0 for encoded states rho.  For Hermitian Kraus sets, which
-    covers every bundled model, that is the condition R = 0 the descent
-    drives toward; for other sets it is stricter.
+    wins, ties by lowest restart index, and is reported as found.  The
+    winner's isometry is completed to one unitary U (``_complete``), which
+    gives both ``best_params`` (``chart_of``) and ``is_dfs``:
+    ``dfs_check``'s verdict on U, which tests [E_k, rho] = 0 for encoded
+    states rho.  For Hermitian Kraus sets, which covers every bundled model,
+    that is the condition R = 0 the descent drives toward; for other sets it
+    is stricter.
     """
     dims_list = config.candidate_dims or default_candidate_dims(channel.dim)
     results: dict[tuple[int, int], SearchResult] = {}
@@ -493,14 +490,13 @@ def find_mns(
         best = int(np.argmax(final_j))
         best_j = float(final_j[best])
         agreement = float(np.mean(final_j >= best_j - 1e-6))
-        best_params = records[best].params_final
-        is_dfs = dfs_check(channel, realize(best_params), n1, n2)[0]
+        u = _complete(records[best].isometry_final)
         results[(n1, n2)] = SearchResult(
             dims=(n1, n2, channel.dim - n1 * n2),
             best_j=best_j,
-            best_params=best_params,
+            best_params=chart_of(u),
             best_restart=best,
-            is_dfs=is_dfs,
+            is_dfs=dfs_check(channel, u, n1, n2)[0],
             per_restart=tuple(records),
             agreement_fraction=agreement,
         )

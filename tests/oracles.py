@@ -18,6 +18,7 @@ Nothing in ``src/mns`` imports this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -25,7 +26,6 @@ from itertools import combinations
 import numpy as np
 
 from mns.errors import ValidationError
-from mns.fidelity import EvolvedChannel
 from mns.linalg import dagger, direct_sum_embed, tensor
 from mns.noise import KrausChannel
 from mns.objective import objective_of_unitary
@@ -168,13 +168,15 @@ def kraus_apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolved_apply(evolved: EvolvedChannel, rho: np.ndarray) -> np.ndarray:
-    """The evolved channel exp(L t_f) applied to a density matrix, as its
-    superoperator times the row-major vectorized matrix."""
+def evolved_apply(superoperator: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The channel of an N^2 x N^2 superoperator (``evolve``'s exp(L t_f))
+    applied to a density matrix, as the superoperator times the row-major
+    vectorized matrix."""
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (evolved.dim, evolved.dim):
-        raise ValidationError(f"state shape {rho.shape} does not match dim {evolved.dim}")
-    return (evolved.superoperator @ rho.reshape(-1)).reshape(evolved.dim, evolved.dim)
+    dim = math.isqrt(len(superoperator))
+    if rho.shape != (dim, dim):
+        raise ValidationError(f"state shape {rho.shape} does not match dim {dim}")
+    return (superoperator @ rho.reshape(-1)).reshape(dim, dim)
 
 
 def identity_channel(dim: int) -> KrausChannel:

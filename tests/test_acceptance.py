@@ -251,7 +251,7 @@ def test_acceptance_6_numerical_hygiene():
     for _ in range(20):
         rho = evolved_apply(ev, random_density_matrix(4, rng))
         trace_worst = max(trace_worst, abs(float(np.trace(rho).real) - 1.0))
-    choi_floor = float(np.linalg.eigvalsh(choi_matrix(ev.superoperator)).min())
+    choi_floor = float(np.linalg.eigvalsh(choi_matrix(ev)).min())
 
     dephasing_worst = 0.0
     for gamma, t in ((1.0, 0.2), (1.0, 0.7), (0.6, 1.3)):

@@ -820,6 +820,23 @@ def test_cli_seed_override_is_recorded(tmp_path):
     assert recorded["config"]["search"]["seed"] == 7
 
 
+def test_cli_seed_flag_belongs_to_the_searching_commands(tmp_path, monkeypatch, capsys):
+    # verify-dfs runs no search, so its parser refuses --seed; find-mns and
+    # fidelity-sweep still override search.seed with it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(NOISELESS_TEXT)
+    with pytest.raises(SystemExit) as refused:
+        main(["verify-dfs", "--seed", "3", "--config", str(cfg), "--encoding", "e.json"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    seeds = {}
+    for command in ("find-mns", "fidelity-sweep"):
+        runner = lambda config, out_dir, command=command: seeds.update({command: config.search.seed})
+        monkeypatch.setattr(f"mns.cli.cmd_{command.replace('-', '_')}", runner)
+        assert main([command, "--config", str(cfg), "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    assert seeds == {"find-mns": 3, "fidelity-sweep": 3}
+
+
 def test_cli_runtime_failures_exit_2(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(NOISELESS_TEXT)

@@ -10,13 +10,7 @@ import mns.fidelity
 import mns.noise
 from mns.errors import ValidationError
 from mns.experiments import build_model, load_config
-from mns.fidelity import (
-    EvolvedChannel,
-    evolve,
-    fidelity_sweep,
-    logical_map,
-    worst_case_fidelity,
-)
+from mns.fidelity import evolve, fidelity_sweep, logical_map, worst_case_fidelity
 from mns.fidelity import _BLOCH, _brent_root, _logical_maps, _minima, _sphere_minimum, _worst_cases
 from mns.linalg import dagger, random_density_matrix, tensor
 from mns.noise import (
@@ -56,32 +50,32 @@ def _perturbed(delta, seed=9):
     return perturbed_collective(3, 1.0, 1.0, v)
 
 
-def _pure_fidelity(psi, u, dims, evolved):
+def _pure_fidelity(psi, u, dims, sup):
     rho1 = np.outer(psi, psi.conj())
-    out, _ = decode(evolved_apply(evolved, encode(rho1, u, dims)), u, dims, renormalize=False)
+    out, _ = decode(evolved_apply(sup, encode(rho1, u, dims)), u, dims, renormalize=False)
     return float(np.real(psi.conj() @ out @ psi))
 
 
-def _fidelities(psis, u, dims, evolved):
+def _fidelities(psis, u, dims, sup):
     """f(psi) for a batch of pure logical states, straight from the encoding,
     the superoperator and the partial trace over H2."""
     n1, n2 = dims
-    m, dim = n1 * n2, evolved.dim
+    m, dim = n1 * n2, len(u)
     rho1 = psis[:, :, None] * psis.conj()[:, None, :]
     full = np.zeros((len(psis), dim, dim), dtype=complex)
     full[:, :m, :m] = np.einsum("kab,cd->kacbd", rho1, np.eye(n2) / n2).reshape(-1, m, m)
-    out = (dagger(u) @ full @ u).reshape(len(psis), -1) @ evolved.superoperator.T
+    out = (dagger(u) @ full @ u).reshape(len(psis), -1) @ sup.T
     block = (u @ out.reshape(-1, dim, dim) @ dagger(u))[:, :m, :m].reshape(-1, n1, n2, n1, n2)
     return np.einsum("ka,kacbc,kb->k", psis.conj(), block, psis).real
 
 
-def _bloch_grid_minimum(u, dims, evolved):
+def _bloch_grid_minimum(u, dims, sup):
     """Minimum of f over a 65 x 128 Bloch grid, then 12 zooms of an 11 x 11
     grid around the best point, each a quarter as wide as the one before."""
 
     def fidelities(theta, phi):
         psis = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
-        return _fidelities(psis, u, dims, evolved)
+        return _fidelities(psis, u, dims, sup)
 
     theta, phi = np.meshgrid(
         np.linspace(0.0, np.pi, 65), np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
@@ -112,7 +106,7 @@ def _random_lindblad(n_qubits, seed):
 
 def _expm_channel(model, t):
     # exp(L t) by SciPy, for the non-Hermitian generators evolve refuses
-    return EvolvedChannel(model.dim, t, scipy.linalg.expm(liouvillian(model) * t))
+    return scipy.linalg.expm(liouvillian(model) * t)
 
 
 def test_liouvillian_dephasing_closed_form():
@@ -125,7 +119,7 @@ def test_liouvillian_dephasing_closed_form():
 
 def test_evolve_zero_time_is_identity():
     ev = evolve(_dephasing(), 0.0)
-    assert np.array_equal(ev.superoperator, np.eye(4))
+    assert np.array_equal(ev, np.eye(4))
     rng = np.random.default_rng(0)
     rho = random_density_matrix(2, rng)
     assert np.array_equal(evolved_apply(ev, rho), rho)
@@ -153,7 +147,7 @@ def test_evolve_is_cptp():
                 rho = random_density_matrix(model.dim, rng)
                 out = evolved_apply(ev, rho)
                 assert abs(np.trace(out).real - 1.0) <= 1e-10
-            choi = choi_matrix(ev.superoperator)
+            choi = choi_matrix(ev)
             assert np.abs(choi - dagger(choi)).max() <= 1e-10
             assert np.linalg.eigvalsh(choi).min() >= -1e-9
 
@@ -180,7 +174,7 @@ def test_evolve_spectrum_matches_expm(name):
     ll = liouvillian(model)
     for t in (0.01, 0.1, 1.0, 3.0):
         expected = scipy.linalg.expm(ll * t)
-        got = evolve(model, t).superoperator
+        got = evolve(model, t)
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
@@ -203,7 +197,7 @@ def test_spectral_logical_maps_match_dense_maps(name, dims):
     assert maps.shape == (len(rows), len(times), n1 * n1, n1 * n1)
     for v, row in zip(rows, maps):
         for t, got in zip(times, row):
-            dense = logical_map(evolve(model, t).superoperator, v, n1, n2)
+            dense = logical_map(evolve(model, t), v, n1, n2)
             if t == 0.0:
                 assert np.array_equal(got, dense)
             else:
@@ -220,7 +214,7 @@ def test_evolve_refuses_non_hermitian_liouvillian():
     model = LindbladModel(1, ((0.7, _LOWERING),))
     with pytest.raises(ValidationError, match="not Hermitian"):
         model.spectrum
-    assert np.array_equal(evolve(model, 0.0).superoperator, np.eye(4))
+    assert np.array_equal(evolve(model, 0.0), np.eye(4))
     for t in (0.1, 1.0):
         with pytest.raises(ValidationError, match="not Hermitian"):
             evolve(model, t)
@@ -328,9 +322,9 @@ def test_logical_map_matches_direct_action(dims):
     channel = random_kraus_channel(8, 3, seed=n1 * n2)
     kraus_sup = sum(np.kron(e, e.conj()) for e in channel.operators)
     cases = [
-        (ev.superoperator, partial(evolved_apply, ev)),
+        (ev, partial(evolved_apply, ev)),
         (kraus_sup, partial(kraus_apply, channel)),
-        (evolve(model, 0.0).superoperator, lambda rho: rho),
+        (evolve(model, 0.0), lambda rho: rho),
     ]
     for sup, action in cases:
         got = logical_map(sup, u[: n1 * n2], n1, n2)

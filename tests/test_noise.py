@@ -223,7 +223,6 @@ def test_channel_apply_preserves_trace_of_exact_channels():
 def test_default_dt():
     assert default_dt(collective_xz(2, 0.5, 2.0)) == 1e-3 / 2.0
     assert default_dt(LindbladModel(1, ())) == 1e-3
-    assert default_dt(collective_xz(2, 0.5, 2.0), target=1e-4) == 5e-5
 
 
 def test_dfs_check_exact_encoding_passes():

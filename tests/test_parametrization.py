@@ -41,6 +41,16 @@ def test_params_validation():
         UnitaryParams(2, np.array([np.inf, 0.0, 0.0]), np.zeros(1))
 
 
+def test_params_compare_entry_by_entry():
+    rng = np.random.default_rng(3)
+    params = UnitaryParams(3, rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 3))
+    assert params == UnitaryParams(3, params.phases.copy(), params.angles.copy())
+    assert params != UnitaryParams(3, params.phases, params.angles + 1e-15)
+    assert params != UnitaryParams(3, params.phases + 1e-15, params.angles)
+    assert UnitaryParams(1, np.zeros(1), np.zeros(0)) != UnitaryParams(2, np.zeros(3), np.zeros(1))
+    assert params != (3, params.phases, params.angles)
+
+
 def test_zero_params_realize_exact_identity():
     for dim in (1, 2, 3, 5, 8):
         u = realize(zero_params(dim))

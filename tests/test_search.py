@@ -17,10 +17,11 @@ from mns.noise import (
     perturbed_collective,
     random_perturbation_unitary,
 )
-from mns.parametrization import realize
+from mns.parametrization import chart_of, realize
 import mns.search
 from mns.search import (
     SearchConfig,
+    _complete,
     _initial_point,
     _lockstep,
     _wolfe_step,
@@ -403,8 +404,8 @@ def test_restarts_agreeing_in_j_describe_same_subspace(
             local_dephasing_channel, (3, 1), _initial_point(8, rng), config
         )
         assert out.final_j == rec.final_j
-        u = realize(out.params_final)
-        projs.append(dagger(u) @ block_projector(3, 8) @ u)
+        v = out.isometry_final
+        projs.append(dagger(v) @ v)
     assert projector_distance(projs[0], projs[1]) <= 1e-6
 
 
@@ -436,9 +437,7 @@ def test_restarts_in_the_stack_are_bitwise_the_restarts_alone():
         assert (lane.index, lane.seed, lane.trace) == (rec.index, rec.seed, alone.trace)
         assert rec.isometry_final.tobytes() == alone.isometry_final.tobytes()
         assert lane.isometry_final.tobytes() == alone.isometry_final.tobytes()
-    best = stacked[result.best_restart].params_final
-    assert np.array_equal(result.best_params.phases, best.phases)
-    assert np.array_equal(result.best_params.angles, best.angles)
+    assert result.best_params == chart_of(_complete(stacked[result.best_restart].isometry_final))
 
 
 def test_find_mns_charts_only_the_winners(monkeypatch):
@@ -453,6 +452,42 @@ def test_find_mns_charts_only_the_winners(monkeypatch):
     assert len(charted) == 2
     for result in results.values():
         assert len(result.per_restart) == 3
+
+
+# find-mns's is_dfs verdicts on each bundled config
+BUNDLED_IS_DFS = {
+    "collective_xz_n3": {(2, 2): True},
+    "determinism_small": {(2, 2): False},
+    "perturbed_global_delta_sweep": {(2, 2): False},
+    "perturbed_global_tf_sweep": {(2, 2): False},
+    "perturbed_local_delta_sweep": {(2, 2): True},
+    "sz_local_dephasing_n3": {(2, 1): False, (3, 1): False},
+}
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIG_DIR.glob("*.json")))
+def test_find_mns_realizes_only_the_start_points(name, monkeypatch):
+    # realize builds each restart's start point and nothing else: the
+    # winner's dfs_check runs on the unitary its chart point comes from, and
+    # gives the verdict that the chart point realized again gets
+    realized = []
+    monkeypatch.setattr(mns.search, "realize", lambda p: realized.append(1) or realize(p))
+    config = load_config(CONFIG_DIR / f"{name}.json")
+    channel = build_channel(config)
+    results = find_mns(channel, config.search)
+    assert len(realized) == config.search.num_restarts * len(results)
+    assert {dims: result.is_dfs for dims, result in results.items()} == BUNDLED_IS_DFS[name]
+    for (n1, n2), result in results.items():
+        assert dfs_check(channel, realize(result.best_params), n1, n2)[0] == result.is_dfs
+
+
+def test_identical_searches_compare_equal(collective_channel):
+    # == answers for a SearchResult: the chart coordinates compare entry by
+    # entry, and a search from another seed differs
+    config = SearchConfig(num_restarts=2, seed=1, candidate_dims=((2, 2),))
+    first, again = (find_mns(collective_channel, config)[(2, 2)] for _ in range(2))
+    assert first == again
+    assert first != find_mns(collective_channel, replace(config, seed=2))[(2, 2)]
 
 
 def test_subspace_projector_properties(collective_search):
