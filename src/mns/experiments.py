@@ -423,14 +423,17 @@ def cmd_find_mns(config: ExperimentConfig, out_dir) -> dict:
 
 
 def cmd_verify_dfs(config: ExperimentConfig, encoding_path, threshold: float = DFS_THRESHOLD) -> dict:
-    """Check the decoherence-free condition for a stored encoding."""
+    """Check the decoherence-free condition for the first n1*n2 rows of a
+    stored encoding's chart point, at a finite threshold >= 0."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ConfigError(f"--threshold must be a finite number >= 0, got {threshold}")
     params, (n1, n2) = load_encoding(encoding_path)
     channel = build_channel(config)
     if params.dim != channel.dim:
         raise ConfigError(
             f"encoding dim {params.dim} does not match model dim {channel.dim}"
         )
-    ok, defect, per_op = dfs_check(channel, realize(params), n1, n2, threshold=threshold)
+    ok, defect, per_op = dfs_check(channel, realize(params)[: n1 * n2], n1, n2, threshold=threshold)
     for k, op_defect in enumerate(per_op):
         print(f"E[{k}]: commutation defect {op_defect:.3e}")
     verdict = "PASS" if ok else "FAIL"
@@ -464,12 +467,12 @@ def cmd_fidelity_sweep(config: ExperimentConfig, out_dir) -> dict:
     out_dir = Path(out_dir)
     started = time.monotonic()
     sweep = config.sweep
-    u_dfs = collective_dfs_encoding(3)
+    v_dfs = collective_dfs_encoding()
     model_for = lambda value: build_model(
         config.model, value if sweep.mode == "delta" else sweep.delta
     )
     points = fidelity_sweep(
-        model_for, sweep.grid, sweep.mode, u_dfs, dims, config.search, t_f=sweep.t_f
+        model_for, sweep.grid, sweep.mode, v_dfs, dims, config.search, t_f=sweep.t_f
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -504,6 +507,15 @@ def cmd_fidelity_sweep(config: ExperimentConfig, out_dir) -> dict:
     return payload
 
 
+def _entry(value, path: str, keys) -> dict:
+    """One object of a result file, which must hold each of ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{path}' in the result file must be an object, got {value!r}")
+    for key in keys:
+        _require(value, key, path)
+    return value
+
+
 def cmd_show_result(path) -> dict:
     p = Path(path)
     if not p.is_file():
@@ -512,17 +524,21 @@ def cmd_show_result(path) -> dict:
         payload = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"result file is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError("result file root must be a JSON object")
     print(f"command:      {payload.get('command', '?')}")
     print(f"tool version: {payload.get('tool_version', '?')}")
     print(f"config hash:  {payload.get('config_hash', '?')}")
     print(f"created:      {payload.get('created_utc', '?')}")
-    for entry in payload.get("results", []):
+    for i, entry in enumerate(payload.get("results", [])):
+        entry = _entry(entry, f"results[{i}]", ("n1", "n2", "j_opt", "is_dfs"))
         print(
             f"  dims ({entry['n1']},{entry['n2']}): J_opt={format_float(entry['j_opt'])} "
             f"is_dfs={str(entry['is_dfs']).lower()} "
             f"agreement={entry.get('agreement_fraction', float('nan')):.2f}"
         )
-        for rec in entry.get("restarts", []):
+        for j, rec in enumerate(entry.get("restarts", [])):
+            rec = _entry(rec, f"results[{i}].restarts[{j}]", ("index", "final_j", "iterations"))
             print(
                 f"    restart {rec['index']}: J={format_float(rec['final_j'])} "
                 f"iterations={rec['iterations']} stop={rec.get('stop_reason', '?')} "
@@ -531,7 +547,8 @@ def cmd_show_result(path) -> dict:
     points = payload.get("points", [])
     if points:
         print(f"  sweep points: {len(points)}")
-        for pt in points:
+        for i, pt in enumerate(points):
+            pt = _entry(pt, f"points[{i}]", ("param", "fi_mns", "fi_dfs"))
             fi_mns, fi_dfs = (
                 "null" if pt[key] is None else format_float(pt[key]) for key in ("fi_mns", "fi_dfs")
             )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import dagger
+from .linalg import as_isometry, dagger
 from .noise import LindbladModel, lindblad_to_kraus
 from .parametrization import UnitaryParams, polar, realize
 from .search import SearchConfig, _lockstep, find_mns
@@ -256,31 +256,21 @@ def _minima(maps: np.ndarray, n1: int) -> np.ndarray:
     return q[:, 0, 0] + np.einsum("ki,ki->k", b, r) + np.einsum("ki,kij,kj->k", r, c, r)
 
 
-def _encoded_rows(u, dims: tuple[int, int], dim: int) -> np.ndarray:
-    n1, n2 = dims
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (dim, dim):
-        raise ValidationError(f"unitary shape {u.shape} does not match dim {dim}")
-    if n1 * n2 > dim:
-        raise ValidationError(f"encoded block {n1}x{n2} exceeds dim {dim}")
-    return u[: n1 * n2]
-
-
-def worst_case_fidelity(u: np.ndarray, dims: tuple[int, int], superoperator: np.ndarray) -> float:
-    """Minimize f(psi) over pure logical states for the encoding of U's
-    first n1*n2 rows under the channel with this N^2 x N^2 superoperator
+def worst_case_fidelity(v: np.ndarray, dims: tuple[int, int], superoperator: np.ndarray) -> float:
+    """Minimize f(psi) over pure logical states for the encoding with rows V
+    (``as_isometry``) under the channel with this N^2 x N^2 superoperator
     (``evolve``'s): the one-map case of ``_minima``, exact for a qubit."""
     n1, n2 = dims
-    v = _encoded_rows(u, dims, math.isqrt(len(superoperator)))
+    v = as_isometry(v, n1, n2, math.isqrt(len(superoperator)))
     return float(_minima(logical_map(superoperator, v, n1, n2)[None], n1)[0])
 
 
-def _worst_cases(model: LindbladModel, times, unitaries, dims: tuple[int, int]) -> np.ndarray:
-    """``worst_case_fidelity`` of each unitary's encoding (rows) under the
-    model's evolution to each time (columns): the maps come from
+def _worst_cases(model: LindbladModel, times, isometries, dims: tuple[int, int]) -> np.ndarray:
+    """``worst_case_fidelity`` of each encoding (rows) under the model's
+    evolution to each time (columns): the maps come from
     ``_logical_maps`` and their minima from one ``_minima`` call."""
     n1, n2 = dims
-    rows = [_encoded_rows(u, dims, model.dim) for u in unitaries]
+    rows = [as_isometry(v, n1, n2, model.dim) for v in isometries]
     maps = _logical_maps(model, times, rows, n1, n2)
     return _minima(maps.reshape(-1, n1 * n1, n1 * n1), n1).reshape(len(rows), len(times))
 
@@ -305,7 +295,7 @@ def fidelity_sweep(
     model_for,
     grid,
     mode: str,
-    u_dfs: np.ndarray,
+    v_dfs: np.ndarray,
     dims: tuple[int, int],
     config: SearchConfig,
     t_f: float = 1.0,
@@ -317,8 +307,10 @@ def fidelity_sweep(
     evolution time is fixed at ``t_f``; in mode "tf" the model is fixed (the
     factory is called once, with ``None`` -- pass a closure over the fixed
     perturbation), the search runs once, and the grid values are evolution
-    times.  Channels use the step ``config.dt``.  Each model's two encodings
-    are scored at all of its times in one pass (``_worst_cases``).  In mode
+    times.  Channels use the step ``config.dt``.  Each model's two encodings,
+    the rows ``v_dfs`` and the first n1*n2 rows of ``realize(best_params)``
+    (which the sweep's files replay), are scored at all of its times in one
+    pass (``_worst_cases``).  In mode
     "delta" a point that raises is flagged (NaN row, ``error`` set, logged to
     the "mns" logger), not raised.
     """
@@ -333,7 +325,8 @@ def fidelity_sweep(
         channel = lindblad_to_kraus(model, config.dt)
         result = find_mns(channel, config)[dims]
         ok = result.per_restart[result.best_restart].converged
-        fi_mns, fi_dfs = _worst_cases(model, times, (realize(result.best_params), u_dfs), dims)
+        v_mns = realize(result.best_params)[: dims[0] * dims[1]]
+        fi_mns, fi_dfs = _worst_cases(model, times, (v_mns, v_dfs), dims)
         return [
             FidelityPoint(
                 param=param,

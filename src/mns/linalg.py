@@ -3,7 +3,8 @@
 All operators in this package are plain ``numpy.ndarray``s of dtype
 ``complex128``.  This module collects the small set of structural helpers the
 rest of the code is built on: tensor (Kronecker) products, commutators,
-direct-sum embeddings and random density matrices.
+direct-sum embeddings and random density matrices, and the one check of an
+encoding (``as_isometry``).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .errors import ValidationError
 
 __all__ = [
     "as_matrix",
+    "as_isometry",
     "dagger",
     "commutator",
     "tensor",
@@ -29,6 +31,22 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} contains non-finite entries")
+    return a
+
+
+def as_isometry(v, n1: int, n2: int, dim: int) -> np.ndarray:
+    """Coerce ``v`` to the encoded rows V of an (n1, n2) encoding in dimension
+    ``dim``: a C-contiguous complex128 (n1*n2) x dim matrix with
+    ||V V^dag - I||_F <= 1e-10.  Every function that takes an encoding
+    checks it here."""
+    if n1 < 1 or n2 < 1:
+        raise ValidationError(f"encoded dimensions ({n1},{n2}) must be >= 1")
+    m = n1 * n2
+    a = np.ascontiguousarray(v, dtype=np.complex128)
+    if a.shape != (m, dim):
+        raise ValidationError(f"dims ({n1},{n2}) need encoded rows of shape {(m, dim)}, got {a.shape}")
+    if not np.linalg.norm(a @ dagger(a) - np.eye(m)) <= 1e-10:
+        raise ValidationError("encoded rows are not orthonormal to 1e-10")
     return a
 
 

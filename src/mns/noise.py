@@ -24,8 +24,8 @@ is a Hermitian matrix, so L is Hermitian whenever every V_i is, as in every
 model built here.  Each model keeps one eigendecomposition of L
 (``LindbladModel.spectrum``).
 
-``dfs_check`` is the one test of protection: [E_k, rho] = 0 for encoded
-states rho.  The search's ``is_dfs`` is its verdict.
+``dfs_check`` is the one test of protection: [E_k, rho] = 0 for states
+rho encoded by the encoding's rows V.  The search's ``is_dfs`` is its verdict.
 
 Qubit ordering: qubit 1 is the leftmost tensor factor, and |0> is the +1
 eigenvector of Z, so the collective S_z on three qubits is
@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, dagger, random_density_matrix, tensor
+from .linalg import as_isometry, as_matrix, dagger, random_density_matrix, tensor
 from .parametrization import realize, random_params
 
 __all__ = [
@@ -312,7 +312,7 @@ def default_dt(model: LindbladModel) -> float:
 
 def dfs_check(
     channel: KrausChannel,
-    u: np.ndarray,
+    v: np.ndarray,
     n1: int,
     n2: int,
     threshold: float = DFS_THRESHOLD,
@@ -326,23 +326,15 @@ def dfs_check(
     bundled model, the two agree; for other sets this one is stricter.
 
     Draws six random logical density matrices rho_1 from a fixed seed (0),
-    so the verdict on a given U is reproducible, encodes each as
-    rho = V^dag (rho_1 (x) I/n2) V with V the first n1*n2 rows of U, and
+    so the verdict on given encoded rows V (``as_isometry``) is
+    reproducible, encodes each as rho = V^dag (rho_1 (x) I/n2) V, and
     returns (defect <= threshold, defect, per_operator): per_operator[k] is
     the largest Frobenius norm of [E_k, rho] over the states, and defect the
     largest of those.  Every commutator comes from one stacked product.
     """
-    u = as_matrix(u, "encoding unitary")
-    dim = channel.dim
-    if u.shape != (dim, dim):
-        raise ValidationError(f"encoding unitary shape {u.shape} does not match dim {dim}")
-    if np.linalg.norm(dagger(u) @ u - np.eye(dim)) > 1e-10:
-        raise ValidationError("encoding matrix is not unitary to 1e-10")
-    if n1 < 1 or n2 < 1 or n1 * n2 > dim:
-        raise ValidationError(f"encoded dimensions ({n1},{n2}) must be >= 1, product <= {dim}")
+    v = as_isometry(v, n1, n2, channel.dim)
     rng = np.random.default_rng(0)
     rho1 = np.array([random_density_matrix(n1, rng) for _ in range(6)])
-    v = u[: n1 * n2]
     states = dagger(v) @ np.kron(rho1, np.eye(n2) / n2) @ v  # (S, N, N)
     ops = channel.stack()[:, None]  # (K, 1, N, N)
     norms = np.linalg.norm(ops @ states - states @ ops, axis=(2, 3))  # (K, S)
@@ -351,29 +343,20 @@ def dfs_check(
     return defect <= threshold, defect, per_operator
 
 
-def collective_dfs_encoding(n_qubits: int = 3) -> np.ndarray:
-    """Exact decoherence-free subsystem encoding for 3-qubit collective noise.
-
-    Maps the two total-spin-1/2 doublets onto the leading 2x2 block so that
-    U S_a U^dag = I_2 (x) sigma_a (+) (spin-3/2 block) for a in {x, z}: the
-    logical qubit lives in the multiplicity space, the noise acts only on the
-    doublet-internal factor.  Rows 0..3 are |A,0>, |A,1>, |B,0>, |B,1> built
-    from the standard angular-momentum coupling coefficients; rows 4..7 are
-    the spin-3/2 quartet.
+def collective_dfs_encoding() -> np.ndarray:
+    """The 4 x 8 rows V of the exact decoherence-free subsystem of 3-qubit
+    collective noise: |A,0>, |A,1>, |B,0>, |B,1> of the two total-spin-1/2
+    doublets, from the standard angular-momentum coupling coefficients.
+    S_a V^dag = V^dag (I_2 (x) sigma_a) for a in {x, z}: the logical qubit
+    lives in the multiplicity space, the noise acts only on the
+    doublet-internal factor.
     """
-    if n_qubits != 3:
-        raise ValidationError("the closed-form encoding is implemented for 3 qubits")
-    s2, s3, s6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
-    rows = np.zeros((8, 8))
+    s2, s6 = np.sqrt(2.0), np.sqrt(6.0)
+    rows = np.zeros((4, 8))
     # |A,m>: singlet of qubits 1,2 times qubit 3.
     rows[0, [0b010, 0b100]] = [1 / s2, -1 / s2]
     rows[1, [0b011, 0b101]] = [1 / s2, -1 / s2]
     # |B,m>: triplet of qubits 1,2 coupled with qubit 3 down to spin 1/2.
     rows[2, [0b001, 0b010, 0b100]] = [2 / s6, -1 / s6, -1 / s6]
     rows[3, [0b011, 0b101, 0b110]] = [1 / s6, 1 / s6, -2 / s6]
-    # Spin-3/2 quartet, m = 3/2 .. -3/2.
-    rows[4, 0b000] = 1.0
-    rows[5, [0b001, 0b010, 0b100]] = [1 / s3, 1 / s3, 1 / s3]
-    rows[6, [0b011, 0b101, 0b110]] = [1 / s3, 1 / s3, 1 / s3]
-    rows[7, 0b111] = 1.0
     return rows.astype(np.complex128)

@@ -33,8 +33,8 @@ I (x) M_k, the first-order noiseless-subsystem condition (Shabani and Lidar,
 PRA 72, 042303, 2005), so they keep full relative precision near a
 decoherence-free encoding where J itself rounds at 1.  I - S is zero for an
 exact channel and O(dt^2) for a first-order one; each channel caches it
-(``KrausChannel.completeness_gap``).  ``objective_of_unitary`` returns 1
-minus that value.
+(``KrausChannel.completeness_gap``).  ``objective_of_unitary`` takes the
+rows V alone, as every encoding is held here, and returns 1 minus that value.
 
 The gradient has one implementation, ``value_and_gradient``: at V it returns
 1 - J and the matrix G with d(1 - J) = Re tr(G^dag dV), which the search
@@ -49,6 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import as_isometry
 from .noise import KrausChannel
 from .parametrization import UnitaryParams, realize_with_partials
 
@@ -96,21 +97,11 @@ def _residuals(
     return value, r, mk, v_gap
 
 
-def objective_of_unitary(channel: KrausChannel, u: np.ndarray, n1: int, n2: int) -> float:
-    """J for an encoding whose first n1*n2 rows V are orthonormal: a full
-    unitary, or just those rows.  J is 1 minus ``value_and_gradient``'s value.
-
-    Raises ValidationError when ||V V^dag - I|| > 1e-10, because the identity
-    for 1 - J holds only for orthonormal rows.
-    """
-    dim, m = channel.dim, n1 * n2
-    if n1 < 1 or n2 < 1 or m > dim:
-        raise ValidationError(f"encoded block {n1}x{n2} does not fit in channel dim {dim}")
-    v = np.ascontiguousarray(np.asarray(u, dtype=np.complex128)[:m])
-    if v.shape != (m, dim):
-        raise ValidationError(f"encoding needs {m} rows of length {dim}, got {v.shape}")
-    if np.linalg.norm(v @ v.conj().T - np.eye(m)) > 1e-10:
-        raise ValidationError("encoded rows are not orthonormal to 1e-10")
+def objective_of_unitary(channel: KrausChannel, v: np.ndarray, n1: int, n2: int) -> float:
+    """J for the orthonormal encoded rows V of an encoding (``as_isometry``):
+    1 minus ``value_and_gradient``'s value.  The identity for 1 - J holds
+    only for orthonormal rows, so V is checked first."""
+    v = as_isometry(v, n1, n2, channel.dim)
     return float(1.0 - _residuals(channel, v[None], n1, n2)[0][0])
 
 

@@ -17,7 +17,8 @@ numbers in total.  All parameters live on the real line; the chart is smooth
 and periodic, and ``realize`` of the all-zero vector is exactly the identity.
 
 ``chart_of`` is the exact inverse of ``realize``: it peels the Givens factors
-off a unitary one column at a time.
+off a unitary one column at a time; given an encoding's rows V, it charts
+their completion to a unitary.
 
 The search does not move through the chart.  J and the commutation residual
 depend on U only through its first m rows, an isometry V, which it reaches as
@@ -159,7 +160,9 @@ def realize(params: UnitaryParams) -> np.ndarray:
 
 
 def chart_of(u: np.ndarray) -> UnitaryParams:
-    """Chart coordinates of a unitary: the inverse of ``realize``.
+    """Chart coordinates of a unitary: the inverse of ``realize``.  Given the
+    m < N orthonormal rows V of an encoding, it charts their completion by
+    complete-mode QR of V^dag, so realize(chart_of(v))[:m] is V.
 
     D G(theta, phi) D^dag is the Givens factor G(theta, phi + d_i - d_j), so
     U = W' D, with W' the chart product at shifted pair phases.  Column i of
@@ -170,9 +173,12 @@ def chart_of(u: np.ndarray) -> UnitaryParams:
     the end.  realize(chart_of(u)) reproduces u to rounding.
     """
     w = np.array(u, dtype=np.complex128)
-    n = w.shape[0]
-    if w.shape != (n, n):
-        raise ValidationError(f"expected a square matrix, got shape {w.shape}")
+    if w.ndim != 2 or not 1 <= len(w) <= w.shape[1]:
+        raise ValidationError(f"expected m x N rows with 1 <= m <= N, got shape {w.shape}")
+    m, n = w.shape
+    if m < n:  # the rows V, completed by the orthogonal complement of their span
+        basis = np.linalg.qr(dagger(w), mode="complete")[0]
+        w = np.vstack([w, dagger(basis[:, m:])])
     pairs = plane_pairs(n)
     diag, angles, shifted = np.zeros(n), np.zeros(len(pairs)), np.zeros(len(pairs))
     q = 0

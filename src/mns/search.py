@@ -31,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import dagger
 from .noise import KrausChannel, dfs_check
 from .objective import value_and_gradient
 from .parametrization import UnitaryParams, chart_of, num_angles, num_phases, polar, realize
@@ -186,13 +185,6 @@ def _ascend(
 def _flat(v: np.ndarray) -> np.ndarray:
     """The packing [Re V | Im V] that ``polar`` reads."""
     return np.concatenate([v.real.ravel(), v.imag.ravel()])
-
-
-def _complete(v: np.ndarray) -> np.ndarray:
-    """A unitary whose first rows are the isometry V: the rest span the
-    orthogonal complement of V's rows (complete-mode QR of V^dag)."""
-    q = np.linalg.qr(dagger(v), mode="complete")[0]
-    return np.vstack([v, dagger(q[:, v.shape[0] :])])
 
 
 class Descent(NamedTuple):
@@ -465,20 +457,15 @@ def find_mns(
 
     Returns one SearchResult per (n1, n2): the restart with the highest J
     wins, ties by lowest restart index, and is reported as found.  The
-    winner's isometry is completed to one unitary U (``_complete``), which
-    gives both ``best_params`` (``chart_of``) and ``is_dfs``:
-    ``dfs_check``'s verdict on U, which tests [E_k, rho] = 0 for encoded
-    states rho.  For Hermitian Kraus sets, which covers every bundled model,
-    that is the condition R = 0 the descent drives toward; for other sets it
-    is stricter.
+    winner's isometry gives both ``best_params`` (``chart_of``, which
+    completes it to a unitary) and ``is_dfs``: ``dfs_check``'s verdict on
+    it, which tests [E_k, rho] = 0 for encoded states rho.  For Hermitian
+    Kraus sets, which covers every bundled model, that is the condition
+    R = 0 the descent drives toward; for other sets it is stricter.
     """
     dims_list = config.candidate_dims or default_candidate_dims(channel.dim)
     results: dict[tuple[int, int], SearchResult] = {}
     for di, (n1, n2) in enumerate(dims_list):
-        if n1 * n2 > channel.dim:
-            raise ValidationError(
-                f"candidate dims ({n1},{n2}) exceed channel dim {channel.dim}"
-            )
         seeds = [(config.seed, di, r) for r in range(config.num_restarts)]
         initials = {
             key: _initial_point(channel.dim, np.random.default_rng(np.random.SeedSequence(key)))
@@ -490,15 +477,14 @@ def find_mns(
         best = int(np.argmax(final_j))
         best_j = float(final_j[best])
         agreement = float(np.mean(final_j >= best_j - 1e-6))
-        u = _complete(records[best].isometry_final)
+        v = records[best].isometry_final
         results[(n1, n2)] = SearchResult(
             dims=(n1, n2, channel.dim - n1 * n2),
             best_j=best_j,
-            best_params=chart_of(u),
+            best_params=chart_of(v),
             best_restart=best,
-            is_dfs=dfs_check(channel, u, n1, n2)[0],
+            is_dfs=dfs_check(channel, v, n1, n2)[0],
             per_restart=tuple(records),
             agreement_fraction=agreement,
         )
     return results
-

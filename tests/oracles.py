@@ -361,7 +361,7 @@ def transformed_kraus(channel: KrausChannel, u: np.ndarray) -> list[np.ndarray]:
 def objective(channel: KrausChannel, cand: EncodingCandidate) -> float:
     """Encoding quality J[U] in [0, 1 + completeness defect]."""
     _check_channel_candidate(channel, cand)
-    return objective_of_unitary(channel, cand.unitary, cand.n1, cand.n2)
+    return objective_of_unitary(channel, cand.unitary[: cand.n1 * cand.n2], cand.n1, cand.n2)
 
 
 def coefficients(channel: KrausChannel, cand: EncodingCandidate) -> np.ndarray:
@@ -441,7 +441,7 @@ def reduced_channel(channel: KrausChannel, cand: EncodingCandidate) -> ReducedCh
 
 
 def _objective_packed(channel: KrausChannel, dim: int, n1: int, n2: int, x: np.ndarray) -> float:
-    return objective_of_unitary(channel, realize(unpack(dim, x)), n1, n2)
+    return objective_of_unitary(channel, realize(unpack(dim, x))[: n1 * n2], n1, n2)
 
 
 def gradient(channel: KrausChannel, cand: EncodingCandidate, h: float = 1e-6) -> np.ndarray:

@@ -498,6 +498,21 @@ def test_cli_verify_dfs_bad_encoding_exits_1(tmp_path, capsys):
         assert "field 'encoding." in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threshold", ["inf", "nan", "-1"])
+def test_cli_verify_dfs_refuses_a_threshold_that_is_not_finite_and_non_negative(
+    tmp_path, capsys, threshold
+):
+    # under inf a random encoding would PASS, under nan or -1 every one FAIL
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(SMALL_COLLECTIVE_TEXT)
+    argv = ["verify-dfs", "--config", str(cfg), "--encoding", str(_encoding_file(tmp_path))]
+    assert main([*argv, "--threshold", threshold]) == 1
+    captured = capsys.readouterr()
+    assert "--threshold" in captured.err and captured.out == ""
+    assert main([*argv, "--threshold", "0"]) == 0
+    assert "FAIL" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # find-mns runner
 
@@ -543,7 +558,7 @@ def test_cmd_find_mns_encoding_is_replayable(find_mns_run):
     config, out, payload = find_mns_run
     params, dims = load_encoding(out / "encoding_2x2.json")
     channel = build_channel(config)
-    replayed = objective_of_unitary(channel, realize(params), *dims)
+    replayed = objective_of_unitary(channel, realize(params)[: dims[0] * dims[1]], *dims)
     assert abs(replayed - payload["results"][0]["j_opt"]) <= 1e-12
 
 
@@ -779,6 +794,30 @@ def test_cmd_show_result_rejects_corrupt_file(tmp_path):
     bad.write_text("{broken")
     with pytest.raises(ConfigError, match="not valid JSON"):
         cmd_show_result(bad)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1, 2], "result file root must be a JSON object"),
+        ({"results": [{"n1": 2, "j_opt": 1.0, "is_dfs": True}]}, "field 'results[0].n2'"),
+        ({"results": [3]}, "'results[0]' in the result file must be an object"),
+        (
+            {"results": [{"n1": 2, "n2": 2, "j_opt": 1.0, "is_dfs": True, "restarts": [{}]}]},
+            "field 'results[0].restarts[0].index'",
+        ),
+        ({"points": [{"param": 0.0, "fi_mns": None}]}, "field 'points[0].fi_dfs'"),
+    ],
+    ids=["root-list", "entry-without-n2", "entry-not-object", "restart-without-index", "point-without-fi_dfs"],
+)
+def test_cmd_show_result_refuses_json_that_is_not_a_result(tmp_path, capsys, payload, message):
+    # valid JSON of another shape is a validation error (exit 1), not a crash
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cmd_show_result(path)
+    assert main(["show-result", str(path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_cli_config_errors_exit_1(tmp_path, capsys):

@@ -23,7 +23,6 @@ from mns.noise import (
     perturbed_collective,
     random_perturbation_unitary,
 )
-from mns.parametrization import realize
 from mns.search import SearchConfig
 from oracles import (
     basis_state_encoding,
@@ -191,7 +190,7 @@ def test_spectral_logical_maps_match_dense_maps(name, dims):
         model = build_model(load_config(CONFIG_DIR / f"{name}.json").model)
     n1, n2 = dims
     times = [0.0, 0.01, 0.1, 1.0, 3.0]
-    rows = [collective_dfs_encoding(3)[:4]] if model.dim == 8 and dims == (2, 2) else []
+    rows = [collective_dfs_encoding()] if model.dim == 8 and dims == (2, 2) else []
     rows.append(haar_random_unitary(model.dim, 60 + model.dim)[: n1 * n2])
     maps = _logical_maps(model, times, rows, n1, n2)
     assert maps.shape == (len(rows), len(times), n1 * n1, n1 * n1)
@@ -228,7 +227,7 @@ def test_fidelity_sweep_refuses_non_hermitian_liouvillian():
     )
     config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((2, 1),))
     with pytest.raises(ValidationError, match="not Hermitian"):
-        fidelity_sweep(lambda _v: two, [0.0, 0.5], "tf", haar_random_unitary(4, 19), (2, 1), config)
+        fidelity_sweep(lambda _v: two, [0.0, 0.5], "tf", haar_random_unitary(4, 19)[:2], (2, 1), config)
 
 
 def test_choi_matrix_identity_superoperator():
@@ -241,7 +240,7 @@ def test_choi_matrix_identity_superoperator():
 def test_dfs_encoded_state_is_stationary():
     # collective noise cannot see a state encoded in the doublet pair
     model = collective_xz(3, 1.0, 1.0)
-    u = collective_dfs_encoding(3)
+    u = collective_dfs_encoding()
     rng = np.random.default_rng(2)
     rho = encode(random_density_matrix(2, rng), u, (2, 2))
     out = evolved_apply(evolve(model, 1.0), rho)
@@ -333,13 +332,13 @@ def test_logical_map_matches_direct_action(dims):
 
 def test_worst_case_fidelity_identity_evolution():
     ev = evolve(collective_xz(3, 1.0, 1.0), 0.0)
-    fi = worst_case_fidelity(haar_random_unitary(8, 6), (2, 2), ev)
+    fi = worst_case_fidelity(haar_random_unitary(8, 6)[:4], (2, 2), ev)
     assert abs(fi - 1.0) <= 1e-12
 
 
 def test_worst_case_fidelity_dfs_encoding():
     ev = evolve(collective_xz(3, 1.0, 1.0), 1.0)
-    fi = worst_case_fidelity(collective_dfs_encoding(3), (2, 2), ev)
+    fi = worst_case_fidelity(collective_dfs_encoding(), (2, 2), ev)
     assert fi >= 1.0 - 1e-6
 
 
@@ -358,7 +357,7 @@ def test_worst_case_fidelity_qubit_matches_dense_bloch_grid():
         for t in (0.4, 1.1):
             ev = _expm_channel(model, t)
             u = haar_random_unitary(model.dim, 100 + seed)
-            fi = worst_case_fidelity(u, dims, ev)
+            fi = worst_case_fidelity(u[: dims[0] * dims[1]], dims, ev)
             grid = _bloch_grid_minimum(u, dims, ev)
             assert fi <= grid + 1e-12
             assert abs(fi - grid) <= 1e-9
@@ -438,12 +437,12 @@ def test_stacked_worst_cases_match_one_map_at_a_time():
     # eigenvalue, and the hard case (beta_0 = 0, mu = lam_0)
     model = _perturbed(0.1)
     times = [0.0, *np.sort(np.random.default_rng(18).uniform(0.0, 1.0, 19)), 1.0]
-    unitaries = [collective_dfs_encoding(3), haar_random_unitary(8, 18)]
-    stacked = _worst_cases(model, times, unitaries, (2, 2))
+    encodings = [collective_dfs_encoding(), haar_random_unitary(8, 18)[:4]]
+    stacked = _worst_cases(model, times, encodings, (2, 2))
     assert stacked.shape == (2, 21)
-    for u, row in zip(unitaries, stacked):
+    for v, row in zip(encodings, stacked):
         for t, fi in zip(times, row):
-            assert abs(fi - worst_case_fidelity(u, (2, 2), evolve(model, t))) <= 1e-14
+            assert abs(fi - worst_case_fidelity(v, (2, 2), evolve(model, t))) <= 1e-14
     cases = [
         (_bloch_form_map(1.0, np.array([0.3, 0.0, 0.0]), np.diag([-1.0, 1.0, 1.0])), 1.0 - 1.3),
         (_bloch_form_map(1.0, np.array([0.3, 0.4, 0.0]), np.diag([-1.0, -1.0, 1.0])), 1.0 - 1.5),
@@ -471,19 +470,19 @@ def test_worst_case_fidelity_qutrit_dephasing_closed_form():
             a[i, j] = evolved_apply(ev, unit)[si, sj].real
     weights = np.linalg.solve(a, np.ones(3))
     assert weights.min() > 0.0  # the minimum is inside the simplex
-    fi = worst_case_fidelity(basis_state_encoding(8, states), (3, 1), ev)
+    fi = worst_case_fidelity(basis_state_encoding(8, states)[:3], (3, 1), ev)
     assert abs(fi - 1.0 / weights.sum()) <= 1e-12
 
 
 def test_worst_case_fidelity_qutrit_chart():
     ev = evolve(collective_z_with_local_dephasing(3, 1.0, 0.1, LOCAL_RATES), 0.0)
-    fi = worst_case_fidelity(basis_state_encoding(8, [3, 5, 6]), (3, 1), ev)
+    fi = worst_case_fidelity(basis_state_encoding(8, [3, 5, 6])[:3], (3, 1), ev)
     assert abs(fi - 1.0) <= 1e-12
 
 
 def test_worst_case_fidelity_four_level_identity_evolution():
     ev = evolve(collective_xz(3, 1.0, 1.0), 0.0)
-    fi = worst_case_fidelity(haar_random_unitary(8, 7), (4, 1), ev)
+    fi = worst_case_fidelity(haar_random_unitary(8, 7)[:4], (4, 1), ev)
     assert abs(fi - 1.0) <= 1e-9
 
 
@@ -492,7 +491,7 @@ def test_worst_case_fidelity_four_level_below_state_sample():
     # about 9e-3 above the minimum the descent finds on this channel.
     ev = evolve(collective_xz(3, 0.3, 0.2), 0.5)
     u = haar_random_unitary(8, 300)
-    fi = worst_case_fidelity(u, (4, 1), ev)
+    fi = worst_case_fidelity(u[:4], (4, 1), ev)
     raw = np.random.default_rng(1234).standard_normal((20000, 8))
     psis = raw[:, :4] + 1j * raw[:, 4:]
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
@@ -504,7 +503,7 @@ def test_worst_case_below_sampled_fidelities():
     # the reported minimum sits under both the mean and the minimum of a
     # 1000-state random sample
     ev = evolve(_perturbed(0.1), 1.0)
-    u = collective_dfs_encoding(3)
+    u = collective_dfs_encoding()
     fi = worst_case_fidelity(u, (2, 2), ev)
     rng = np.random.default_rng(8)
     sample = []
@@ -519,7 +518,7 @@ def test_worst_case_below_sampled_fidelities():
 
 
 def test_worst_case_fidelity_non_increasing_in_time():
-    u = collective_dfs_encoding(3)
+    u = collective_dfs_encoding()
     model = _perturbed(0.1)
     vals = [
         worst_case_fidelity(u, (2, 2), evolve(model, t)) for t in (0.0, 0.3, 0.6, 1.0)
@@ -532,7 +531,7 @@ def test_worst_case_fidelity_non_increasing_in_time():
 def test_fidelity_sweep_delta_mode():
     config = SearchConfig(num_restarts=2, seed=1, candidate_dims=((2, 2),))
     points = fidelity_sweep(
-        _perturbed, [0.0, 0.05, 0.1], "delta", collective_dfs_encoding(3), (2, 2), config
+        _perturbed, [0.0, 0.05, 0.1], "delta", collective_dfs_encoding(), (2, 2), config
     )
     assert [pt.param for pt in points] == [0.0, 0.05, 0.1]
     for pt in points:
@@ -550,7 +549,7 @@ def test_fidelity_sweep_dfs_plateau():
     # the reference curve is quadratically flat near delta = 0
     for delta in (0.005, 0.01):
         ev = evolve(_perturbed(delta), 1.0)
-        fi = worst_case_fidelity(collective_dfs_encoding(3), (2, 2), ev)
+        fi = worst_case_fidelity(collective_dfs_encoding(), (2, 2), ev)
         assert abs(fi - 1.0) <= 1e-3
 
 
@@ -560,7 +559,7 @@ def test_fidelity_sweep_tf_mode():
         lambda _v: _perturbed(0.05),
         [0.0, 0.1],
         "tf",
-        collective_dfs_encoding(3),
+        collective_dfs_encoding(),
         (2, 2),
         config,
     )
@@ -588,7 +587,7 @@ def test_fidelity_sweep_tf_mode_decomposes_once(monkeypatch):
     config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((2, 2),))
     grid = [0.0, 0.1, 0.5, 1.0, 3.0]
     points = fidelity_sweep(
-        lambda _v: _perturbed(0.05), grid, "tf", collective_dfs_encoding(3), (2, 2), config
+        lambda _v: _perturbed(0.05), grid, "tf", collective_dfs_encoding(), (2, 2), config
     )
     assert [pt.param for pt in points] == grid
     assert len(builds) == 1
@@ -605,7 +604,7 @@ def test_fidelity_sweep_flags_failed_points():
         return _perturbed(delta)
 
     points = fidelity_sweep(
-        model_for, [0.0, 0.05], "delta", collective_dfs_encoding(3), (2, 2), config
+        model_for, [0.0, 0.05], "delta", collective_dfs_encoding(), (2, 2), config
     )
     assert points[0].converged
     assert not points[1].converged
@@ -620,7 +619,7 @@ def test_fidelity_sweep_records_why_a_point_failed(caplog):
 
     with caplog.at_level("WARNING", logger="mns"):
         points = fidelity_sweep(
-            model_for, [0.05], "delta", collective_dfs_encoding(3), (2, 2), config
+            model_for, [0.05], "delta", collective_dfs_encoding(), (2, 2), config
         )
     assert not points[0].converged and np.isnan(points[0].fi_mns)
     assert points[0].error == "TypeError: no model for 0.05"
@@ -630,6 +629,6 @@ def test_fidelity_sweep_records_why_a_point_failed(caplog):
 def test_fidelity_sweep_validation():
     config = SearchConfig(num_restarts=1, candidate_dims=((2, 2),))
     with pytest.raises(ValidationError):
-        fidelity_sweep(_perturbed, [0.0], "sideways", np.eye(8), (2, 2), config)
+        fidelity_sweep(_perturbed, [0.0], "sideways", np.eye(4, 8), (2, 2), config)
     with pytest.raises(ValidationError):
-        fidelity_sweep(_perturbed, [], "delta", np.eye(8), (2, 2), config)
+        fidelity_sweep(_perturbed, [], "delta", np.eye(4, 8), (2, 2), config)

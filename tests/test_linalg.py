@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from mns.errors import ValidationError
+from mns.fidelity import _worst_cases, evolve, worst_case_fidelity
 from mns.linalg import (
+    as_isometry,
     as_matrix,
     commutator,
     dagger,
@@ -10,6 +14,8 @@ from mns.linalg import (
     random_density_matrix,
     tensor,
 )
+from mns.noise import collective_xz, dfs_check, lindblad_to_kraus
+from mns.objective import objective_of_unitary
 from oracles import (
     block_projector,
     haar_random_unitary,
@@ -31,6 +37,42 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.array([[np.nan, 0], [0, 0]]), "m")
     with pytest.raises(ValidationError):
         as_matrix(np.zeros(4), "m")
+
+
+def test_as_isometry_returns_contiguous_complex_rows():
+    v = as_isometry(np.asfortranarray(np.eye(3, 5)), 3, 1, 5)
+    assert v.dtype == np.complex128 and v.flags.c_contiguous
+    assert np.array_equal(v, np.eye(3, 5))
+    with pytest.raises(ValidationError, match="orthonormal"):
+        as_isometry(np.full((1, 2), np.nan), 1, 1, 2)
+
+
+MODEL = collective_xz(3, 1.0, 1.0)
+# every function that takes an encoding, called on (V, n1, n2)
+ENCODING_CONSUMERS = {
+    "dfs_check": lambda v, n1, n2: dfs_check(lindblad_to_kraus(MODEL, 1e-3), v, n1, n2),
+    "objective_of_unitary": lambda v, n1, n2: objective_of_unitary(
+        lindblad_to_kraus(MODEL, 1e-3), v, n1, n2
+    ),
+    "worst_case_fidelity": lambda v, n1, n2: worst_case_fidelity(v, (n1, n2), evolve(MODEL, 0.5)),
+    "_worst_cases": lambda v, n1, n2: _worst_cases(MODEL, [0.5], [v], (n1, n2)),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(ENCODING_CONSUMERS))
+@pytest.mark.parametrize(
+    "v, n1, n2, message",
+    [
+        (haar_random_unitary(8, 1), 2, 2, "need encoded rows of shape (4, 8), got (8, 8)"),
+        (1.01 * haar_random_unitary(8, 1)[:4], 2, 2, "not orthonormal"),
+        (haar_random_unitary(8, 1)[:4], 0, 2, "(0,2) must be >= 1"),
+    ],
+    ids=["square-unitary", "rows-not-orthonormal", "n1-zero"],
+)
+def test_encoding_consumers_refuse_what_is_not_encoded_rows(consumer, v, n1, n2, message):
+    # an encoding is its n1*n2 orthonormal rows V, and a full unitary is not
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ENCODING_CONSUMERS[consumer](v, n1, n2)
 
 
 def test_pauli_basis_dim1_is_scalar_identity():

@@ -227,14 +227,14 @@ def test_default_dt():
 
 def test_dfs_check_exact_encoding_passes():
     ch = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), 1e-3)
-    ok, defect, _ = dfs_check(ch, collective_dfs_encoding(3), 2, 2)
+    ok, defect, _ = dfs_check(ch, collective_dfs_encoding(), 2, 2)
     assert ok
     assert defect <= 1e-12
 
 
 def test_dfs_check_random_encoding_fails():
     ch = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), 1e-3)
-    ok, defect, per_operator = dfs_check(ch, haar_random_unitary(8, 42), 2, 2)
+    ok, defect, per_operator = dfs_check(ch, haar_random_unitary(8, 42)[:4], 2, 2)
     assert not ok
     assert defect > 1e-4
     assert len(per_operator) == len(ch.operators)
@@ -242,13 +242,13 @@ def test_dfs_check_random_encoding_fails():
 
 
 def test_dfs_check_identity_channel_trivially_passes():
-    ok, defect, _ = dfs_check(identity_channel(8), haar_random_unitary(8, 0), 2, 2)
+    ok, defect, _ = dfs_check(identity_channel(8), haar_random_unitary(8, 0)[:4], 2, 2)
     assert ok
     assert defect == 0.0
     with pytest.raises(ValidationError):
         dfs_check(identity_channel(8), haar_random_unitary(8, 0), 3, 3)
     with pytest.raises(ValidationError):
-        dfs_check(identity_channel(8), np.eye(8) * 2.0, 2, 2)
+        dfs_check(identity_channel(8), np.eye(4, 8) * 2.0, 2, 2)
 
 
 @pytest.mark.parametrize("n1, n2", [(0, 2), (2, 0)])
@@ -256,19 +256,17 @@ def test_dfs_check_rejects_empty_encoded_factor(n1, n2):
     # an empty encoding has no state to protect and must not be certified
     ch = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), 1e-3)
     with pytest.raises(ValidationError, match="must be >= 1"):
-        dfs_check(ch, collective_dfs_encoding(3), n1, n2)
+        dfs_check(ch, collective_dfs_encoding(), n1, n2)
 
 
 def test_collective_dfs_encoding_block_structure():
-    u = collective_dfs_encoding(3)
-    assert np.abs(dagger(u) @ u - np.eye(8)).max() <= 1e-15
+    # orthonormal rows on which S_x and S_z act as I_2 (x) sigma and which
+    # they do not couple to the rest: S_a V^dag = V^dag (I_2 (x) sigma_a)
+    v = collective_dfs_encoding()
+    assert v.shape == (4, 8)
+    assert np.abs(v @ dagger(v) - np.eye(4)).max() <= 1e-15
     for op, pauli in ((collective_operator(PAULI_X, 3), X), (collective_operator(PAULI_Z, 3), Z)):
-        rotated = u @ op @ dagger(u)
-        assert np.abs(rotated[:4, :4] - np.kron(I2, pauli)).max() <= 1e-14
-        assert np.abs(rotated[:4, 4:]).max() <= 1e-14
-        assert np.abs(rotated[4:, :4]).max() <= 1e-14
-    with pytest.raises(ValidationError):
-        collective_dfs_encoding(2)
+        assert np.abs(op @ dagger(v) - dagger(v) @ np.kron(I2, pauli)).max() <= 1e-14
 
 
 def test_excitation_subspace():

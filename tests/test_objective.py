@@ -119,19 +119,19 @@ def test_objective_matches_literal_four_term_sum(collective_channel):
             for s in basis2:
                 total += abs(np.trace(block @ tensor(eye_raw, s))) ** 2
         lit = total / 8.0
-        assert abs(lit - objective_of_unitary(collective_channel, u, 2, 2)) <= 1e-12
+        assert abs(lit - objective_of_unitary(collective_channel, u[:4], 2, 2)) <= 1e-12
 
 
 def test_objective_at_exact_dfs_encoding(collective_channel):
     # at the decoherence-free point J = 1 + dt^2 for unit rates: the
     # first-order Kraus set overshoots completeness by exactly that much
-    j = objective_of_unitary(collective_channel, collective_dfs_encoding(3), 2, 2)
+    j = objective_of_unitary(collective_channel, collective_dfs_encoding(), 2, 2)
     assert abs(j - (1.0 + DT * DT)) <= 1e-12
 
 
 def test_objective_random_encoding_below_one(collective_channel):
     u = haar_random_unitary(8, 7)
-    j = objective_of_unitary(collective_channel, u, 2, 2)
+    j = objective_of_unitary(collective_channel, u[:4], 2, 2)
     assert j < 1.0 - 1e-3
     red = reduced_channel_of_unitary(collective_channel, u, 2, 2)
     assert abs(j - red.p1) <= 1e-10
@@ -151,7 +151,7 @@ def test_objective_gauge_invariance(collective_channel):
     # encoded side of U
     rng = np.random.default_rng(5)
     u = haar_random_unitary(8, rng)
-    j0 = objective_of_unitary(collective_channel, u, 2, 2)
+    j0 = objective_of_unitary(collective_channel, u[:4], 2, 2)
     for _ in range(5):
         w1 = haar_random_unitary(2, rng)
         w2 = haar_random_unitary(2, rng)
@@ -159,7 +159,7 @@ def test_objective_gauge_invariance(collective_channel):
         w = np.zeros((8, 8), dtype=complex)
         w[:4, :4] = tensor(w1, w2)
         w[4:, 4:] = w3
-        assert abs(objective_of_unitary(collective_channel, w @ u, 2, 2) - j0) <= 1e-10
+        assert abs(objective_of_unitary(collective_channel, (w @ u)[:4], 2, 2) - j0) <= 1e-10
 
 
 def test_objective_equals_reduced_p1_random_pairs():
@@ -242,7 +242,7 @@ def test_value_and_gradient_objective_is_bitwise_objective_of_unitary(collective
     for channel, seed, dims in cases:
         u = realize(_random_point(channel.dim, seed))
         value, _ = value_and_gradient(channel, u[: dims[0] * dims[1]], *dims)
-        assert 1.0 - value == objective_of_unitary(channel, u, *dims)
+        assert 1.0 - value == objective_of_unitary(channel, u[: dims[0] * dims[1]], *dims)
 
 
 def _one_minus_j_oracle(operators, v, n1, n2):
@@ -277,7 +277,7 @@ def test_one_minus_objective_is_residual_sum_of_squares(dims):
         for _ in range(3):
             g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             u = np.linalg.qr(g)[0]
-            j = objective_of_unitary(channel, u, *dims)
+            j = objective_of_unitary(channel, u[: dims[0] * dims[1]], *dims)
             oracle = _one_minus_j_oracle(channel.operators, u[: dims[0] * dims[1]], *dims)
             assert abs((1.0 - j) - oracle) <= 1e-15
             assert abs(j - reduced_channel_of_unitary(channel, u, *dims).p1) <= 1e-13
@@ -354,14 +354,12 @@ def test_channel_arrays_are_cached_read_only():
 
 
 def test_objective_of_unitary_rejects_rows_that_are_not_orthonormal(collective_channel):
-    u = realize(_random_point(8, 33))
-    objective_of_unitary(collective_channel, u, 2, 2)
+    v = realize(_random_point(8, 33))[:4]
+    objective_of_unitary(collective_channel, v, 2, 2)
     with pytest.raises(ValidationError, match="orthonormal"):
-        objective_of_unitary(collective_channel, 1.01 * u, 2, 2)
-    # only the encoded rows are checked: a scaled complement is harmless
-    objective_of_unitary(collective_channel, np.vstack([u[:4], 2.0 * u[4:]]), 2, 2)
+        objective_of_unitary(collective_channel, 1.01 * v, 2, 2)
     with pytest.raises(ValidationError):
-        objective_of_unitary(collective_channel, u[:3], 2, 2)
+        objective_of_unitary(collective_channel, v[:3], 2, 2)
 
 
 def test_value_and_gradient_validation(collective_channel):

@@ -131,6 +131,19 @@ def test_chart_covers_u2():
             assert np.abs(realize(chart_of(u)) - u).max() <= 1e-14
 
 
+@pytest.mark.parametrize("dim", [4, 8])
+def test_chart_of_encoded_rows_charts_their_qr_completion(dim):
+    # given only m <= N orthonormal rows V, chart_of charts the unitary that
+    # complete-mode QR of V^dag completes them to, and realize gives V back
+    rng = np.random.default_rng(dim)
+    for m in range(1, dim + 1):
+        v = haar_random_unitary(dim, rng)[:m]
+        params = chart_of(v)
+        assert np.abs(realize(params)[:m] - v).max() <= 1e-14
+        q = np.linalg.qr(dagger(v), mode="complete")[0]
+        assert params == chart_of(np.vstack([v, dagger(q[:, m:])]))
+
+
 def test_realize_with_partials_matches_realize():
     rng = np.random.default_rng(4)
     params = UnitaryParams(3, rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 3))

@@ -21,7 +21,6 @@ from mns.parametrization import chart_of, realize
 import mns.search
 from mns.search import (
     SearchConfig,
-    _complete,
     _initial_point,
     _lockstep,
     _wolfe_step,
@@ -366,7 +365,7 @@ def test_find_mns_near_dfs_optimum_with_commutation_defect_is_not_dfs():
     config = SearchConfig(num_restarts=3, max_iterations=400, seed=5, candidate_dims=((2, 2),))
     result = find_mns(channel, config)[(2, 2)]
     assert result.best_j >= 1.0 - 1e-6
-    passed, defect, _ = dfs_check(channel, realize(result.best_params), 2, 2)
+    passed, defect, _ = dfs_check(channel, realize(result.best_params)[:4], 2, 2)
     assert not passed and defect > 1e-4
     assert not result.is_dfs
     assert result.best_j == max(rec.final_j for rec in result.per_restart)
@@ -437,7 +436,7 @@ def test_restarts_in_the_stack_are_bitwise_the_restarts_alone():
         assert (lane.index, lane.seed, lane.trace) == (rec.index, rec.seed, alone.trace)
         assert rec.isometry_final.tobytes() == alone.isometry_final.tobytes()
         assert lane.isometry_final.tobytes() == alone.isometry_final.tobytes()
-    assert result.best_params == chart_of(_complete(stacked[result.best_restart].isometry_final))
+    assert result.best_params == chart_of(stacked[result.best_restart].isometry_final)
 
 
 def test_find_mns_charts_only_the_winners(monkeypatch):
@@ -468,8 +467,8 @@ BUNDLED_IS_DFS = {
 @pytest.mark.parametrize("name", sorted(path.stem for path in CONFIG_DIR.glob("*.json")))
 def test_find_mns_realizes_only_the_start_points(name, monkeypatch):
     # realize builds each restart's start point and nothing else: the
-    # winner's dfs_check runs on the unitary its chart point comes from, and
-    # gives the verdict that the chart point realized again gets
+    # winner's dfs_check runs on the isometry its chart point comes from,
+    # and gives the verdict that the chart point realized again gets
     realized = []
     monkeypatch.setattr(mns.search, "realize", lambda p: realized.append(1) or realize(p))
     config = load_config(CONFIG_DIR / f"{name}.json")
@@ -478,7 +477,7 @@ def test_find_mns_realizes_only_the_start_points(name, monkeypatch):
     assert len(realized) == config.search.num_restarts * len(results)
     assert {dims: result.is_dfs for dims, result in results.items()} == BUNDLED_IS_DFS[name]
     for (n1, n2), result in results.items():
-        assert dfs_check(channel, realize(result.best_params), n1, n2)[0] == result.is_dfs
+        assert dfs_check(channel, realize(result.best_params)[: n1 * n2], n1, n2)[0] == result.is_dfs
 
 
 def test_identical_searches_compare_equal(collective_channel):
@@ -513,7 +512,7 @@ def test_find_mns_four_qubit_collective_encoding_is_exact():
     config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((2, 1),))
     result = find_mns(channel, config)[(2, 1)]
     assert result.is_dfs
-    ok, defect, _ = dfs_check(channel, realize(result.best_params), 2, 1, threshold=1e-8)
+    ok, defect, _ = dfs_check(channel, realize(result.best_params)[:2], 2, 1, threshold=1e-8)
     assert ok, defect
 
 
@@ -539,7 +538,8 @@ def test_find_mns_four_qubit_collective_subsystems(dims):
     config = SearchConfig(num_restarts=1, seed=1, candidate_dims=(dims,))
     result = find_mns(channel, config)[dims]
     assert result.is_dfs
-    ok, defect, _ = dfs_check(channel, realize(result.best_params), *dims, threshold=1e-8)
+    v = realize(result.best_params)[: dims[0] * dims[1]]
+    ok, defect, _ = dfs_check(channel, v, *dims, threshold=1e-8)
     assert ok, defect
 
 
