@@ -319,6 +319,7 @@ def fidelity_sweep(
     grid = [float(v) for v in grid]
     if not grid:
         raise ValidationError("sweep grid is empty")
+    v_dfs = as_isometry(v_dfs, *dims, np.atleast_2d(v_dfs).shape[1])
     points: list[FidelityPoint] = []
 
     def scored(params, model, times) -> list[FidelityPoint]:

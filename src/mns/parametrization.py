@@ -161,8 +161,9 @@ def realize(params: UnitaryParams) -> np.ndarray:
 
 def chart_of(u: np.ndarray) -> UnitaryParams:
     """Chart coordinates of a unitary: the inverse of ``realize``.  Given the
-    m < N orthonormal rows V of an encoding, it charts their completion by
-    complete-mode QR of V^dag, so realize(chart_of(v))[:m] is V.
+    m <= N orthonormal rows V of an encoding, it charts their completion by
+    complete-mode QR of V^dag (V itself when m = N), so
+    realize(chart_of(v))[:m] is V.
 
     D G(theta, phi) D^dag is the Givens factor G(theta, phi + d_i - d_j), so
     U = W' D, with W' the chart product at shifted pair phases.  Column i of
@@ -176,9 +177,8 @@ def chart_of(u: np.ndarray) -> UnitaryParams:
     if w.ndim != 2 or not 1 <= len(w) <= w.shape[1]:
         raise ValidationError(f"expected m x N rows with 1 <= m <= N, got shape {w.shape}")
     m, n = w.shape
-    if m < n:  # the rows V, completed by the orthogonal complement of their span
-        basis = np.linalg.qr(dagger(w), mode="complete")[0]
-        w = np.vstack([w, dagger(basis[:, m:])])
+    basis = np.linalg.qr(dagger(w), mode="complete")[0]  # completes V by its span's complement
+    w = np.vstack([w, dagger(basis[:, m:])])
     pairs = plane_pairs(n)
     diag, angles, shifted = np.zeros(n), np.zeros(len(pairs)), np.zeros(len(pairs))
     q = 0

@@ -632,3 +632,5 @@ def test_fidelity_sweep_validation():
         fidelity_sweep(_perturbed, [0.0], "sideways", np.eye(4, 8), (2, 2), config)
     with pytest.raises(ValidationError):
         fidelity_sweep(_perturbed, [], "delta", np.eye(4, 8), (2, 2), config)
+    with pytest.raises(ValidationError, match="encoded rows"):  # a full unitary, not V
+        fidelity_sweep(_perturbed, [0.0], "delta", np.eye(8), (2, 2), config)
