@@ -298,8 +298,8 @@ def build_model(spec: ModelSpec, delta_override: float | None = None) -> Lindbla
     return perturbed_collective(spec.n_qubits, spec.gamma_1, spec.gamma_2, v)
 
 
-def build_channel(config: ExperimentConfig, delta_override: float | None = None) -> KrausChannel:
-    return lindblad_to_kraus(build_model(config.model, delta_override), config.search.dt)
+def build_channel(config: ExperimentConfig) -> KrausChannel:
+    return lindblad_to_kraus(build_model(config.model), config.search.dt)
 
 
 def format_float(x: float) -> str:
@@ -516,6 +516,25 @@ def _entry(value, path: str, keys) -> dict:
     return value
 
 
+def _items(value, path: str) -> list:
+    """A list of objects in a result file."""
+    if not isinstance(value, list):
+        raise ConfigError(f"'{path}' in the result file must be a list, got {value!r}")
+    return value
+
+
+def _shown(entry: dict, key: str, path: str, spec: str = ".14e") -> str:
+    """A number of a result-file object in the format ``spec`` (the
+    ``format_float`` form by default): "nan" where it is missing, "null"
+    where it is null."""
+    value = entry.get(key, math.nan)
+    if value is None:
+        return "null"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field '{path}.{key}' must be a number, got {value!r}")
+    return format(value, spec)
+
+
 def cmd_show_result(path) -> dict:
     p = Path(path)
     if not p.is_file():
@@ -530,30 +549,31 @@ def cmd_show_result(path) -> dict:
     print(f"tool version: {payload.get('tool_version', '?')}")
     print(f"config hash:  {payload.get('config_hash', '?')}")
     print(f"created:      {payload.get('created_utc', '?')}")
-    for i, entry in enumerate(payload.get("results", [])):
-        entry = _entry(entry, f"results[{i}]", ("n1", "n2", "j_opt", "is_dfs"))
+    for i, entry in enumerate(_items(payload.get("results", []), "results")):
+        at = f"results[{i}]"
+        entry = _entry(entry, at, ("n1", "n2", "j_opt", "is_dfs"))
         print(
-            f"  dims ({entry['n1']},{entry['n2']}): J_opt={format_float(entry['j_opt'])} "
+            f"  dims ({entry['n1']},{entry['n2']}): J_opt={_shown(entry, 'j_opt', at)} "
             f"is_dfs={str(entry['is_dfs']).lower()} "
-            f"agreement={entry.get('agreement_fraction', float('nan')):.2f}"
+            f"agreement={_shown(entry, 'agreement_fraction', at, '.2f')}"
         )
-        for j, rec in enumerate(entry.get("restarts", [])):
-            rec = _entry(rec, f"results[{i}].restarts[{j}]", ("index", "final_j", "iterations"))
+        for j, rec in enumerate(_items(entry.get("restarts", []), f"{at}.restarts")):
+            rec_at = f"{at}.restarts[{j}]"
+            rec = _entry(rec, rec_at, ("index", "final_j", "iterations"))
             print(
-                f"    restart {rec['index']}: J={format_float(rec['final_j'])} "
+                f"    restart {rec['index']}: J={_shown(rec, 'final_j', rec_at)} "
                 f"iterations={rec['iterations']} stop={rec.get('stop_reason', '?')} "
-                f"|grad|={rec.get('gradient_norm', float('nan')):.3e}"
+                f"|grad|={_shown(rec, 'gradient_norm', rec_at, '.3e')}"
             )
-    points = payload.get("points", [])
+    points = _items(payload.get("points", []), "points")
     if points:
         print(f"  sweep points: {len(points)}")
         for i, pt in enumerate(points):
-            pt = _entry(pt, f"points[{i}]", ("param", "fi_mns", "fi_dfs"))
-            fi_mns, fi_dfs = (
-                "null" if pt[key] is None else format_float(pt[key]) for key in ("fi_mns", "fi_dfs")
-            )
+            at = f"points[{i}]"
+            pt = _entry(pt, at, ("param", "fi_mns", "fi_dfs"))
             print(
-                f"    param={format_float(pt['param'])} fi_mns={fi_mns} fi_dfs={fi_dfs}"
+                f"    param={_shown(pt, 'param', at)} fi_mns={_shown(pt, 'fi_mns', at)} "
+                f"fi_dfs={_shown(pt, 'fi_dfs', at)}"
                 + (f" error={pt['error']}" if pt.get("error") else "")
             )
     return payload

@@ -16,13 +16,13 @@ with Lambda the evolved channel.  The projected partial trace is not
 renormalized, so population that leaks out of the encoded block counts as
 infidelity.  f is a quadratic form in |psi><psi| through the logical map
 G = P Sup P^dag / n2, where P traces H2 out of the decoded output
-(``logical_map``).  From the spectrum, G(t) = A diag(exp(lam t)) A^dag / n2
+(``_traced``).  From the spectrum, G(t) = A diag(exp(lam t)) A^dag / n2
 with A = P Q: a sweep forms A once per encoding, and each time then costs
 an (n1^2 x N^2)(N^2 x n1^2) product, with no N^2 x N^2 superoperator
-(``_logical_maps``).  The worst case minimizes f over pure states: exactly
-for a qubit (a quadratic on the Bloch sphere), for every map of a sweep in
-one stacked pass, and by multi-start BFGS descent for larger logical
-dimensions.
+(``_logical_maps``).  ``worst_case_fidelity`` minimizes f over pure states
+for every encoding and time of a model in one pass: exactly for a qubit (a
+quadratic on the Bloch sphere), for the whole stack of maps at once, and by
+multi-start BFGS descent for larger logical dimensions.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .search import SearchConfig, _lockstep, find_mns
 __all__ = [
     "FidelityPoint",
     "evolve",
-    "logical_map",
     "worst_case_fidelity",
     "fidelity_sweep",
 ]
@@ -69,26 +68,13 @@ def _traced(v: np.ndarray, n1: int, n2: int) -> np.ndarray:
     return np.einsum("iax,jay->ijxy", w, w.conj()).reshape(n1 * n1, -1)
 
 
-def logical_map(superoperator: np.ndarray, v: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Matrix of rho1 -> Tr_H2[V Lambda(V^dag (rho1 (x) I/n2) V) V^dag] on
-    row-major vectorized H1 operators, for the superoperator of Lambda and
-    the encoded rows V.
-
-    With vec(A rho B) = (A (x) B^T) vec(rho), a = V (x) conj(V) decodes and
-    a^dag encodes.  Tracing H2 out of the output and contracting the input
-    with I/n2 leaves Tr_out(a) Sup Tr_in(a^dag) / n2 (``_traced``).
-    """
-    p = _traced(v, n1, n2)
-    return p @ superoperator @ dagger(p) / n2
-
-
 def _check_time(t: float) -> None:
     if not (np.isfinite(t) and t >= 0):
         raise ValidationError(f"t_f must be finite and >= 0, got {t}")
 
 
 def _logical_maps(model: LindbladModel, times, isometries, n1: int, n2: int) -> np.ndarray:
-    """``logical_map`` of exp(L t) for each isometry (first axis) and each
+    """Logical map G of exp(L t) for each isometry (first axis) and each
     time (second axis).  For a Hermitian L = Q diag(lam) Q^dag it is
     A diag(exp(lam t)) A^dag / n2 with A = Tr_out(a) Q, formed once per
     isometry.  At t = 0 the channel is the identity itself, as in ``evolve``,
@@ -256,19 +242,11 @@ def _minima(maps: np.ndarray, n1: int) -> np.ndarray:
     return q[:, 0, 0] + np.einsum("ki,ki->k", b, r) + np.einsum("ki,kij,kj->k", r, c, r)
 
 
-def worst_case_fidelity(v: np.ndarray, dims: tuple[int, int], superoperator: np.ndarray) -> float:
-    """Minimize f(psi) over pure logical states for the encoding with rows V
-    (``as_isometry``) under the channel with this N^2 x N^2 superoperator
-    (``evolve``'s): the one-map case of ``_minima``, exact for a qubit."""
-    n1, n2 = dims
-    v = as_isometry(v, n1, n2, math.isqrt(len(superoperator)))
-    return float(_minima(logical_map(superoperator, v, n1, n2)[None], n1)[0])
-
-
-def _worst_cases(model: LindbladModel, times, isometries, dims: tuple[int, int]) -> np.ndarray:
-    """``worst_case_fidelity`` of each encoding (rows) under the model's
-    evolution to each time (columns): the maps come from
-    ``_logical_maps`` and their minima from one ``_minima`` call."""
+def worst_case_fidelity(model: LindbladModel, times, isometries, dims: tuple[int, int]) -> np.ndarray:
+    """Least f(psi) over pure logical states for each encoding with rows V
+    (``as_isometry``; rows of the result) under the model's evolution to each
+    time (columns): the maps come from ``_logical_maps`` and their minima
+    from one ``_minima`` call, exact for a qubit."""
     n1, n2 = dims
     rows = [as_isometry(v, n1, n2, model.dim) for v in isometries]
     maps = _logical_maps(model, times, rows, n1, n2)
@@ -310,9 +288,8 @@ def fidelity_sweep(
     times.  Channels use the step ``config.dt``.  Each model's two encodings,
     the rows ``v_dfs`` and the first n1*n2 rows of ``realize(best_params)``
     (which the sweep's files replay), are scored at all of its times in one
-    pass (``_worst_cases``).  In mode
-    "delta" a point that raises is flagged (NaN row, ``error`` set, logged to
-    the "mns" logger), not raised.
+    ``worst_case_fidelity`` call.  In mode "delta" a point that raises is
+    flagged (NaN row, ``error`` set, logged to the "mns" logger), not raised.
     """
     if mode not in ("delta", "tf"):
         raise ValidationError(f"sweep mode must be 'delta' or 'tf', got {mode!r}")
@@ -327,7 +304,7 @@ def fidelity_sweep(
         result = find_mns(channel, config)[dims]
         ok = result.per_restart[result.best_restart].converged
         v_mns = realize(result.best_params)[: dims[0] * dims[1]]
-        fi_mns, fi_dfs = _worst_cases(model, times, (v_mns, v_dfs), dims)
+        fi_mns, fi_dfs = worst_case_fidelity(model, times, (v_mns, v_dfs), dims)
         return [
             FidelityPoint(
                 param=param,

@@ -2,9 +2,9 @@
 
 All operators in this package are plain ``numpy.ndarray``s of dtype
 ``complex128``.  This module collects the small set of structural helpers the
-rest of the code is built on: tensor (Kronecker) products, commutators,
-direct-sum embeddings and random density matrices, and the one check of an
-encoding (``as_isometry``).
+rest of the code is built on: conjugate transposes, tensor (Kronecker)
+products and random density matrices, and the one check of an encoding
+(``as_isometry``).
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ __all__ = [
     "as_matrix",
     "as_isometry",
     "dagger",
-    "commutator",
     "tensor",
-    "direct_sum_embed",
     "random_density_matrix",
 ]
 
@@ -55,29 +53,9 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor on the slow (row-major) index."""
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
-def direct_sum_embed(block: np.ndarray, total_dim: int) -> np.ndarray:
-    """Embed ``block`` as the leading diagonal block of a ``total_dim`` matrix.
-
-    The complement is padded with zeros, i.e. block ⊕ 0.
-    """
-    block = np.asarray(block, dtype=np.complex128)
-    d = block.shape[0]
-    if block.ndim != 2 or block.shape != (d, d):
-        raise ValidationError(f"block must be square, got shape {block.shape}")
-    if d > total_dim:
-        raise ValidationError(f"block dimension {d} exceeds total dimension {total_dim}")
-    out = np.zeros((total_dim, total_dim), dtype=np.complex128)
-    out[:d, :d] = block
-    return out
 
 
 def random_density_matrix(dim: int, seed=None) -> np.ndarray:

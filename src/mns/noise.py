@@ -189,19 +189,16 @@ class KrausChannel:
         """Frobenius norm of sum_k E_k^dag E_k - I."""
         return float(np.linalg.norm(self.completeness_gap))
 
+    @cached_property
     def stack(self) -> np.ndarray:
         """The operators as one read-only (K, N, N) array, built once."""
-        return self._stack
-
-    @cached_property
-    def _stack(self) -> np.ndarray:
         return _read_only(np.stack(self.operators))
 
     @cached_property
     def completeness_gap(self) -> np.ndarray:
         """I - sum_k E_k^dag E_k as one read-only N x N array: zero for an
         exact channel, O(dt^2) for a first-order one."""
-        column = self.stack().reshape(-1, self.dim)  # [E_0; E_1; ..]
+        column = self.stack.reshape(-1, self.dim)  # [E_0; E_1; ..]
         return _read_only(np.eye(self.dim) - column.conj().T @ column)
 
 
@@ -336,7 +333,7 @@ def dfs_check(
     rng = np.random.default_rng(0)
     rho1 = np.array([random_density_matrix(n1, rng) for _ in range(6)])
     states = dagger(v) @ np.kron(rho1, np.eye(n2) / n2) @ v  # (S, N, N)
-    ops = channel.stack()[:, None]  # (K, 1, N, N)
+    ops = channel.stack[:, None]  # (K, 1, N, N)
     norms = np.linalg.norm(ops @ states - states @ ops, axis=(2, 3))  # (K, S)
     per_operator = norms.max(axis=1, initial=0.0).tolist()
     defect = max(per_operator)

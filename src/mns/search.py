@@ -7,8 +7,9 @@ encoding unitary only through its first m = n1*n2 rows V, so BFGS moves an
 unconstrained m x N matrix X and evaluates J at V = ``polar``(X); results are
 reported in chart coordinates (``chart_of``).
 
-The restarts of one dimension pair run in lockstep (``_lockstep``): each is a
-lane that hands over the next point it needs, and one call of ``polar`` and
+``find_mns`` makes one ``bfgs_maximize`` call per dimension pair, and that
+call runs the pair's restarts in lockstep (``_lockstep``): each is a lane
+that hands over the next point it needs, and one call of ``polar`` and
 ``value_and_gradient`` evaluates every lane's point as a stack.  A lane's
 results do not depend on which other lanes share the stack, and restart
 seeds are derived from the master seed and the (dims, restart) indices, so
@@ -113,35 +114,24 @@ class SearchResult:
 def bfgs_maximize(
     channel: KrausChannel,
     dims: tuple[int, int],
-    initial: UnitaryParams,
-    config: SearchConfig,
-) -> RestartRecord:
-    """Run one BFGS ascent of J from ``initial``, as a descent of
-    f = (1 - J)/dt with dt the channel's step (1 for an exact channel), so
-    the tolerances mean the same for every step size.
-
-    Stops when |grad f| falls below ``gradient_tolerance``, when an accepted
-    step lowers f by no more than ``objective_tolerance``*|f|, or at
-    ``max_iterations``; ``stop_reason`` says which (see ``_bfgs_minimize``)
-    and ``converged`` is true for the first two.  A failed line search
-    returns the best point found so far with ``degraded=True`` instead of
-    raising.  X starts at the first m = n1*n2 rows of ``realize(initial)``.
-    It is the one-lane case of the ascents ``find_mns`` runs together, and
-    its record is restart 0 with seed ().
-    """
-    return _ascend(channel, dims, {(): initial}, config)[0]
-
-
-def _ascend(
-    channel: KrausChannel,
-    dims: tuple[int, int],
     initials: dict[tuple[int, ...], UnitaryParams],
     config: SearchConfig,
 ) -> list[RestartRecord]:
-    """``bfgs_maximize`` from each restart's initial point, keyed by its seed
-    and indexed in order, as lanes of one ``_lockstep`` run: f and its
-    gradient come from one stacked ``polar`` and ``value_and_gradient`` call
-    per round of the lanes' points."""
+    """Run one BFGS ascent of J from each restart's initial point, keyed by
+    its seed, and return their records indexed in order.  Each ascent is a
+    descent of f = (1 - J)/dt with dt the channel's step (1 for an exact
+    channel), so the tolerances mean the same for every step size.
+
+    An ascent stops when |grad f| falls below ``gradient_tolerance``, when an
+    accepted step lowers f by no more than ``objective_tolerance``*|f|, or at
+    ``max_iterations``; ``stop_reason`` says which (see ``_bfgs_minimize``)
+    and ``converged`` is true for the first two.  A failed line search ends
+    the ascent at the best point found so far with ``degraded=True`` instead
+    of raising.  X starts at the first m = n1*n2 rows of ``realize(initial)``.
+    The ascents run as lanes of one ``_lockstep`` run: f and its gradient
+    come from one stacked ``polar`` and ``value_and_gradient`` call per round
+    of the lanes' points.
+    """
     n1, n2 = dims
     if n1 * n2 > channel.dim:
         raise ValidationError(f"encoded block {n1}x{n2} exceeds channel dim {channel.dim}")
@@ -471,7 +461,7 @@ def find_mns(
             key: _initial_point(channel.dim, np.random.default_rng(np.random.SeedSequence(key)))
             for key in seeds
         }
-        records = _ascend(channel, (n1, n2), initials, config)
+        records = bfgs_maximize(channel, (n1, n2), initials, config)
 
         final_j = np.array([rec.final_j for rec in records])
         best = int(np.argmax(final_j))

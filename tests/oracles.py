@@ -5,13 +5,16 @@ faster way, or builds inputs and diagnostics the tests need:
 
 * the logical map of a channel, by encoding each H1 matrix unit, applying
   the channel's action and decoding it again (``direct_map``, the one loop
-  that both ``fidelity.logical_map`` and the objective's reduced-channel
-  weight are checked against);
+  that both ``logical_map`` and the objective's reduced-channel weight are
+  checked against);
+* the logical map of a dense N^2 x N^2 superoperator (``logical_map``) and
+  its worst-case fidelity (``dense_worst_case``), the references for the
+  maps ``fidelity.worst_case_fidelity`` forms from a model's spectrum;
 * J through its coefficient tensor over an orthonormal Hermitian operator
   basis (``coefficients``), and dJ/dx by central differences in chart
   coordinates (``gradient``);
-* random unitaries, states and channels, explicit subspace encodings and
-  projector distances.
+* commutators and direct-sum embeddings, random unitaries, states and
+  channels, explicit subspace encodings and projector distances.
 
 Nothing in ``src/mns`` imports this module.
 """
@@ -26,7 +29,8 @@ from itertools import combinations
 import numpy as np
 
 from mns.errors import ValidationError
-from mns.linalg import dagger, direct_sum_embed, tensor
+from mns.fidelity import _minima, _traced
+from mns.linalg import as_isometry, dagger, tensor
 from mns.noise import KrausChannel
 from mns.objective import objective_of_unitary
 from mns.parametrization import UnitaryParams, num_angles, num_phases, realize
@@ -60,6 +64,26 @@ def partial_trace_1(m: np.ndarray, n1: int, n2: int) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     _check_factor_dims(m, n1, n2)
     return np.einsum("iaib->ab", m.reshape(n1, n2, n1, n2))
+
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
+
+
+def direct_sum_embed(block: np.ndarray, total_dim: int) -> np.ndarray:
+    """Embed ``block`` as the leading diagonal block of a ``total_dim`` matrix.
+
+    The complement is padded with zeros, i.e. block ⊕ 0.
+    """
+    block = np.asarray(block, dtype=np.complex128)
+    d = block.shape[0]
+    if block.ndim != 2 or block.shape != (d, d):
+        raise ValidationError(f"block must be square, got shape {block.shape}")
+    if d > total_dim:
+        raise ValidationError(f"block dimension {d} exceeds total dimension {total_dim}")
+    out = np.zeros((total_dim, total_dim), dtype=np.complex128)
+    out[:d, :d] = block
+    return out
 
 
 def block_projector(block_dim: int, total_dim: int) -> np.ndarray:
@@ -308,6 +332,28 @@ def direct_map(action, u: np.ndarray, n1: int, n2: int) -> np.ndarray:
     return out
 
 
+def logical_map(superoperator: np.ndarray, v: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Matrix of rho1 -> Tr_H2[V Lambda(V^dag (rho1 (x) I/n2) V) V^dag] on
+    row-major vectorized H1 operators, for the superoperator of Lambda and
+    the encoded rows V.
+
+    With vec(A rho B) = (A (x) B^T) vec(rho), a = V (x) conj(V) decodes and
+    a^dag encodes.  Tracing H2 out of the output and contracting the input
+    with I/n2 leaves Tr_out(a) Sup Tr_in(a^dag) / n2 (``_traced``).
+    """
+    p = _traced(v, n1, n2)
+    return p @ superoperator @ dagger(p) / n2
+
+
+def dense_worst_case(v: np.ndarray, dims: tuple[int, int], superoperator: np.ndarray) -> float:
+    """Minimize f(psi) over pure logical states for the encoding with rows V
+    (``as_isometry``) under the channel with this N^2 x N^2 superoperator
+    (``evolve``'s): the one-map case of ``_minima``, exact for a qubit."""
+    n1, n2 = dims
+    v = as_isometry(v, n1, n2, math.isqrt(len(superoperator)))
+    return float(_minima(logical_map(superoperator, v, n1, n2)[None], n1)[0])
+
+
 # ---------------------------------------------------------------------------
 # the objective by other routes
 
@@ -375,7 +421,7 @@ def coefficients(channel: KrausChannel, cand: EncodingCandidate) -> np.ndarray:
     m = n1 * n2
     rows = cand.unitary[:m]
     blocks = np.einsum(
-        "in,knm,jm->kij", rows, channel.stack(), rows.conj(), optimize=True
+        "in,knm,jm->kij", rows, channel.stack, rows.conj(), optimize=True
     )
     b1 = pauli_basis(n1).stack()
     b2 = pauli_basis(n2).stack()

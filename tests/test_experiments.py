@@ -807,8 +807,26 @@ def test_cmd_show_result_rejects_corrupt_file(tmp_path):
             "field 'results[0].restarts[0].index'",
         ),
         ({"points": [{"param": 0.0, "fi_mns": None}]}, "field 'points[0].fi_dfs'"),
+        ({"results": 5}, "'results' in the result file must be a list, got 5"),
+        (
+            {"results": [{"n1": 2, "n2": 2, "j_opt": "x", "is_dfs": True}]},
+            "field 'results[0].j_opt' must be a number, got 'x'",
+        ),
+        (
+            {"points": [{"param": "z", "fi_mns": 1.0, "fi_dfs": 1.0}]},
+            "field 'points[0].param' must be a number, got 'z'",
+        ),
     ],
-    ids=["root-list", "entry-without-n2", "entry-not-object", "restart-without-index", "point-without-fi_dfs"],
+    ids=[
+        "root-list",
+        "entry-without-n2",
+        "entry-not-object",
+        "restart-without-index",
+        "point-without-fi_dfs",
+        "results-not-list",
+        "j_opt-not-number",
+        "param-not-number",
+    ],
 )
 def test_cmd_show_result_refuses_json_that_is_not_a_result(tmp_path, capsys, payload, message):
     # valid JSON of another shape is a validation error (exit 1), not a crash

@@ -10,8 +10,8 @@ import mns.fidelity
 import mns.noise
 from mns.errors import ValidationError
 from mns.experiments import build_model, load_config
-from mns.fidelity import evolve, fidelity_sweep, logical_map, worst_case_fidelity
-from mns.fidelity import _BLOCH, _brent_root, _logical_maps, _minima, _sphere_minimum, _worst_cases
+from mns.fidelity import evolve, fidelity_sweep, worst_case_fidelity
+from mns.fidelity import _BLOCH, _brent_root, _logical_maps, _minima, _sphere_minimum
 from mns.linalg import dagger, random_density_matrix, tensor
 from mns.noise import (
     LindbladModel,
@@ -28,11 +28,13 @@ from oracles import (
     basis_state_encoding,
     choi_matrix,
     decode,
+    dense_worst_case,
     direct_map,
     encode,
     evolved_apply,
     haar_random_unitary,
     kraus_apply,
+    logical_map,
     random_kraus_channel,
 )
 
@@ -152,7 +154,7 @@ def test_evolve_is_cptp():
 
 
 def test_evolve_rejects_non_finite_time():
-    # a NaN superoperator would surface later, in worst_case_fidelity, as an
+    # a NaN superoperator would surface later, in the worst-case minimum, as an
     # unrelated "Eigenvalues did not converge"
     for t in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValidationError, match="t_f"):
@@ -332,20 +334,20 @@ def test_logical_map_matches_direct_action(dims):
 
 def test_worst_case_fidelity_identity_evolution():
     ev = evolve(collective_xz(3, 1.0, 1.0), 0.0)
-    fi = worst_case_fidelity(haar_random_unitary(8, 6)[:4], (2, 2), ev)
+    fi = dense_worst_case(haar_random_unitary(8, 6)[:4], (2, 2), ev)
     assert abs(fi - 1.0) <= 1e-12
 
 
 def test_worst_case_fidelity_dfs_encoding():
     ev = evolve(collective_xz(3, 1.0, 1.0), 1.0)
-    fi = worst_case_fidelity(collective_dfs_encoding(), (2, 2), ev)
+    fi = dense_worst_case(collective_dfs_encoding(), (2, 2), ev)
     assert fi >= 1.0 - 1e-6
 
 
 def test_worst_case_fidelity_dephasing_closed_form():
     for gamma, t in ((0.7, 0.9), (1.0, 1.0)):
         ev = evolve(_dephasing(gamma), t)
-        fi = worst_case_fidelity(np.eye(2), (2, 1), ev)
+        fi = dense_worst_case(np.eye(2), (2, 1), ev)
         assert abs(fi - 0.5 * (1 + np.exp(-2 * gamma * t))) <= 1e-12
 
 
@@ -357,7 +359,7 @@ def test_worst_case_fidelity_qubit_matches_dense_bloch_grid():
         for t in (0.4, 1.1):
             ev = _expm_channel(model, t)
             u = haar_random_unitary(model.dim, 100 + seed)
-            fi = worst_case_fidelity(u[: dims[0] * dims[1]], dims, ev)
+            fi = dense_worst_case(u[: dims[0] * dims[1]], dims, ev)
             grid = _bloch_grid_minimum(u, dims, ev)
             assert fi <= grid + 1e-12
             assert abs(fi - grid) <= 1e-9
@@ -431,18 +433,18 @@ def _bloch_form_map(a, b, c):
 
 def test_stacked_worst_cases_match_one_map_at_a_time():
     # a 21-time sweep of two encodings scored in one stack against
-    # worst_case_fidelity at each time, plus Bloch-form problems with known
+    # dense_worst_case at each time, plus Bloch-form problems with known
     # minima: a pole (beta_0 != 0, so |y(lam_0)| is infinite and the secular
     # function meets it at the bracket's end), a pole on a degenerate lowest
     # eigenvalue, and the hard case (beta_0 = 0, mu = lam_0)
     model = _perturbed(0.1)
     times = [0.0, *np.sort(np.random.default_rng(18).uniform(0.0, 1.0, 19)), 1.0]
     encodings = [collective_dfs_encoding(), haar_random_unitary(8, 18)[:4]]
-    stacked = _worst_cases(model, times, encodings, (2, 2))
+    stacked = worst_case_fidelity(model, times, encodings, (2, 2))
     assert stacked.shape == (2, 21)
     for v, row in zip(encodings, stacked):
         for t, fi in zip(times, row):
-            assert abs(fi - worst_case_fidelity(v, (2, 2), evolve(model, t))) <= 1e-14
+            assert abs(fi - dense_worst_case(v, (2, 2), evolve(model, t))) <= 1e-14
     cases = [
         (_bloch_form_map(1.0, np.array([0.3, 0.0, 0.0]), np.diag([-1.0, 1.0, 1.0])), 1.0 - 1.3),
         (_bloch_form_map(1.0, np.array([0.3, 0.4, 0.0]), np.diag([-1.0, -1.0, 1.0])), 1.0 - 1.5),
@@ -470,19 +472,19 @@ def test_worst_case_fidelity_qutrit_dephasing_closed_form():
             a[i, j] = evolved_apply(ev, unit)[si, sj].real
     weights = np.linalg.solve(a, np.ones(3))
     assert weights.min() > 0.0  # the minimum is inside the simplex
-    fi = worst_case_fidelity(basis_state_encoding(8, states)[:3], (3, 1), ev)
+    fi = dense_worst_case(basis_state_encoding(8, states)[:3], (3, 1), ev)
     assert abs(fi - 1.0 / weights.sum()) <= 1e-12
 
 
 def test_worst_case_fidelity_qutrit_chart():
     ev = evolve(collective_z_with_local_dephasing(3, 1.0, 0.1, LOCAL_RATES), 0.0)
-    fi = worst_case_fidelity(basis_state_encoding(8, [3, 5, 6])[:3], (3, 1), ev)
+    fi = dense_worst_case(basis_state_encoding(8, [3, 5, 6])[:3], (3, 1), ev)
     assert abs(fi - 1.0) <= 1e-12
 
 
 def test_worst_case_fidelity_four_level_identity_evolution():
     ev = evolve(collective_xz(3, 1.0, 1.0), 0.0)
-    fi = worst_case_fidelity(haar_random_unitary(8, 7)[:4], (4, 1), ev)
+    fi = dense_worst_case(haar_random_unitary(8, 7)[:4], (4, 1), ev)
     assert abs(fi - 1.0) <= 1e-9
 
 
@@ -491,7 +493,7 @@ def test_worst_case_fidelity_four_level_below_state_sample():
     # about 9e-3 above the minimum the descent finds on this channel.
     ev = evolve(collective_xz(3, 0.3, 0.2), 0.5)
     u = haar_random_unitary(8, 300)
-    fi = worst_case_fidelity(u[:4], (4, 1), ev)
+    fi = dense_worst_case(u[:4], (4, 1), ev)
     raw = np.random.default_rng(1234).standard_normal((20000, 8))
     psis = raw[:, :4] + 1j * raw[:, 4:]
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
@@ -504,7 +506,7 @@ def test_worst_case_below_sampled_fidelities():
     # 1000-state random sample
     ev = evolve(_perturbed(0.1), 1.0)
     u = collective_dfs_encoding()
-    fi = worst_case_fidelity(u, (2, 2), ev)
+    fi = dense_worst_case(u, (2, 2), ev)
     rng = np.random.default_rng(8)
     sample = []
     for _ in range(1000):
@@ -521,7 +523,7 @@ def test_worst_case_fidelity_non_increasing_in_time():
     u = collective_dfs_encoding()
     model = _perturbed(0.1)
     vals = [
-        worst_case_fidelity(u, (2, 2), evolve(model, t)) for t in (0.0, 0.3, 0.6, 1.0)
+        dense_worst_case(u, (2, 2), evolve(model, t)) for t in (0.0, 0.3, 0.6, 1.0)
     ]
     assert vals[0] >= 1.0 - 1e-12
     for a, b in zip(vals, vals[1:]):
@@ -549,7 +551,7 @@ def test_fidelity_sweep_dfs_plateau():
     # the reference curve is quadratically flat near delta = 0
     for delta in (0.005, 0.01):
         ev = evolve(_perturbed(delta), 1.0)
-        fi = worst_case_fidelity(collective_dfs_encoding(), (2, 2), ev)
+        fi = dense_worst_case(collective_dfs_encoding(), (2, 2), ev)
         assert abs(fi - 1.0) <= 1e-3
 
 
@@ -584,6 +586,14 @@ def test_fidelity_sweep_tf_mode_decomposes_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     evolved = []
     monkeypatch.setattr(mns.fidelity, "evolve", lambda *args: evolved.append(args) or evolve(*args))
+    # the sweep looks worst_case_fidelity up as a module global, so a wrapper
+    # installed there sees the one call that scores every time
+    scored = []
+    monkeypatch.setattr(
+        mns.fidelity,
+        "worst_case_fidelity",
+        lambda *args: scored.append(args[1]) or worst_case_fidelity(*args),
+    )
     config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((2, 2),))
     grid = [0.0, 0.1, 0.5, 1.0, 3.0]
     points = fidelity_sweep(
@@ -593,6 +603,7 @@ def test_fidelity_sweep_tf_mode_decomposes_once(monkeypatch):
     assert len(builds) == 1
     assert len(eighs) == 1
     assert evolved == []  # the maps come from the spectrum, not from superoperators
+    assert scored == [grid]
 
 
 def test_fidelity_sweep_flags_failed_points():

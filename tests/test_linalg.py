@@ -4,20 +4,14 @@ import numpy as np
 import pytest
 
 from mns.errors import ValidationError
-from mns.fidelity import _worst_cases, evolve, worst_case_fidelity
-from mns.linalg import (
-    as_isometry,
-    as_matrix,
-    commutator,
-    dagger,
-    direct_sum_embed,
-    random_density_matrix,
-    tensor,
-)
+from mns.fidelity import worst_case_fidelity
+from mns.linalg import as_isometry, as_matrix, dagger, random_density_matrix, tensor
 from mns.noise import collective_xz, dfs_check, lindblad_to_kraus
 from mns.objective import objective_of_unitary
 from oracles import (
     block_projector,
+    commutator,
+    direct_sum_embed,
     haar_random_unitary,
     partial_trace_1,
     partial_trace_2,
@@ -54,8 +48,7 @@ ENCODING_CONSUMERS = {
     "objective_of_unitary": lambda v, n1, n2: objective_of_unitary(
         lindblad_to_kraus(MODEL, 1e-3), v, n1, n2
     ),
-    "worst_case_fidelity": lambda v, n1, n2: worst_case_fidelity(v, (n1, n2), evolve(MODEL, 0.5)),
-    "_worst_cases": lambda v, n1, n2: _worst_cases(MODEL, [0.5], [v], (n1, n2)),
+    "worst_case_fidelity": lambda v, n1, n2: worst_case_fidelity(MODEL, [0.5], [v], (n1, n2)),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mns.errors import ValidationError
-from mns.linalg import dagger, direct_sum_embed, random_density_matrix, tensor
+from mns.linalg import dagger, random_density_matrix, tensor
 from mns.noise import (
     LindbladModel,
     PAULI_Z,
@@ -20,6 +20,7 @@ from mns.parametrization import UnitaryParams, num_angles, num_phases, polar, re
 from oracles import (
     candidate,
     coefficients,
+    direct_sum_embed,
     gradient,
     haar_random_unitary,
     identity_channel,
@@ -334,12 +335,12 @@ def test_channel_arrays_are_cached_read_only():
     # the stack and I - sum_k E_k^dag E_k are built once per channel and
     # cannot be written through; repeated evaluations give identical results
     channel = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), DT)
-    cached = (channel.stack(), channel.completeness_gap)
+    cached = (channel.stack, channel.completeness_gap)
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
-    assert channel.stack() is cached[0] and channel.completeness_gap is cached[1]
+    assert channel.stack is cached[0] and channel.completeness_gap is cached[1]
     assert np.array_equal(cached[0], np.stack(channel.operators))
     gap = np.eye(8) - sum(dagger(e) @ e for e in channel.operators)
     assert np.abs(cached[1] - gap).max() <= 1e-15

@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 
 from mns.errors import ValidationError
-from mns.experiments import build_channel, load_config
+from mns.experiments import build_channel, build_model, load_config
 from mns.linalg import dagger
 from mns.noise import (
     collective_xz,
@@ -60,7 +60,7 @@ def test_default_candidate_dims():
 
 def test_bfgs_from_optimum_terminates_immediately(collective_channel, collective_search):
     config = SearchConfig(num_restarts=1, candidate_dims=((2, 2),))
-    out = bfgs_maximize(collective_channel, (2, 2), collective_search.best_params, config)
+    [out] = bfgs_maximize(collective_channel, (2, 2), {(): collective_search.best_params}, config)
     assert out.iterations <= 2
     assert out.converged
     assert out.final_j >= 1.0 - 1e-6
@@ -120,7 +120,7 @@ def test_bfgs_evaluates_each_point_once(
         lanes.clear()
         rows.clear()
         rng = np.random.default_rng(np.random.SeedSequence((1, 0, 0)))
-        out = bfgs_maximize(channel, dims, _initial_point(8, rng), config)
+        [out] = bfgs_maximize(channel, dims, {(): _initial_point(8, rng)}, config)
         assert out.converged and not out.degraded
         assert len(lanes) == 1
         seen = lanes[0]
@@ -277,8 +277,8 @@ def test_restart_records_carry_stop_reason(collective_search, local_dephasing_se
 def test_bfgs_identity_channel_converges_at_start():
     ch = identity_channel(4)
     rng = np.random.default_rng(0)
-    out = bfgs_maximize(
-        ch, (2, 2), _initial_point(4, rng), SearchConfig(candidate_dims=((2, 2),))
+    [out] = bfgs_maximize(
+        ch, (2, 2), {(): _initial_point(4, rng)}, SearchConfig(candidate_dims=((2, 2),))
     )
     assert out.iterations == 0
     assert out.converged
@@ -288,17 +288,27 @@ def test_bfgs_identity_channel_converges_at_start():
 def test_bfgs_dimension_checks(collective_channel):
     cfg = SearchConfig(candidate_dims=((2, 2),))
     with pytest.raises(ValidationError):
-        bfgs_maximize(collective_channel, (3, 3), zero_params(8), cfg)
+        bfgs_maximize(collective_channel, (3, 3), {(): zero_params(8)}, cfg)
     with pytest.raises(ValidationError):
-        bfgs_maximize(collective_channel, (2, 2), zero_params(4), cfg)
+        bfgs_maximize(collective_channel, (2, 2), {(): zero_params(4)}, cfg)
 
 
 def test_find_mns_runs_one_descent_per_restart(collective_channel, monkeypatch):
     # one stage: each restart is one descent, and a DFS winner gets no
     # second pass after the restarts
     lanes, rows = _count_evaluations(monkeypatch)
+    # find_mns looks bfgs_maximize up as a module global, so a wrapper
+    # installed there sees one call per dims pair with all of its restarts
+    ascents, ascend = [], mns.search.bfgs_maximize
+    monkeypatch.setattr(
+        mns.search,
+        "bfgs_maximize",
+        lambda channel, dims, initials, config: ascents.append((dims, list(initials)))
+        or ascend(channel, dims, initials, config),
+    )
     config = SearchConfig(num_restarts=2, seed=1, candidate_dims=((2, 1), (2, 2)))
     results = find_mns(collective_channel, config)
+    assert ascents == [((2, 1), [(1, 0, 0), (1, 0, 1)]), ((2, 2), [(1, 1, 0), (1, 1, 1)])]
     assert results[(2, 2)].is_dfs
     assert len(lanes) == config.num_restarts * len(config.candidate_dims)
     records = [(dims, rec) for dims, res in results.items() for rec in res.per_restart]
@@ -399,8 +409,8 @@ def test_restarts_agreeing_in_j_describe_same_subspace(
     projs = []
     for rec in top_two:
         rng = np.random.default_rng(np.random.SeedSequence(tuple(rec.seed)))
-        out = bfgs_maximize(
-            local_dephasing_channel, (3, 1), _initial_point(8, rng), config
+        [out] = bfgs_maximize(
+            local_dephasing_channel, (3, 1), {(): _initial_point(8, rng)}, config
         )
         assert out.final_j == rec.final_j
         v = out.isometry_final
@@ -422,9 +432,9 @@ def test_restarts_in_the_stack_are_bitwise_the_restarts_alone():
         rec.seed: _initial_point(8, np.random.default_rng(np.random.SeedSequence(rec.seed)))
         for rec in result.per_restart
     }
-    stacked = mns.search._ascend(channel, (2, 1), initials, search)
+    stacked = bfgs_maximize(channel, (2, 1), initials, search)
     for rec, initial, lane in zip(result.per_restart, initials.values(), stacked):
-        alone = bfgs_maximize(channel, (2, 1), initial, search)
+        [alone] = bfgs_maximize(channel, (2, 1), {(): initial}, search)
         assert (alone.index, alone.seed) == (0, ())
         assert (rec.trace, rec.iterations, rec.stop_reason, rec.gradient_norm) == (
             alone.trace,
@@ -557,7 +567,7 @@ def test_find_mns_local_dephasing_resolves_double_excitation_pair():
 def test_find_mns_perturbed_restarts_agree_on_optimum():
     # delta = 0.1 of configs/perturbed_global_delta_sweep.json
     config = load_config(CONFIG_DIR / "perturbed_global_delta_sweep.json")
-    channel = build_channel(config, delta_override=0.1)
+    channel = lindblad_to_kraus(build_model(config.model, delta_override=0.1), config.search.dt)
     result = find_mns(channel, config.search)[(2, 2)]
     assert len(result.per_restart) == 10
     finals = [rec.final_j for rec in result.per_restart]
