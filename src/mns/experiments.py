@@ -353,6 +353,7 @@ def _result_entry(dims: tuple[int, int], result: SearchResult) -> dict:
                 "seed": list(rec.seed),
                 "final_j": float(rec.final_j),
                 "iterations": rec.iterations,
+                "evaluations": rec.evaluations,
                 "converged": rec.converged,
                 "degraded": rec.degraded,
                 "stop_reason": rec.stop_reason,
@@ -562,7 +563,8 @@ def cmd_show_result(path) -> dict:
             rec = _entry(rec, rec_at, ("index", "final_j", "iterations"))
             print(
                 f"    restart {rec['index']}: J={_shown(rec, 'final_j', rec_at)} "
-                f"iterations={rec['iterations']} stop={rec.get('stop_reason', '?')} "
+                f"iterations={rec['iterations']} evaluations={rec.get('evaluations', '?')} "
+                f"stop={rec.get('stop_reason', '?')} "
                 f"|grad|={_shown(rec, 'gradient_norm', rec_at, '.3e')}"
             )
     points = _items(payload.get("points", []), "points")

@@ -200,9 +200,11 @@ def _descent_minimum(gmat: np.ndarray, n1: int) -> float:
     the starts run as lanes of one ``_lockstep`` descent.
     f = v^H S v / 2 with v = vec(z z^dag) and S = G + G^H; at a unit z its
     gradient is 2 K z with K = unvec(S v), and the normalization z/|z| is the
-    m = 1 case of ``polar``.  BFGS stops on saddles, and the starts are saddles
-    of every map that commutes with diagonal phases, so the best point leaves
-    along negative curvature until there is none or it lowers f no further."""
+    m = 1 case of ``polar``.  ``fg`` returns no retraction, so BFGS moves z
+    itself, off the unit sphere.  BFGS stops on saddles, and the starts are
+    saddles of every map that commutes with diagonal phases, so the best
+    point leaves along negative curvature until there is none or it lowers f
+    no further."""
     s = gmat + dagger(gmat)
 
     def fg(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

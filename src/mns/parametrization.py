@@ -23,7 +23,8 @@ their completion to a unitary.
 The search does not move through the chart.  J and the commutation residual
 depend on U only through its first m rows, an isometry V, which it reaches as
 the polar factor V = (X X^dag)^(-1/2) X of an unconstrained m x N matrix X
-(``polar``).  ``realize_with_partials`` builds every dU/dx_p explicitly, in
+(``polar``), and from which it goes on after each step, with the gradient
+there from ``tangent``.  ``realize_with_partials`` builds every dU/dx_p explicitly, in
 the order [diagonal phases | pair phases (lex) | angles (lex)], for the
 gradient in chart coordinates.
 """
@@ -48,6 +49,8 @@ __all__ = [
     "realize",
     "chart_of",
     "polar",
+    "pack_complex",
+    "tangent",
     "realize_with_partials",
 ]
 
@@ -207,7 +210,9 @@ def polar(x: np.ndarray, m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.
     F = (X X^dag)^(-1/2), dF = Q((Q^dag dH Q) o K)Q^dag for dH = d(X X^dag),
     where K_ij = -1/(s_i s_j (s_i + s_j)), s = sqrt(lam), divides differences
     of lam^(-1/2).  So the pullback is F G + (M + M^dag) X with M =
-    Q((Q^dag X G^dag Q) o K)Q^dag: at orthonormal X, G - (G V^dag + V G^dag) V / 2.
+    Q((Q^dag X G^dag Q) o K)Q^dag.  At orthonormal X = V it is the tangent
+    projection G - (G V^dag + V G^dag) V / 2 (``tangent``): the gradient of
+    f(V(x)) at the packing of V comes from G at any X with the polar factor V.
     """
     half = x.shape[-1] // 2
     xm = (x[..., :half] + 1j * x[..., half:]).reshape(*x.shape[:-1], m, -1)
@@ -220,11 +225,25 @@ def polar(x: np.ndarray, m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.
 
     def pullback(g: np.ndarray) -> np.ndarray:
         mm = q @ ((qd @ xm @ dagger(g) @ q) * kern) @ qd
-        gx = f @ g + (mm + dagger(mm)) @ xm
-        flat = gx.reshape(*gx.shape[:-2], -1)
-        return np.concatenate([flat.real, flat.imag], axis=-1)
+        return pack_complex(f @ g + (mm + dagger(mm)) @ xm)
 
     return f @ xm, pullback
+
+
+def pack_complex(v: np.ndarray) -> np.ndarray:
+    """The packing x = [Re V | Im V] (row-major) that ``polar`` reads, for V
+    of shape (..., m, N)."""
+    flat = v.reshape(*v.shape[:-2], -1)
+    return np.concatenate([flat.real, flat.imag], axis=-1)
+
+
+def tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """G - (G V^dag + V G^dag) V / 2, packed: the projection of the gradient
+    G of f(V) onto the tangent space of the isometries at V, which is the
+    gradient of f(V(x)) at x = ``pack_complex``(V) (see ``polar``).  V G^dag
+    is (G V^dag)^dag, so one m x m product serves both."""
+    a = g @ dagger(v)
+    return pack_complex(g - (0.5 * (a + dagger(a))) @ v)
 
 
 def _factor_matrices(params: UnitaryParams) -> list[np.ndarray]:

@@ -7,6 +7,17 @@ encoding unitary only through its first m = n1*n2 rows V, so BFGS moves an
 unconstrained m x N matrix X and evaluates J at V = ``polar``(X); results are
 reported in chart coordinates (``chart_of``).
 
+Each restart is Riemannian BFGS on the isometries, with the polar factor as
+its retraction: after a line search accepts a trial X, the restart goes on
+from V = ``polar``(X), where f is the same and the gradient is the tangent
+projection of the same evaluation's gradient in V (``tangent``).  X left
+free would drift from the isometries (its singular values grow from 1 to
+2-5 over a restart), and the curvature BFGS learns would drift with it.
+The first inverse Hessian is scaled by s^T y / y^T y.  A step that gains
+less than sqrt(eps)*|f| keeps the trial X, because there f is at its
+rounding floor and the stall rule needs f at the point the next trials
+start from to the bit (``_bfgs_minimize``).
+
 ``find_mns`` makes one ``bfgs_maximize`` call per dimension pair, and that
 call runs the pair's restarts in lockstep (``_lockstep``): each is a lane
 that hands over the next point it needs, and one call of ``polar`` and
@@ -34,7 +45,16 @@ import numpy as np
 from .errors import ValidationError
 from .noise import KrausChannel, dfs_check
 from .objective import value_and_gradient
-from .parametrization import UnitaryParams, chart_of, num_angles, num_phases, polar, realize
+from .parametrization import (
+    UnitaryParams,
+    chart_of,
+    num_angles,
+    num_phases,
+    pack_complex,
+    polar,
+    realize,
+    tangent,
+)
 
 __all__ = [
     "SearchConfig",
@@ -76,14 +96,17 @@ class SearchConfig:
 class RestartRecord:
     """One restart's ascent, from the seed of its initial point.
 
-    The trace and ``final_j`` report J.  ``isometry_final`` is the encoded
-    rows V at the final point; ``find_mns`` charts only the winner's.
+    The trace and ``final_j`` report J.  ``evaluations`` counts the points
+    at which the ascent evaluated J and its gradient, the start included.
+    ``isometry_final`` is the encoded rows V at the final point;
+    ``find_mns`` charts only the winner's.
     """
 
     index: int
     seed: tuple[int, ...]
     final_j: float
     iterations: int
+    evaluations: int
     trace: tuple[float, ...]
     stop_reason: str
     gradient_norm: float
@@ -130,7 +153,13 @@ def bfgs_maximize(
     of raising.  X starts at the first m = n1*n2 rows of ``realize(initial)``.
     The ascents run as lanes of one ``_lockstep`` run: f and its gradient
     come from one stacked ``polar`` and ``value_and_gradient`` call per round
-    of the lanes' points.
+    of the lanes' points, which also gives each point's polar factor V and
+    the gradient there (the tangent projection).  A lane goes on from V after
+    each accepted step that gains more than sqrt(eps)*|f|, so it stays on the
+    isometries without another evaluation; below that gain f is at its
+    rounding floor and the lane keeps X, where its f was evaluated.  The
+    inverse Hessian starts as (s^T y / y^T y) I (see ``_bfgs_minimize``).
+    No initial points, no ascents: an empty dict gives an empty list.
     """
     n1, n2 = dims
     if n1 * n2 > channel.dim:
@@ -138,17 +167,24 @@ def bfgs_maximize(
     if any(initial.dim != channel.dim for initial in initials.values()):
         raise ValidationError("initial parameters live on the wrong dimension")
 
+    if not initials:
+        return []
     m = n1 * n2
     scale = channel.dt or 1.0
 
-    def fg(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fg(xs: np.ndarray) -> tuple[np.ndarray, ...]:
         v, pullback = polar(xs, m)
         values, gradients = value_and_gradient(channel, v, n1, n2)
-        return values / scale, pullback(gradients) / scale
+        return (
+            values / scale,
+            pullback(gradients) / scale,
+            pack_complex(v),
+            tangent(v, gradients) / scale,
+        )
 
     runs = _lockstep(
         fg,
-        [_flat(realize(initial)[:m]) for initial in initials.values()],
+        [pack_complex(realize(initial)[:m]) for initial in initials.values()],
         config.max_iterations,
         config.gradient_tolerance,
         config.objective_tolerance,
@@ -163,6 +199,7 @@ def bfgs_maximize(
                 seed=seed,
                 final_j=trace[-1],
                 iterations=run.iterations,
+                evaluations=run.evaluations,
                 trace=trace,
                 stop_reason=run.stop_reason,
                 gradient_norm=run.gradient_norm,
@@ -172,25 +209,22 @@ def bfgs_maximize(
     return records
 
 
-def _flat(v: np.ndarray) -> np.ndarray:
-    """The packing [Re V | Im V] that ``polar`` reads."""
-    return np.concatenate([v.real.ravel(), v.imag.ravel()])
-
-
 class Descent(NamedTuple):
     """What ``_bfgs_minimize`` returns: the final point, the f value after
     each iteration starting from the initial one, the iteration count, why
-    it stopped and |grad f| at the final point."""
+    it stopped, |grad f| at the final point and how many points it yielded
+    for evaluation."""
 
     x: np.ndarray
     trace: list[float]
     iterations: int
     stop_reason: str
     gradient_norm: float
+    evaluations: int
 
 
 def _lockstep(
-    fg: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    fg: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     starts,
     max_iterations: int,
     gradient_tolerance: float,
@@ -198,7 +232,9 @@ def _lockstep(
 ) -> list[Descent]:
     """One ``_bfgs_minimize`` descent from each start point, all run
     together: ``fg`` takes an (R, n) stack of points to the R values of f
-    and the (R, n) gradients.
+    and the (R, n) gradients, and for a descent on a manifold also to each
+    point's retraction onto it and the gradient there (as ``bfgs_maximize``'s
+    ``fg`` does); without them each point is its own retraction.
 
     Every round stacks the point each unfinished lane waits on, makes one
     ``fg`` call and sends each lane its row; a lane that finishes leaves the
@@ -213,14 +249,21 @@ def _lockstep(
     descents: list[Descent] = [None] * len(lanes)
     while waiting:
         active = list(waiting)
-        values, gradients = fg(np.array([waiting[i] for i in active]))
-        for i, value, gradient in zip(active, values.tolist(), gradients):
+        xs = np.array([waiting[i] for i in active])
+        values, gradients, *retracted = fg(xs)
+        points, tangents = retracted or (xs, gradients)
+        for i, row in zip(active, zip(values.tolist(), gradients, points, tangents)):
             try:
-                waiting[i] = lanes[i].send((value, gradient))
+                waiting[i] = lanes[i].send(row)
             except StopIteration as stop:
                 descents[i] = stop.value
                 del waiting[i]
     return descents
+
+
+# an accepted step that lowers f by more than this times |f| moves the lane
+# to the trial's retraction; below it f is at its rounding floor
+RETRACT_GAIN = math.sqrt(np.finfo(float).eps)
 
 
 def _bfgs_minimize(
@@ -228,10 +271,11 @@ def _bfgs_minimize(
     max_iterations: int,
     gradient_tolerance: float,
     objective_tolerance: float,
-) -> Generator[np.ndarray, tuple[float, np.ndarray], Descent]:
+) -> Generator[np.ndarray, tuple[float, np.ndarray, np.ndarray, np.ndarray], Descent]:
     """BFGS descent of f from ``x``, as a generator: it yields each point
-    where it needs f, is sent (f(x), grad f(x)) back, and returns the
-    ``Descent``.  ``_lockstep`` runs it.
+    where it needs f, is sent (f, grad f, r, grad f(r)) back, where r is the
+    point's retraction (its polar factor in ``bfgs_maximize``, so f(r) is
+    f), and returns the ``Descent``.  ``_lockstep`` runs it.
 
     Each iteration takes a strong-Wolfe step along the quasi-Newton
     direction p (``_wolfe_step``, SciPy's ``line_search`` to the bit), falling
@@ -241,32 +285,45 @@ def _bfgs_minimize(
     ``objective_tolerance`` times |f| at the new point, "line_search" when
     the backtracking failed too, or "max_iterations".
 
+    The descent is Riemannian BFGS with a retraction (Absil, Mahony &
+    Sepulchre 2008, sec. 4.1; Huang, Gallivan & Absil, SIAM J. Optim. 25,
+    1660 (2015)): the lane continues from the accepted trial's retraction,
+    with f and the gradient there from the same evaluation, so the inverse
+    Hessian H learns the curvature on the manifold rather than along the
+    directions that only rescale x.  H starts as (s^T y / y^T y) I at the
+    first update (Nocedal & Wright, 2nd ed., eq. 6.20), and again after a
+    reset.  A step that lowered f by no more than ``RETRACT_GAIN`` (sqrt of
+    the machine epsilon) times |f| keeps the trial point itself: there f is
+    at its rounding floor, f at the retraction is f only up to rounding, and
+    the stall rule compares the next trials with phi(0) exactly, so phi(0)
+    must be f evaluated at the point the trials start from.
+
     Both line searches work on phi(alpha) = f(x + alpha p): they yield step
     lengths and are sent (phi(alpha), phi'(alpha)).  The loop builds
-    x + alpha p once per step length and keeps the iteration's
-    (point, f, grad f) by alpha, so it yields each point of an iteration at
-    most once: the accepted point and its gradient come from that table, and
-    the backtracking's retries of step lengths a failed line search already
-    tried are answered from it.
+    x + alpha p once per step length and keeps the iteration's rows by
+    alpha, so it yields each point of an iteration at most once: the
+    accepted point comes from that table, and the backtracking's retries of
+    step lengths a failed line search already tried are answered from it.
     """
-    fx, gx = yield x
+    fx, gx, *_ = yield x
     n = x.size
-    h = np.eye(n)
+    h = None  # the identity, until the first update scales it
     trace = [fx]
     reason = "max_iterations"
     iterations = 0
+    evaluations = 1
 
     for it in range(1, max_iterations + 1):
         if _norm(gx) <= gradient_tolerance:
             break
         iterations = it
-        p = -(h @ gx)
+        p = -gx if h is None else -(h @ gx)
         slope = p @ gx
         if slope >= 0:  # not a descent direction; reset the approximation
-            h = np.eye(n)
+            h = None
             p = -gx
             slope = p @ gx
-        tried: dict[float, tuple[np.ndarray, float, np.ndarray]] = {}
+        tried: dict[float, tuple] = {}
         for search in (_wolfe_step(fx, slope), _backtrack(fx, slope)):
             alpha = next(search)
             try:
@@ -274,7 +331,8 @@ def _bfgs_minimize(
                     if alpha not in tried:
                         point = x + alpha * p
                         tried[alpha] = (point, *(yield point))
-                    _, f, g = tried[alpha]
+                        evaluations += 1
+                    _, f, g, *_ = tried[alpha]
                     alpha = search.send((f, np.dot(g, p)))
             except StopIteration as stop:
                 alpha, f_new = stop.value
@@ -283,11 +341,16 @@ def _bfgs_minimize(
         else:
             reason = "line_search"
             break
-        x_new, _, g_new = tried[alpha]
+        x_new, _, g_new, retraction, g_retraction = tried[alpha]
+        improvement = fx - f_new
+        if improvement > RETRACT_GAIN * abs(f_new):
+            x_new, g_new = retraction, g_retraction
         s = x_new - x
         y = g_new - gx
         sy = s @ y
         if sy > 1e-14 * _norm(s) * _norm(y):
+            if h is None:
+                h = np.eye(n) * (sy / (y @ y))
             # H += w s^T + s w^T, the BFGS inverse update with
             # w = rho ((rho y^T H y + 1)/2 s - H y)
             rho = 1.0 / sy
@@ -296,7 +359,6 @@ def _bfgs_minimize(
             update = w[:, None] * s
             update += update.T
             h += update
-        improvement = fx - f_new
         x, fx, gx = x_new, f_new, g_new
         trace.append(fx)
         if 0 <= improvement <= objective_tolerance * abs(fx):
@@ -306,7 +368,7 @@ def _bfgs_minimize(
     gradient_norm = _norm(gx)
     if gradient_norm <= gradient_tolerance:
         reason = "gradient"
-    return Descent(x, trace, iterations, reason, gradient_norm)
+    return Descent(x, trace, iterations, reason, gradient_norm, evaluations)
 
 
 def _norm(x: np.ndarray) -> float:

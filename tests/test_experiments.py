@@ -545,6 +545,7 @@ def test_cmd_find_mns_writes_result_and_encoding(find_mns_run):
             "seed",
             "final_j",
             "iterations",
+            "evaluations",
             "converged",
             "degraded",
             "stop_reason",
@@ -552,6 +553,7 @@ def test_cmd_find_mns_writes_result_and_encoding(find_mns_run):
         }
         assert rec["stop_reason"] in ("gradient", "stall", "max_iterations", "line_search")
         assert rec["converged"] == (rec["stop_reason"] in ("gradient", "stall"))
+        assert rec["evaluations"] > rec["iterations"]
 
 
 def test_cmd_find_mns_encoding_is_replayable(find_mns_run):
@@ -783,6 +785,7 @@ def test_cmd_show_result_summarizes_payload(find_mns_run, capsys):
     assert "dims (2,2)" in text
     for rec in payload["results"][0]["restarts"]:
         assert f"restart {rec['index']}:" in text
+        assert f"evaluations={rec['evaluations']} stop={rec['stop_reason']} " in text
         assert f"stop={rec['stop_reason']} |grad|={rec['gradient_norm']:.3e}" in text
 
     with pytest.raises(ConfigError, match="result file not found"):

@@ -9,7 +9,9 @@ from mns.parametrization import (
     num_angles,
     num_phases,
     plane_pairs,
+    pack_complex,
     polar,
+    tangent,
     random_params,
     realize,
     realize_with_partials,
@@ -223,6 +225,9 @@ def test_polar_is_an_isometry_with_exact_pullback(m, dim):
     proj = g - 0.5 * (g @ dagger(v0) + v0 @ dagger(g)) @ v0
     flat_proj = np.concatenate([proj.real.ravel(), proj.imag.ravel()])
     assert np.abs(pullback0(g) - flat_proj).max() <= 1e-13
+    # which tangent computes from V, without polar's pullback at its packing
+    assert np.abs(tangent(v, g) - flat_proj).max() <= 1e-13
+    assert np.array_equal(pack_complex(v), np.concatenate([v.real.ravel(), v.imag.ravel()]))
 
 
 @pytest.mark.parametrize("m,dim", [(1, 3), (2, 8), (3, 8), (4, 16)])

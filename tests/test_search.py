@@ -20,6 +20,7 @@ from mns.noise import (
 from mns.parametrization import chart_of, realize
 import mns.search
 from mns.search import (
+    RETRACT_GAIN,
     SearchConfig,
     _initial_point,
     _lockstep,
@@ -130,6 +131,98 @@ def test_bfgs_evaluates_each_point_once(
             # one evaluation per iteration plus the start and the rare extra
             # line-search trial (the unfused loop made about three)
             assert len(seen) <= 1.1 * out.iterations + 1
+
+
+def test_restart_records_count_their_evaluations(collective_channel, monkeypatch):
+    # a record's evaluations are the points its lane handed to _lockstep
+    lanes, rows = _count_evaluations(monkeypatch)
+    config = SearchConfig(num_restarts=3, seed=1, candidate_dims=((2, 1), (2, 2)))
+    results = find_mns(collective_channel, config)
+    records = [rec for result in results.values() for rec in result.per_restart]
+    assert [rec.evaluations for rec in records] == [len(points) for points in lanes]
+    assert sum(rec.evaluations for rec in records) == len(rows)
+    assert all(rec.evaluations > rec.iterations for rec in records)
+
+
+def test_bfgs_maximize_without_initials_evaluates_nothing(collective_channel):
+    config = SearchConfig(candidate_dims=((2, 2),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bfgs_maximize(collective_channel, (2, 2), {}, config) == []
+
+
+def test_accepted_steps_retract_onto_the_isometries(local_dephasing_channel, monkeypatch):
+    # the descent from one restart, cut after each of its iterations: a step
+    # that gained more than RETRACT_GAIN |f| leaves the lane at the accepted
+    # trial's polar factor, orthonormal, with the trial's f; a smaller gain
+    # leaves it at the trial itself
+    captured = []
+    lockstep = mns.search._lockstep
+    monkeypatch.setattr(
+        mns.search,
+        "_lockstep",
+        lambda fg, starts, *rules: captured.append((fg, starts, rules)) or lockstep(fg, starts, *rules),
+    )
+    config = SearchConfig(num_restarts=1, **TIGHT)
+    rng = np.random.default_rng(np.random.SeedSequence((1, 0, 0)))
+    [out] = bfgs_maximize(local_dephasing_channel, (2, 1), {(): _initial_point(8, rng)}, config)
+    [(fg, [start], (_, *rules))] = captured
+    rows = []
+
+    def logged(xs):
+        values, gradients, points, tangents = fg(xs)
+        rows.extend(zip(xs, values.tolist(), points))
+        return values, gradients, points, tangents
+
+    retracted = kept = 0
+    for k in range(1, out.iterations + 1):
+        rows.clear()
+        (run,) = lockstep(logged, [start], k, *rules)
+        assert run.iterations == k
+        f = run.trace[-1]
+        trial, retraction = [(x, r) for x, value, r in rows if value == f][-1]
+        if run.trace[-2] - f > RETRACT_GAIN * abs(f):
+            assert np.array_equal(run.x, retraction)
+            v = (run.x[:16] + 1j * run.x[16:]).reshape(2, 8)
+            assert np.abs(v @ dagger(v) - np.eye(2)).max() <= 1e-13
+            assert abs(fg(run.x[None])[0][0] - f) <= 1e-12 * abs(f)
+            retracted += 1
+        else:
+            assert np.array_equal(run.x, trial)
+            kept += 1
+    assert retracted > 0 and kept > 0
+
+
+def test_first_update_scales_the_inverse_hessian():
+    # on an ill-conditioned quadratic the second iteration's first trial,
+    # x1 + p at alpha = 1, follows the BFGS update of (s^T y / y^T y) I, not
+    # of I
+    a = np.diag([1.0, 10.0, 100.0])
+    x0 = np.ones(3)
+
+    def fg(xs):
+        return 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs), xs @ a
+
+    seen = []
+
+    def logged(xs):
+        seen.extend(xs)
+        return fg(xs)
+
+    (first,) = _lockstep(fg, [x0], 1, 0.0, 0.0)
+    (second,) = _lockstep(logged, [x0], 2, 0.0, 0.0)
+    assert second.iterations == 2
+    x1, g1 = first.x, first.x @ a
+    s, y = x1 - x0, (x1 - x0) @ a
+    rho = 1.0 / (s @ y)
+    e = np.eye(3) - rho * np.outer(s, y)
+
+    def step(h0):
+        return x1 - (e @ h0 @ e.T + rho * np.outer(s, s)) @ g1
+
+    trial = seen[first.evaluations]
+    assert np.abs(trial - step((s @ y) / (y @ y) * np.eye(3))).max() <= 1e-14
+    assert np.abs(trial - step(np.eye(3))).max() > 1e-2
 
 
 def test_bfgs_minimize_reports_each_stop_reason():
@@ -523,6 +616,20 @@ def test_find_mns_four_qubit_collective_encoding_is_exact():
     result = find_mns(channel, config)[(2, 1)]
     assert result.is_dfs
     ok, defect, _ = dfs_check(channel, realize(result.best_params)[:2], 2, 1, threshold=1e-8)
+    assert ok, defect
+
+
+def test_find_mns_four_qubit_three_copies_of_spin_one_in_few_iterations():
+    # 4-qubit collective x+z, dims (3, 3), one restart at seed 1: a restart
+    # kept on the isometries resolves the three j = 1 copies to a tenth of
+    # dfs_check's threshold within 100 iterations
+    model = collective_xz(4, 1.0, 1.0)
+    channel = lindblad_to_kraus(model, default_dt(model))
+    config = SearchConfig(num_restarts=1, seed=1, candidate_dims=((3, 3),))
+    result = find_mns(channel, config)[(3, 3)]
+    assert result.is_dfs
+    assert result.per_restart[0].iterations <= 100
+    ok, defect, _ = dfs_check(channel, realize(result.best_params)[:9], 3, 3, threshold=1e-9)
     assert ok, defect
 
 
