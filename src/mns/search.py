@@ -16,7 +16,10 @@ free would drift from the isometries (its singular values grow from 1 to
 The first inverse Hessian is scaled by s^T y / y^T y.  A step that gains
 less than sqrt(eps)*|f| keeps the trial X, because there f is at its
 rounding floor and the stall rule needs f at the point the next trials
-start from to the bit (``_bfgs_minimize``).
+start from to the bit.  A restart whose slope along its next direction is
+no more than 4 eps |f| (``FLOOR_SLOPE``) stops on "stall" before that
+line search: no step could lower f by an amount its evaluation resolves
+(``_bfgs_minimize``).
 
 ``find_mns`` makes one ``bfgs_maximize`` call per dimension pair, and that
 call runs the pair's restarts in lockstep (``_lockstep``): each is a lane
@@ -97,9 +100,11 @@ class RestartRecord:
     """One restart's ascent, from the seed of its initial point.
 
     The trace and ``final_j`` report J.  ``evaluations`` counts the points
-    at which the ascent evaluated J and its gradient, the start included.
-    ``isometry_final`` is the encoded rows V at the final point;
-    ``find_mns`` charts only the winner's.
+    at which the ascent evaluated J and its gradient, the start included,
+    and ``line_search_fallbacks`` the iterations whose strong-Wolfe step
+    failed and fell back to Armijo backtracking.  ``isometry_final`` is the
+    encoded rows V at the final point; ``find_mns`` charts only the
+    winner's.
     """
 
     index: int
@@ -107,6 +112,7 @@ class RestartRecord:
     final_j: float
     iterations: int
     evaluations: int
+    line_search_fallbacks: int
     trace: tuple[float, ...]
     stop_reason: str
     gradient_norm: float
@@ -146,15 +152,17 @@ def bfgs_maximize(
     channel), so the tolerances mean the same for every step size.
 
     An ascent stops when |grad f| falls below ``gradient_tolerance``, when an
-    accepted step lowers f by no more than ``objective_tolerance``*|f|, or at
-    ``max_iterations``; ``stop_reason`` says which (see ``_bfgs_minimize``)
-    and ``converged`` is true for the first two.  A failed line search ends
-    the ascent at the best point found so far with ``degraded=True`` instead
-    of raising.  X starts at the first m = n1*n2 rows of ``realize(initial)``.
-    The ascents run as lanes of one ``_lockstep`` run: f and its gradient
-    come from one stacked ``polar`` and ``value_and_gradient`` call per round
-    of the lanes' points, which also gives each point's polar factor V and
-    the gradient there (the tangent projection).  A lane goes on from V after
+    accepted step lowers f by no more than ``objective_tolerance``*|f| or
+    the slope along its next direction is no more than ``FLOOR_SLOPE``*|f|
+    (f's rounding), or at ``max_iterations``; ``stop_reason`` says which
+    (see ``_bfgs_minimize``) and ``converged`` is true for the first two.
+    A failed line search ends the ascent at the best point found so far
+    with ``degraded=True`` instead of raising.  X starts at the first
+    m = n1*n2 rows of ``realize(initial)``.  The ascents run as lanes of one
+    ``_lockstep`` run: f and its gradient come from one stacked ``polar``
+    and ``value_and_gradient`` call per round of the lanes' points, which
+    also gives each point's polar factor V and the gradient there (the
+    tangent projection).  A lane goes on from V after
     each accepted step that gains more than sqrt(eps)*|f|, so it stays on the
     isometries without another evaluation; below that gain f is at its
     rounding floor and the lane keeps X, where its f was evaluated.  The
@@ -200,6 +208,7 @@ def bfgs_maximize(
                 final_j=trace[-1],
                 iterations=run.iterations,
                 evaluations=run.evaluations,
+                line_search_fallbacks=run.fallbacks,
                 trace=trace,
                 stop_reason=run.stop_reason,
                 gradient_norm=run.gradient_norm,
@@ -212,8 +221,9 @@ def bfgs_maximize(
 class Descent(NamedTuple):
     """What ``_bfgs_minimize`` returns: the final point, the f value after
     each iteration starting from the initial one, the iteration count, why
-    it stopped, |grad f| at the final point and how many points it yielded
-    for evaluation."""
+    it stopped, |grad f| at the final point, how many points it yielded
+    for evaluation and in how many iterations the strong-Wolfe step failed
+    and the Armijo backtracking ran."""
 
     x: np.ndarray
     trace: list[float]
@@ -221,6 +231,7 @@ class Descent(NamedTuple):
     stop_reason: str
     gradient_norm: float
     evaluations: int
+    fallbacks: int
 
 
 def _lockstep(
@@ -264,6 +275,9 @@ def _lockstep(
 # an accepted step that lowers f by more than this times |f| moves the lane
 # to the trial's retraction; below it f is at its rounding floor
 RETRACT_GAIN = math.sqrt(np.finfo(float).eps)
+# a slope -phi'(0) no more than this times |f| is below f's rounding, so no
+# step along p can lower f by an amount its evaluation resolves
+FLOOR_SLOPE = 4 * np.finfo(float).eps
 
 
 def _bfgs_minimize(
@@ -282,8 +296,17 @@ def _bfgs_minimize(
     back to Armijo backtracking (``_backtrack``) when it fails.  The stop
     reason is "gradient" when |grad f| <= ``gradient_tolerance`` at the final
     point, else "stall" when an accepted step lowered f by no more than
-    ``objective_tolerance`` times |f| at the new point, "line_search" when
-    the backtracking failed too, or "max_iterations".
+    ``objective_tolerance`` times |f| at the new point, or when the slope
+    -phi'(0) = -p.grad f along the direction is no more than ``FLOOR_SLOPE``
+    (4 machine epsilons) times |f|, "line_search" when the backtracking
+    failed too, or "max_iterations".  The slope test is the directional form
+    of the relative-gradient stop test (Dennis & Schnabel 1983, sec. 7.2):
+    below it no step along p lowers f by an amount f's evaluation resolves,
+    and a line search would only sample rounding noise, so the lane stops
+    before its line search, takes no step and does not count the iteration.
+    Where ``objective_tolerance`` is far above the machine epsilon the stall
+    rule fires first; the slope test ends the descents whose tolerance is
+    below f's rounding.
 
     The descent is Riemannian BFGS with a retraction (Absil, Mahony &
     Sepulchre 2008, sec. 4.1; Huang, Gallivan & Absil, SIAM J. Optim. 25,
@@ -312,19 +335,26 @@ def _bfgs_minimize(
     reason = "max_iterations"
     iterations = 0
     evaluations = 1
+    fallbacks = 0
 
     for it in range(1, max_iterations + 1):
         if _norm(gx) <= gradient_tolerance:
             break
-        iterations = it
         p = -gx if h is None else -(h @ gx)
         slope = p @ gx
         if slope >= 0:  # not a descent direction; reset the approximation
             h = None
             p = -gx
             slope = p @ gx
+        if -slope <= FLOOR_SLOPE * abs(fx):
+            reason = "stall"
+            break
+        iterations = it
         tried: dict[float, tuple] = {}
-        for search in (_wolfe_step(fx, slope), _backtrack(fx, slope)):
+        for line_search in (_wolfe_step, _backtrack):
+            if line_search is _backtrack:
+                fallbacks += 1
+            search = line_search(fx, slope)
             alpha = next(search)
             try:
                 while True:
@@ -368,7 +398,7 @@ def _bfgs_minimize(
     gradient_norm = _norm(gx)
     if gradient_norm <= gradient_tolerance:
         reason = "gradient"
-    return Descent(x, trace, iterations, reason, gradient_norm, evaluations)
+    return Descent(x, trace, iterations, reason, gradient_norm, evaluations, fallbacks)
 
 
 def _norm(x: np.ndarray) -> float:

@@ -13,6 +13,7 @@ faster way, or builds inputs and diagnostics the tests need:
 * J through its coefficient tensor over an orthonormal Hermitian operator
   basis (``coefficients``), and dJ/dx by central differences in chart
   coordinates (``gradient``);
+* the chart's unitary factor by factor (``realize_by_factors``);
 * commutators and direct-sum embeddings, random unitaries, states and
   channels, explicit subspace encodings and projector distances.
 
@@ -33,7 +34,7 @@ from mns.fidelity import _minima, _traced
 from mns.linalg import as_isometry, dagger, tensor
 from mns.noise import KrausChannel
 from mns.objective import objective_of_unitary
-from mns.parametrization import UnitaryParams, num_angles, num_phases, realize
+from mns.parametrization import UnitaryParams, num_angles, num_phases, plane_pairs, realize
 from mns.search import SearchResult
 
 # ---------------------------------------------------------------------------
@@ -178,6 +179,24 @@ def unpack(dim: int, x: np.ndarray) -> UnitaryParams:
     if x.shape != (np_ + na,):
         raise ValidationError(f"packed vector must have length {np_ + na}, got {x.shape}")
     return UnitaryParams(dim, x[:np_].copy(), x[np_:].copy())
+
+
+def realize_by_factors(params: UnitaryParams) -> np.ndarray:
+    """The chart's unitary with its Givens factors applied one at a time,
+    right to left, each to a copy of its two rows: the reference for
+    ``realize``, which applies one anti-diagonal of them at a time."""
+    n = params.dim
+    u = np.eye(n, dtype=np.complex128)
+    pairs = plane_pairs(n)
+    for idx in range(len(pairs) - 1, -1, -1):
+        i, j = pairs[idx]
+        th = params.angles[idx]
+        c, s = np.cos(th), np.sin(th)
+        e = np.exp(1j * params.phases[n + idx])
+        ri, rj = u[i].copy(), u[j]
+        u[i] = c * ri - e * s * rj
+        u[j] = np.conj(e) * s * ri + c * rj
+    return np.exp(1j * params.phases[:n])[:, None] * u
 
 
 # ---------------------------------------------------------------------------

@@ -59,3 +59,10 @@ def test_traced_fidelity_sweep_run_ends_in_its_result_line():
     assert metrics["search.restart.s.d8"]["value"] > 0
     assert metrics["fidelity.worst_case.calls"]["value"] >= 1
     assert metrics["fidelity.self.s"]["value"] > 0
+
+
+def test_traced_local_dephasing_run_ends_in_its_result_line():
+    # no DFS exists, so the search runs to its stop rules on a flat landscape
+    # with tolerances below f's rounding; both dims pairs are searched
+    result = _traced_result("local_dephasing")
+    assert result["metrics"]["search.iterations"]["value"] > 0

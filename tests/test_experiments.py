@@ -546,6 +546,7 @@ def test_cmd_find_mns_writes_result_and_encoding(find_mns_run):
             "final_j",
             "iterations",
             "evaluations",
+            "line_search_fallbacks",
             "converged",
             "degraded",
             "stop_reason",
@@ -554,6 +555,7 @@ def test_cmd_find_mns_writes_result_and_encoding(find_mns_run):
         assert rec["stop_reason"] in ("gradient", "stall", "max_iterations", "line_search")
         assert rec["converged"] == (rec["stop_reason"] in ("gradient", "stall"))
         assert rec["evaluations"] > rec["iterations"]
+        assert 0 <= rec["line_search_fallbacks"] <= rec["iterations"]
 
 
 def test_cmd_find_mns_encoding_is_replayable(find_mns_run):
@@ -786,7 +788,8 @@ def test_cmd_show_result_summarizes_payload(find_mns_run, capsys):
     for rec in payload["results"][0]["restarts"]:
         assert f"restart {rec['index']}:" in text
         assert f"evaluations={rec['evaluations']} stop={rec['stop_reason']} " in text
-        assert f"stop={rec['stop_reason']} |grad|={rec['gradient_norm']:.3e}" in text
+        assert f"stop={rec['stop_reason']} |grad|={rec['gradient_norm']:.3e} " in text
+        assert f"|grad|={rec['gradient_norm']:.3e} fallbacks={rec['line_search_fallbacks']}" in text
 
     with pytest.raises(ConfigError, match="result file not found"):
         cmd_show_result(out / "missing.json")

@@ -16,7 +16,7 @@ from mns.parametrization import (
     realize,
     realize_with_partials,
 )
-from oracles import haar_random_unitary, pack, unpack, zero_params
+from oracles import haar_random_unitary, pack, realize_by_factors, unpack, zero_params
 
 
 @pytest.mark.parametrize("dim,np_,na", [(1, 1, 0), (2, 3, 1), (3, 6, 3), (4, 10, 6), (8, 36, 28)])
@@ -173,33 +173,19 @@ def test_realize_with_partials_matches_finite_differences():
             assert np.abs(du[i] - fd).max() <= 1e-8
 
 
-def _realize_one_factor_at_a_time(params):
-    """The chart product applied factor by factor, right to left."""
-    n = params.dim
-    u = np.eye(n, dtype=np.complex128)
-    pairs = plane_pairs(n)
-    for idx in range(len(pairs) - 1, -1, -1):
-        i, j = pairs[idx]
-        th = params.angles[idx]
-        c, s = np.cos(th), np.sin(th)
-        e = np.exp(1j * params.phases[n + idx])
-        ri = u[i].copy()
-        rj = u[j]
-        u[i] = c * ri - e * s * rj
-        u[j] = np.conj(e) * s * ri + c * rj
-    return np.exp(1j * params.phases[:n])[:, None] * u
-
-
 def test_realize_matches_factor_by_factor_product():
+    # realize applies one anti-diagonal of disjoint Givens factors at a time;
+    # the product is the factor-by-factor one to the bit
     rng = np.random.default_rng(6)
-    for dim in (2, 3, 4, 5, 8, 16):
+    for dim in (1, 2, 3, 4, 5, 8, 16):
         for scale in (1.0, 1e-3):
-            params = UnitaryParams(
-                dim,
-                scale * rng.uniform(-7, 7, num_phases(dim)),
-                scale * rng.uniform(-7, 7, num_angles(dim)),
-            )
-            assert np.array_equal(realize(params), _realize_one_factor_at_a_time(params))
+            for _ in range(10):
+                params = UnitaryParams(
+                    dim,
+                    scale * rng.uniform(-7, 7, num_phases(dim)),
+                    scale * rng.uniform(-7, 7, num_angles(dim)),
+                )
+                assert np.array_equal(realize(params), realize_by_factors(params))
 
 
 @pytest.mark.parametrize("m,dim", [(1, 1), (1, 3), (2, 8), (4, 8), (3, 16)])

@@ -111,11 +111,12 @@ def test_bfgs_evaluates_each_point_once(
 ):
     lanes, rows = _count_evaluations(monkeypatch)
     # the collective restart converges through the line search alone; the
-    # flat local-dephasing landscape also sends steps to the backtracking
-    # fallback, which retries step lengths the line search already tried
+    # flat local-dephasing (3, 1) landscape also sends a step to the
+    # backtracking fallback, which retries step lengths the line search
+    # already tried
     cases = (
         (collective_channel, (2, 2), SearchConfig(num_restarts=1)),
-        (local_dephasing_channel, (2, 1), SearchConfig(num_restarts=1, **TIGHT)),
+        (local_dephasing_channel, (3, 1), SearchConfig(num_restarts=1, **TIGHT)),
     )
     for channel, dims, config in cases:
         lanes.clear()
@@ -123,6 +124,7 @@ def test_bfgs_evaluates_each_point_once(
         rng = np.random.default_rng(np.random.SeedSequence((1, 0, 0)))
         [out] = bfgs_maximize(channel, dims, {(): _initial_point(8, rng)}, config)
         assert out.converged and not out.degraded
+        assert (out.line_search_fallbacks > 0) == (dims == (3, 1))
         assert len(lanes) == 1
         seen = lanes[0]
         assert seen and rows == seen
@@ -245,6 +247,14 @@ def test_bfgs_minimize_reports_each_stop_reason():
         ),
         # the first step gains less than 100 |f| while |grad f| is far above 1e-30
         ("stall", (fg, x0, 100, 1e-30, 100.0), lambda run: run.iterations == 1),
+        # f offset by 1e6, with a stall tolerance below its rounding: the lane
+        # stops on its slope, before a step could gain nothing, so every
+        # counted step lowered f
+        (
+            "stall",
+            (lambda xs: (1e6 + fg(xs)[0], fg(xs)[1]), x0, 100, 1e-300, 1e-18),
+            lambda run: run.trace[-2] > run.trace[-1] and len(run.trace) == run.iterations + 1,
+        ),
         ("max_iterations", (fg, x0, 1, 1e-30, 0.0), lambda run: run.iterations == 1),
         # a gradient of the wrong sign: no step along -grad lowers f
         (
@@ -257,9 +267,64 @@ def test_bfgs_minimize_reports_each_stop_reason():
         (run,) = _lockstep(f, [start], *rules)
         assert run.stop_reason == reason
         assert check(run), reason
+        # only the failed line search fell back to the backtracking
+        assert run.fallbacks == (reason == "line_search")
         assert run.gradient_norm == np.linalg.norm(f(run.x[None])[1][0])
         if reason != "gradient":
             assert run.gradient_norm > rules[1]
+
+
+def _count_backtracking(monkeypatch) -> list[int]:
+    """Wrap ``search._backtrack`` so that each run of it, each generator the
+    descent steps into, adds one to the returned counter."""
+    runs = [0]
+    backtrack = mns.search._backtrack
+
+    def counted(*args):
+        runs[0] += 1
+        return (yield from backtrack(*args))
+
+    monkeypatch.setattr(mns.search, "_backtrack", counted)
+    return runs
+
+
+def test_floor_slope_stops_a_lane_before_its_line_search(monkeypatch):
+    # f = c + x^T A x / 2 with c = 1e6, so the rounding of f is about 1e-10;
+    # a stall tolerance of 1e-18 |f| cannot fire on any gain but 0, and the
+    # gradient tolerance never fires.  The lane stops "stall" on its slope,
+    # with no fallback, and the iteration it stops in yields no point: cut
+    # at its counted iterations, the same descent evaluated the same points.
+    runs = _count_backtracking(monkeypatch)
+    a = np.diag([1.0, 100.0])
+
+    def fg(xs):
+        return 1e6 + 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs), xs @ a
+
+    (run,) = _lockstep(fg, [np.array([1.0, 0.7])], 100, 1e-300, 1e-18)
+    assert run.stop_reason == "stall"
+    assert run.fallbacks == 0 and runs == [0]
+    assert run.gradient_norm > 0.0
+    assert all(earlier > later for earlier, later in zip(run.trace, run.trace[1:]))
+    (cut,) = _lockstep(fg, [np.array([1.0, 0.7])], run.iterations, 1e-300, 1e-18)
+    assert cut.stop_reason == "max_iterations"
+    assert (cut.evaluations, cut.trace) == (run.evaluations, run.trace)
+    assert np.array_equal(cut.x, run.x)
+
+
+def test_restart_records_count_their_line_search_fallbacks(local_dephasing_channel, monkeypatch):
+    # restarts 3-5 of the (3, 1) search of the local-dephasing fixture at
+    # seed 1, where a strong-Wolfe step fails; each restart runs alone so
+    # that the wrapper's count is that restart's
+    runs = _count_backtracking(monkeypatch)
+    config = SearchConfig(**TIGHT)
+    counted = []
+    for key in [(1, 1, r) for r in (3, 4, 5)]:
+        runs[0] = 0
+        initial = _initial_point(8, np.random.default_rng(np.random.SeedSequence(key)))
+        [rec] = bfgs_maximize(local_dephasing_channel, (3, 1), {key: initial}, config)
+        assert rec.line_search_fallbacks == runs[0]
+        counted.append(runs[0])
+    assert any(counted)
 
 
 def test_lockstep_lanes_match_lanes_run_alone():
@@ -669,6 +734,12 @@ def test_find_mns_local_dephasing_resolves_double_excitation_pair():
     result = find_mns(channel, search)[(2, 1)]
     target = np.diag([1.0 if i in (0b011, 0b101) else 0.0 for i in range(8)])
     assert projector_distance(subspace_projector(result), target) <= 1e-6
+    # restart 4 is the first to reach it; with objective_tolerance 1e-18 the
+    # lanes end on FLOOR_SLOPE once their slope is below f's rounding, not
+    # after line searches of rounding noise (the slowest took 101 points)
+    assert result.best_restart == 4
+    assert abs(result.best_j - 0.9999203393062502) <= 1e-15
+    assert max(rec.evaluations for rec in result.per_restart) <= 60
 
 
 def test_find_mns_perturbed_restarts_agree_on_optimum():
