@@ -354,7 +354,6 @@ def _result_entry(dims: tuple[int, int], result: SearchResult) -> dict:
                 "final_j": float(rec.final_j),
                 "iterations": rec.iterations,
                 "evaluations": rec.evaluations,
-                "line_search_fallbacks": rec.line_search_fallbacks,
                 "converged": rec.converged,
                 "degraded": rec.degraded,
                 "stop_reason": rec.stop_reason,
@@ -566,8 +565,7 @@ def cmd_show_result(path) -> dict:
                 f"    restart {rec['index']}: J={_shown(rec, 'final_j', rec_at)} "
                 f"iterations={rec['iterations']} evaluations={rec.get('evaluations', '?')} "
                 f"stop={rec.get('stop_reason', '?')} "
-                f"|grad|={_shown(rec, 'gradient_norm', rec_at, '.3e')} "
-                f"fallbacks={rec.get('line_search_fallbacks', '?')}"
+                f"|grad|={_shown(rec, 'gradient_norm', rec_at, '.3e')}"
             )
     points = _items(payload.get("points", []), "points")
     if points:

@@ -37,8 +37,9 @@ exact channel and O(dt^2) for a first-order one; each channel caches it
 rows V alone, as every encoding is held here, and returns 1 minus that value.
 
 The gradient has one implementation, ``value_and_gradient``: at V it returns
-1 - J and the matrix G with d(1 - J) = Re tr(G^dag dV), which the search
-pulls back through its polar map (``parametrization.polar``).
+1 - J, the matrix G with d(1 - J) = Re tr(G^dag dV), which the search
+pulls back through its polar map (``parametrization.polar``), and the sum
+of squares alone, by which the search judges a step's gain.
 ``gradient_analytic`` contracts -G with the chart partials of
 ``realize_with_partials``; the tests check both against central
 differences.
@@ -71,9 +72,9 @@ def _lane_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _residuals(
     channel: KrausChannel, v: np.ndarray, n1: int, n2: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """1 - J at each orthonormal encoded row block V of a stack v of shape
-    (lanes, m, N), with the pieces it is built from: the residuals r, the
+    (lanes, m, N), with the pieces it is built from: R, the residuals r, the
     blocks M and V (I - S).
 
     M_k = Tr_H1(V E_k V^dag)/n1 and r_k = E_k V^dag - V^dag (I (x) M_k),
@@ -93,8 +94,9 @@ def _residuals(
     mk = (rows @ cols) / n1
     r = ev - vd.reshape(lanes, 1, dim * n1, n2) @ mk
     v_gap = v @ channel.completeness_gap
-    value = (_lane_dots(r, r) + _lane_dots(v, v_gap)) / m
-    return value, r, mk, v_gap
+    squares = _lane_dots(r, r)
+    value = (squares + _lane_dots(v, v_gap)) / m
+    return value, squares / m, r, mk, v_gap
 
 
 def objective_of_unitary(channel: KrausChannel, v: np.ndarray, n1: int, n2: int) -> float:
@@ -107,11 +109,12 @@ def objective_of_unitary(channel: KrausChannel, v: np.ndarray, n1: int, n2: int)
 
 def value_and_gradient(
     channel: KrausChannel, v: np.ndarray, n1: int, n2: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """1 - J at the orthonormal encoded rows V, and G with
-    d(1 - J) = Re tr(G^dag dV), for V of shape (..., m, N): one value and one
-    G per leading index, a single block (m, N) being a stack of one.  Each
-    block's result is the same to the bit whatever shares its stack.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1 - J at the orthonormal encoded rows V, G with
+    d(1 - J) = Re tr(G^dag dV), and the residual part R of 1 - J, for V of
+    shape (..., m, N): one value, G and R per leading index, a single block
+    (m, N) being a stack of one.  Each block's result is the same to the bit
+    whatever shares its stack.
 
     1 - J = R + (1/m) tr(V (I - S) V^dag) with R = (1/m) sum_k ||r_k||^2 (see
     ``_residuals``).  M_k is the least-squares choice of M in
@@ -128,7 +131,7 @@ def value_and_gradient(
     ops, lead = channel.stack, v.shape[:-2]
     v = v.reshape(-1, m, dim)
     lanes, k = len(v), len(ops)
-    value, r, mk, v_gap = _residuals(channel, v, n1, n2)
+    value, residual, r, mk, v_gap = _residuals(channel, v, n1, n2)
     rc = r.conj()
     g = rc.reshape(lanes, k * dim, m).swapaxes(1, 2) @ ops.reshape(k * dim, dim)
     # sum_k (I (x) M_k) r_k^dag as one product contracting (k, b)
@@ -136,7 +139,11 @@ def value_and_gradient(
     rcol = rc.reshape(lanes, k, dim, n1, n2).transpose(0, 1, 4, 2, 3).reshape(lanes, k * n2, dim * n1)
     g -= (mrow @ rcol).reshape(lanes, n2, dim, n1).transpose(0, 3, 1, 2).reshape(lanes, m, dim)
     g += v_gap
-    return value.reshape(lead)[()], ((2.0 / m) * g).reshape(*lead, m, dim)
+    return (
+        value.reshape(lead)[()],
+        ((2.0 / m) * g).reshape(*lead, m, dim),
+        residual.reshape(lead)[()],
+    )
 
 
 def gradient_analytic(

@@ -1,11 +1,11 @@
 """Multi-start BFGS search for minimal-noise encodings.
 
-Maximizes J by running BFGS (inverse-Hessian update, strong-Wolfe line
-search with c1=1e-4, c2=0.9, ported from SciPy) from ``num_restarts``
-random initial points per candidate dimension pair.  J depends on the
-encoding unitary only through its first m = n1*n2 rows V, so BFGS moves an
-unconstrained m x N matrix X and evaluates J at V = ``polar``(X); results are
-reported in chart coordinates (``chart_of``).
+Maximizes J by running BFGS (inverse-Hessian update, Armijo backtracking
+from the unit step with c1=1e-4) from ``num_restarts`` random initial points
+per candidate dimension pair.  J depends on the encoding unitary only
+through its first m = n1*n2 rows V, so BFGS moves an unconstrained m x N
+matrix X and evaluates J at V = ``polar``(X); results are reported in chart
+coordinates (``chart_of``).
 
 Each restart is Riemannian BFGS on the isometries, with the polar factor as
 its retraction: after a line search accepts a trial X, the restart goes on
@@ -33,7 +33,9 @@ Each restart is one descent of (1 - J)/dt, written as a sum of squares R
 plus an O(dt^2) completeness term (``objective.value_and_gradient``).  R
 vanishes exactly where the noise acts as I (x) M_k on the encoded block,
 the first-order noiseless-subsystem condition, so this one stage resolves a
-decoherence-free winner to the precision ``dfs_check`` asks for.
+decoherence-free winner to the precision ``dfs_check`` asks for.  The stall
+rule measures a step's gain against R/dt, not against f, whose
+completeness term is all that is left of it at a decoherence-free point.
 """
 
 from __future__ import annotations
@@ -68,8 +70,7 @@ __all__ = [
     "default_candidate_dims",
 ]
 
-WOLFE_C1 = 1e-4
-WOLFE_C2 = 0.9
+ARMIJO_C1 = 1e-4
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,9 @@ class RestartRecord:
     """One restart's ascent, from the seed of its initial point.
 
     The trace and ``final_j`` report J.  ``evaluations`` counts the points
-    at which the ascent evaluated J and its gradient, the start included,
-    and ``line_search_fallbacks`` the iterations whose strong-Wolfe step
-    failed and fell back to Armijo backtracking.  ``isometry_final`` is the
-    encoded rows V at the final point; ``find_mns`` charts only the
-    winner's.
+    at which the ascent evaluated J and its gradient, the start included.
+    ``isometry_final`` is the encoded rows V at the final point;
+    ``find_mns`` charts only the winner's.
     """
 
     index: int
@@ -112,7 +111,6 @@ class RestartRecord:
     final_j: float
     iterations: int
     evaluations: int
-    line_search_fallbacks: int
     trace: tuple[float, ...]
     stop_reason: str
     gradient_norm: float
@@ -125,7 +123,7 @@ class RestartRecord:
 
     @property
     def degraded(self) -> bool:
-        """Stopped because the line search and its fallback both failed."""
+        """Stopped because the line search found no step that lowered f."""
         return self.stop_reason == "line_search"
 
 
@@ -152,21 +150,22 @@ def bfgs_maximize(
     channel), so the tolerances mean the same for every step size.
 
     An ascent stops when |grad f| falls below ``gradient_tolerance``, when an
-    accepted step lowers f by no more than ``objective_tolerance``*|f| or
-    the slope along its next direction is no more than ``FLOOR_SLOPE``*|f|
-    (f's rounding), or at ``max_iterations``; ``stop_reason`` says which
-    (see ``_bfgs_minimize``) and ``converged`` is true for the first two.
-    A failed line search ends the ascent at the best point found so far
-    with ``degraded=True`` instead of raising.  X starts at the first
-    m = n1*n2 rows of ``realize(initial)``.  The ascents run as lanes of one
-    ``_lockstep`` run: f and its gradient come from one stacked ``polar``
-    and ``value_and_gradient`` call per round of the lanes' points, which
-    also gives each point's polar factor V and the gradient there (the
-    tangent projection).  A lane goes on from V after
-    each accepted step that gains more than sqrt(eps)*|f|, so it stays on the
-    isometries without another evaluation; below that gain f is at its
-    rounding floor and the lane keeps X, where its f was evaluated.  The
-    inverse Hessian starts as (s^T y / y^T y) I (see ``_bfgs_minimize``).
+    accepted step lowers f by no more than ``objective_tolerance``*R/dt (R
+    the residual part of 1 - J) or the slope along its next direction is no
+    more than ``FLOOR_SLOPE``*|f| (f's rounding), or at ``max_iterations``;
+    ``stop_reason`` says which (see ``_bfgs_minimize``) and ``converged`` is
+    true for the first two.  A failed line search ends the ascent at the
+    best point found so far with ``degraded=True`` instead of raising.  X
+    starts at the first m = n1*n2 rows of ``realize(initial)``.  The ascents
+    run as lanes of one ``_lockstep`` run: f and its gradient come from one
+    stacked ``polar`` and ``value_and_gradient`` call per round of the
+    lanes' points, which also gives each point's polar factor V, the
+    gradient there (the tangent projection) and R/dt.  A lane goes on from
+    V after each accepted step that gains more than sqrt(eps)*|f|, so it
+    stays on the isometries without another evaluation; below that gain f
+    is at its rounding floor and the lane keeps X, where its f was
+    evaluated.  The inverse Hessian starts as (s^T y / y^T y) I (see
+    ``_bfgs_minimize``).
     No initial points, no ascents: an empty dict gives an empty list.
     """
     n1, n2 = dims
@@ -182,12 +181,13 @@ def bfgs_maximize(
 
     def fg(xs: np.ndarray) -> tuple[np.ndarray, ...]:
         v, pullback = polar(xs, m)
-        values, gradients = value_and_gradient(channel, v, n1, n2)
+        values, gradients, residuals = value_and_gradient(channel, v, n1, n2)
         return (
             values / scale,
             pullback(gradients) / scale,
             pack_complex(v),
             tangent(v, gradients) / scale,
+            residuals / scale,
         )
 
     runs = _lockstep(
@@ -208,7 +208,6 @@ def bfgs_maximize(
                 final_j=trace[-1],
                 iterations=run.iterations,
                 evaluations=run.evaluations,
-                line_search_fallbacks=run.fallbacks,
                 trace=trace,
                 stop_reason=run.stop_reason,
                 gradient_norm=run.gradient_norm,
@@ -221,9 +220,8 @@ def bfgs_maximize(
 class Descent(NamedTuple):
     """What ``_bfgs_minimize`` returns: the final point, the f value after
     each iteration starting from the initial one, the iteration count, why
-    it stopped, |grad f| at the final point, how many points it yielded
-    for evaluation and in how many iterations the strong-Wolfe step failed
-    and the Armijo backtracking ran."""
+    it stopped, |grad f| at the final point and how many points it yielded
+    for evaluation."""
 
     x: np.ndarray
     trace: list[float]
@@ -231,7 +229,6 @@ class Descent(NamedTuple):
     stop_reason: str
     gradient_norm: float
     evaluations: int
-    fallbacks: int
 
 
 def _lockstep(
@@ -242,10 +239,12 @@ def _lockstep(
     objective_tolerance: float,
 ) -> list[Descent]:
     """One ``_bfgs_minimize`` descent from each start point, all run
-    together: ``fg`` takes an (R, n) stack of points to the R values of f
-    and the (R, n) gradients, and for a descent on a manifold also to each
-    point's retraction onto it and the gradient there (as ``bfgs_maximize``'s
-    ``fg`` does); without them each point is its own retraction.
+    together: ``fg`` takes an (L, n) stack of points to the L values of f
+    and the (L, n) gradients, and for a descent on a manifold also to each
+    point's retraction onto it, the gradient there and the part of f that
+    the stall rule measures gains against (R/dt, as ``bfgs_maximize``'s
+    ``fg`` returns); without them each point is its own retraction and the
+    stall rule measures against |f|.
 
     Every round stacks the point each unfinished lane waits on, makes one
     ``fg`` call and sends each lane its row; a lane that finishes leaves the
@@ -262,8 +261,9 @@ def _lockstep(
         active = list(waiting)
         xs = np.array([waiting[i] for i in active])
         values, gradients, *retracted = fg(xs)
-        points, tangents = retracted or (xs, gradients)
-        for i, row in zip(active, zip(values.tolist(), gradients, points, tangents)):
+        points, tangents, residuals = retracted or (xs, gradients, np.abs(values))
+        rows = zip(values.tolist(), gradients, points, tangents, residuals.tolist())
+        for i, row in zip(active, rows):
             try:
                 waiting[i] = lanes[i].send(row)
             except StopIteration as stop:
@@ -278,6 +278,8 @@ RETRACT_GAIN = math.sqrt(np.finfo(float).eps)
 # a slope -phi'(0) no more than this times |f| is below f's rounding, so no
 # step along p can lower f by an amount its evaluation resolves
 FLOOR_SLOPE = 4 * np.finfo(float).eps
+# the line search gives up below this step length, after at most 40 trials
+MIN_STEP = 2.0**-39
 
 
 def _bfgs_minimize(
@@ -285,48 +287,52 @@ def _bfgs_minimize(
     max_iterations: int,
     gradient_tolerance: float,
     objective_tolerance: float,
-) -> Generator[np.ndarray, tuple[float, np.ndarray, np.ndarray, np.ndarray], Descent]:
+) -> Generator[np.ndarray, tuple[float, np.ndarray, np.ndarray, np.ndarray, float], Descent]:
     """BFGS descent of f from ``x``, as a generator: it yields each point
-    where it needs f, is sent (f, grad f, r, grad f(r)) back, where r is the
-    point's retraction (its polar factor in ``bfgs_maximize``, so f(r) is
-    f), and returns the ``Descent``.  ``_lockstep`` runs it.
+    where it needs f, is sent (f, grad f, r, grad f(r), f_R) back, where r is
+    the point's retraction (its polar factor in ``bfgs_maximize``, so f(r)
+    is f) and f_R the part of f the stall rule measures gains against (R/dt
+    in ``bfgs_maximize``), and returns the ``Descent``.  ``_lockstep`` runs
+    it.
 
-    Each iteration takes a strong-Wolfe step along the quasi-Newton
-    direction p (``_wolfe_step``, SciPy's ``line_search`` to the bit), falling
-    back to Armijo backtracking (``_backtrack``) when it fails.  The stop
-    reason is "gradient" when |grad f| <= ``gradient_tolerance`` at the final
-    point, else "stall" when an accepted step lowered f by no more than
-    ``objective_tolerance`` times |f| at the new point, or when the slope
-    -phi'(0) = -p.grad f along the direction is no more than ``FLOOR_SLOPE``
-    (4 machine epsilons) times |f|, "line_search" when the backtracking
-    failed too, or "max_iterations".  The slope test is the directional form
-    of the relative-gradient stop test (Dennis & Schnabel 1983, sec. 7.2):
-    below it no step along p lowers f by an amount f's evaluation resolves,
-    and a line search would only sample rounding noise, so the lane stops
-    before its line search, takes no step and does not count the iteration.
-    Where ``objective_tolerance`` is far above the machine epsilon the stall
-    rule fires first; the slope test ends the descents whose tolerance is
-    below f's rounding.
+    Each iteration backtracks along the quasi-Newton direction p on
+    phi(alpha) = f(x + alpha p) from alpha = 1 until the Armijo condition
+    phi(alpha) <= phi(0) + c1 alpha phi'(0) holds, c1 = ``ARMIJO_C1``.  A
+    trial that fails it is followed by the minimizer q of the quadratic
+    through phi(0), phi'(0) and phi(alpha), kept within [0.1, 0.5] alpha
+    (Nocedal & Wright, 2nd ed., sec. 3.5), so the steps only shrink and no
+    point is tried twice.  The stop reason is "gradient" when
+    |grad f| <= ``gradient_tolerance`` at the final point, else "stall" when
+    an accepted step lowered f by no more than ``objective_tolerance`` times
+    f_R at the new point, or when the slope -phi'(0) = -p.grad f along the
+    direction is no more than ``FLOOR_SLOPE`` (4 machine epsilons) times
+    |f|, "line_search" when the step fell below ``MIN_STEP`` without meeting
+    the Armijo condition, or "max_iterations".  The stall rule is relative
+    to f_R rather than to f because the completeness term of
+    (1 - J)/dt = R/dt + O(dt) is all that is left of f at a decoherence-free
+    point: relative to it, a search would stop while R still falls.  The
+    slope test is the directional form of the relative-gradient stop test
+    (Dennis & Schnabel 1983, sec. 7.2) and is about f's rounding, so it
+    stays relative to |f|: below it no step along p lowers f by an amount
+    f's evaluation resolves, and a line search would only sample rounding
+    noise, so the lane stops before its line search, takes no step and does
+    not count the iteration.
 
     The descent is Riemannian BFGS with a retraction (Absil, Mahony &
     Sepulchre 2008, sec. 4.1; Huang, Gallivan & Absil, SIAM J. Optim. 25,
     1660 (2015)): the lane continues from the accepted trial's retraction,
     with f and the gradient there from the same evaluation, so the inverse
     Hessian H learns the curvature on the manifold rather than along the
-    directions that only rescale x.  H starts as (s^T y / y^T y) I at the
-    first update (Nocedal & Wright, 2nd ed., eq. 6.20), and again after a
-    reset.  A step that lowered f by no more than ``RETRACT_GAIN`` (sqrt of
-    the machine epsilon) times |f| keeps the trial point itself: there f is
-    at its rounding floor, f at the retraction is f only up to rounding, and
-    the stall rule compares the next trials with phi(0) exactly, so phi(0)
-    must be f evaluated at the point the trials start from.
-
-    Both line searches work on phi(alpha) = f(x + alpha p): they yield step
-    lengths and are sent (phi(alpha), phi'(alpha)).  The loop builds
-    x + alpha p once per step length and keeps the iteration's rows by
-    alpha, so it yields each point of an iteration at most once: the
-    accepted point comes from that table, and the backtracking's retries of
-    step lengths a failed line search already tried are answered from it.
+    directions that only rescale x.  The update is cautious: it is skipped
+    when s^T y <= 1e-14 |s| |y|, which keeps H positive definite under
+    Armijo steps (Huang, Absil & Gallivan, SIAM J. Optim. 28, 470 (2018)).
+    H starts as (s^T y / y^T y) I at the first update (Nocedal & Wright,
+    2nd ed., eq. 6.20), and again after a reset.  A step that lowered f by
+    no more than ``RETRACT_GAIN`` (sqrt of the machine epsilon) times |f|
+    keeps the trial point itself: there f is at its rounding floor, f at the
+    retraction is f only up to rounding, and the Armijo condition and the
+    stall rule compare the next trials with phi(0) exactly, so phi(0) must
+    be f evaluated at the point the trials start from.
     """
     fx, gx, *_ = yield x
     n = x.size
@@ -335,7 +341,6 @@ def _bfgs_minimize(
     reason = "max_iterations"
     iterations = 0
     evaluations = 1
-    fallbacks = 0
 
     for it in range(1, max_iterations + 1):
         if _norm(gx) <= gradient_tolerance:
@@ -350,28 +355,19 @@ def _bfgs_minimize(
             reason = "stall"
             break
         iterations = it
-        tried: dict[float, tuple] = {}
-        for line_search in (_wolfe_step, _backtrack):
-            if line_search is _backtrack:
-                fallbacks += 1
-            search = line_search(fx, slope)
-            alpha = next(search)
-            try:
-                while True:
-                    if alpha not in tried:
-                        point = x + alpha * p
-                        tried[alpha] = (point, *(yield point))
-                        evaluations += 1
-                    _, f, g, *_ = tried[alpha]
-                    alpha = search.send((f, np.dot(g, p)))
-            except StopIteration as stop:
-                alpha, f_new = stop.value
-            if alpha is not None:
+        alpha = 1.0
+        while alpha >= MIN_STEP:
+            x_new = x + alpha * p
+            f_new, g_new, retraction, g_retraction, f_residual = yield x_new
+            evaluations += 1
+            if f_new <= fx + ARMIJO_C1 * alpha * slope:
                 break
+            q = -slope * alpha * alpha / (2.0 * (f_new - fx - slope * alpha))
+            # a NaN q (f_new NaN) loses both comparisons and leaves 0.1 alpha
+            alpha = min(0.5 * alpha, max(0.1 * alpha, q))
         else:
             reason = "line_search"
             break
-        x_new, _, g_new, retraction, g_retraction = tried[alpha]
         improvement = fx - f_new
         if improvement > RETRACT_GAIN * abs(f_new):
             x_new, g_new = retraction, g_retraction
@@ -391,134 +387,20 @@ def _bfgs_minimize(
             h += update
         x, fx, gx = x_new, f_new, g_new
         trace.append(fx)
-        if 0 <= improvement <= objective_tolerance * abs(fx):
+        if improvement <= objective_tolerance * f_residual:
             reason = "stall"
             break
 
     gradient_norm = _norm(gx)
     if gradient_norm <= gradient_tolerance:
         reason = "gradient"
-    return Descent(x, trace, iterations, reason, gradient_norm, evaluations, fallbacks)
+    return Descent(x, trace, iterations, reason, gradient_norm, evaluations)
 
 
 def _norm(x: np.ndarray) -> float:
     """``np.linalg.norm`` of a 1-D real array to the bit (it computes
     sqrt(x.dot(x)) too), without the dispatch the loop pays per call."""
     return math.sqrt(x.dot(x))
-
-
-def _wolfe_step(phi0, derphi0):
-    """Step length alpha > 0 that meets the strong Wolfe conditions with
-    c1 = ``WOLFE_C1`` and c2 = ``WOLFE_C2`` for phi(alpha) = f(x + alpha p),
-    given phi(0) and phi'(0) < 0, and phi(alpha); (None, None) when the zoom
-    fails.  A generator: it yields each step length it tries and is sent
-    (phi(alpha), phi'(alpha)) back.
-
-    This is SciPy 1.17.1's ``scalar_search_wolfe2`` with ``_zoom`` (Nocedal &
-    Wright, Alg. 3.5-3.6), as ``line_search`` calls it for the one call the
-    descent makes: first trial alpha = 1, the step doubling at most 25 times,
-    no maximum step.  Every expression is SciPy's, so the trial steps and
-    the result are its own to the bit.  Like SciPy, it returns the last trial
-    step when the doubling runs out.
-    """
-    alpha0, alpha1 = 0, 1.0
-    phi_a0, derphi_a0 = phi0, derphi0
-    phi_a1, derphi_a1 = yield alpha1
-    for i in range(25):
-        if (phi_a1 > phi0 + WOLFE_C1 * alpha1 * derphi0) or ((phi_a1 >= phi_a0) and i > 0):
-            return (yield from _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi0, derphi0))
-        if abs(derphi_a1) <= -WOLFE_C2 * derphi0:
-            return alpha1, phi_a1
-        if derphi_a1 >= 0:
-            return (yield from _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi0, derphi0))
-        alpha0, alpha1 = alpha1, 2 * alpha1
-        phi_a0, derphi_a0 = phi_a1, derphi_a1
-        phi_a1, derphi_a1 = yield alpha1
-    return alpha1, phi_a1
-
-
-def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi0, derphi0):
-    """Shrink the bracket [a_lo, a_hi] to a strong-Wolfe step: trial steps at
-    the cubic, else the quadratic interpolant's minimizer, else the midpoint;
-    (None, None) after 11 trials.  Yields step lengths, like ``_wolfe_step``."""
-    phi_rec, a_rec = phi0, 0
-    for i in range(11):
-        dalpha = a_hi - a_lo
-        a, b = (a_hi, a_lo) if dalpha < 0 else (a_lo, a_hi)
-        if i > 0:
-            cchk = 0.2 * dalpha
-            a_j = _cubicmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi, a_rec, phi_rec)
-        if (i == 0) or (a_j is None) or (a_j > b - cchk) or (a_j < a + cchk):
-            qchk = 0.1 * dalpha
-            a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
-            if (a_j is None) or (a_j > b - qchk) or (a_j < a + qchk):
-                a_j = a_lo + 0.5 * dalpha
-        phi_aj, derphi_aj = yield a_j
-        if (phi_aj > phi0 + WOLFE_C1 * a_j * derphi0) or (phi_aj >= phi_lo):
-            phi_rec, a_rec = phi_hi, a_hi
-            a_hi, phi_hi = a_j, phi_aj
-        else:
-            if abs(derphi_aj) <= -WOLFE_C2 * derphi0:
-                return a_j, phi_aj
-            if derphi_aj * (a_hi - a_lo) >= 0:
-                phi_rec, a_rec = phi_hi, a_hi
-                a_hi, phi_hi = a_lo, phi_lo
-            else:
-                phi_rec, a_rec = phi_lo, a_lo
-            a_lo, phi_lo, derphi_lo = a_j, phi_aj, derphi_aj
-    return None, None
-
-
-def _cubicmin(a, fa, fpa, b, fb, c, fc):
-    """Minimizer of the cubic A (x-a)^3 + B (x-a)^2 + C (x-a) + fa through
-    (b, fb) and (c, fc) with slope C = fpa at a, or None."""
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        try:
-            C = fpa
-            db = b - a
-            dc = c - a
-            denom = (db * dc) ** 2 * (db - dc)
-            d1 = np.empty((2, 2))
-            d1[0, 0] = dc**2
-            d1[0, 1] = -(db**2)
-            d1[1, 0] = -(dc**3)
-            d1[1, 1] = db**3
-            A, B = np.dot(d1, np.asarray([fb - fa - C * db, fc - fa - C * dc]))
-            A /= denom
-            B /= denom
-            radical = B * B - 3 * A * C
-            xmin = a + (-B + np.sqrt(radical)) / (3 * A)
-        except ArithmeticError:
-            return None
-    return xmin if np.isfinite(xmin) else None
-
-
-def _quadmin(a, fa, fpa, b, fb):
-    """Minimizer of the quadratic through (a, fa), (b, fb) with slope fpa at
-    a, or None."""
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        try:
-            db = b - a * 1.0
-            B = (fb - fa - fpa * db) / (db * db)
-            xmin = a - fpa / (2.0 * B)
-        except ArithmeticError:
-            return None
-    return xmin if np.isfinite(xmin) else None
-
-
-def _backtrack(phi0, derphi0):
-    """First of the step lengths 1, 1/2, 1/4, .. that meets the Armijo
-    condition with c1 = ``WOLFE_C1``, and phi there; (None, None) after 40
-    halvings, at steps below 2^-39.  Yields step lengths, like
-    ``_wolfe_step``."""
-    alpha = 1.0
-    for _ in range(40):
-        phi_a, _ = yield alpha
-        if phi_a <= phi0 + WOLFE_C1 * alpha * derphi0:
-            return alpha, phi_a
-        alpha *= 0.5
-    return None, None
-
 
 def _initial_point(dim: int, rng: np.random.Generator) -> UnitaryParams:
     phases = rng.uniform(0.0, 2.0 * np.pi, size=num_phases(dim))

@@ -546,7 +546,6 @@ def test_cmd_find_mns_writes_result_and_encoding(find_mns_run):
             "final_j",
             "iterations",
             "evaluations",
-            "line_search_fallbacks",
             "converged",
             "degraded",
             "stop_reason",
@@ -555,7 +554,6 @@ def test_cmd_find_mns_writes_result_and_encoding(find_mns_run):
         assert rec["stop_reason"] in ("gradient", "stall", "max_iterations", "line_search")
         assert rec["converged"] == (rec["stop_reason"] in ("gradient", "stall"))
         assert rec["evaluations"] > rec["iterations"]
-        assert 0 <= rec["line_search_fallbacks"] <= rec["iterations"]
 
 
 def test_cmd_find_mns_encoding_is_replayable(find_mns_run):
@@ -778,7 +776,7 @@ def test_local_tensor_gap_smaller_than_global_gap(tmp_path):
 # show-result and the CLI surface
 
 
-def test_cmd_show_result_summarizes_payload(find_mns_run, capsys):
+def test_cmd_show_result_summarizes_payload(find_mns_run, capsys, tmp_path):
     _, out, payload = find_mns_run
     shown = cmd_show_result(out / "result.json")
     assert shown["config_hash"] == payload["config_hash"]
@@ -788,8 +786,16 @@ def test_cmd_show_result_summarizes_payload(find_mns_run, capsys):
     for rec in payload["results"][0]["restarts"]:
         assert f"restart {rec['index']}:" in text
         assert f"evaluations={rec['evaluations']} stop={rec['stop_reason']} " in text
-        assert f"stop={rec['stop_reason']} |grad|={rec['gradient_norm']:.3e} " in text
-        assert f"|grad|={rec['gradient_norm']:.3e} fallbacks={rec['line_search_fallbacks']}" in text
+        assert f"stop={rec['stop_reason']} |grad|={rec['gradient_norm']:.3e}\n" in text
+
+    # a result.json written before restarts lost line_search_fallbacks
+    # prints the same lines
+    older = json.loads((out / "result.json").read_text())
+    for rec in older["results"][0]["restarts"]:
+        rec["line_search_fallbacks"] = 0
+    (tmp_path / "result.json").write_text(json.dumps(older))
+    cmd_show_result(tmp_path / "result.json")
+    assert capsys.readouterr().out == text
 
     with pytest.raises(ConfigError, match="result file not found"):
         cmd_show_result(out / "missing.json")

@@ -242,12 +242,13 @@ def test_value_and_gradient_objective_is_bitwise_objective_of_unitary(collective
     )
     for channel, seed, dims in cases:
         u = realize(_random_point(channel.dim, seed))
-        value, _ = value_and_gradient(channel, u[: dims[0] * dims[1]], *dims)
+        value, *_ = value_and_gradient(channel, u[: dims[0] * dims[1]], *dims)
         assert 1.0 - value == objective_of_unitary(channel, u[: dims[0] * dims[1]], *dims)
 
 
 def _one_minus_j_oracle(operators, v, n1, n2):
-    """R + (1/m) tr(V (I - S) V^dag), one Kraus operator at a time."""
+    """R and (1/m) tr(V (I - S) V^dag), whose sum is 1 - J, one Kraus
+    operator at a time."""
     m, dim = n1 * n2, v.shape[1]
     vd = v.conj().T
     total = 0.0
@@ -258,7 +259,7 @@ def _one_minus_j_oracle(operators, v, n1, n2):
         r = e @ vd - vd @ np.kron(np.eye(n1), mk)
         total += np.sum(np.abs(r) ** 2)
         gram += e.conj().T @ e
-    return (total + np.trace(v @ (np.eye(dim) - gram) @ vd).real) / m
+    return total / m, np.trace(v @ (np.eye(dim) - gram) @ vd).real / m
 
 
 @pytest.mark.parametrize("dims", [(2, 1), (2, 2), (1, 3), (2, 3)])
@@ -278,9 +279,12 @@ def test_one_minus_objective_is_residual_sum_of_squares(dims):
         for _ in range(3):
             g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             u = np.linalg.qr(g)[0]
-            j = objective_of_unitary(channel, u[: dims[0] * dims[1]], *dims)
-            oracle = _one_minus_j_oracle(channel.operators, u[: dims[0] * dims[1]], *dims)
-            assert abs((1.0 - j) - oracle) <= 1e-15
+            v = u[: dims[0] * dims[1]]
+            j = objective_of_unitary(channel, v, *dims)
+            residual, gap = _one_minus_j_oracle(channel.operators, v, *dims)
+            assert abs((1.0 - j) - (residual + gap)) <= 1e-15
+            # value_and_gradient's R is the sum of squares alone
+            assert abs(value_and_gradient(channel, v, *dims)[2] - residual) <= 1e-15
             assert abs(j - reduced_channel_of_unitary(channel, u, *dims).p1) <= 1e-13
 
 
@@ -323,12 +327,14 @@ def test_value_and_gradient_rows_of_a_stack_are_bitwise_stacks_of_one(collective
     for channel, (n1, n2) in cases:
         vs = np.stack([realize(_random_point(channel.dim, seed))[: n1 * n2] for seed in range(7)])
         for lo, hi in ((0, 7), (2, 5), (3, 4)):
-            values, grads = value_and_gradient(channel, vs[lo:hi], n1, n2)
-            assert values.shape == (hi - lo,) and grads.shape == vs[lo:hi].shape
+            values, grads, residuals = value_and_gradient(channel, vs[lo:hi], n1, n2)
+            assert values.shape == residuals.shape == (hi - lo,)
+            assert grads.shape == vs[lo:hi].shape
             for row in range(hi - lo):
-                value, grad = value_and_gradient(channel, vs[lo + row], n1, n2)
+                value, grad, residual = value_and_gradient(channel, vs[lo + row], n1, n2)
                 assert np.array_equal(values[row], value)
                 assert np.array_equal(grads[row], grad)
+                assert np.array_equal(residuals[row], residual)
 
 
 def test_channel_arrays_are_cached_read_only():
