@@ -175,7 +175,7 @@ _positive = partial(_number, positive=True)
 # each field's type and bound, by name; model.delta and sweep.delta share one
 READERS = {
     **dict.fromkeys(("n_qubits", "num_restarts", "max_iterations"), _count),
-    **dict.fromkeys(("perturbation_seed", "seed"), _integer),
+    **dict.fromkeys(("perturbation_seed", "seed"), partial(_integer, minimum=0)),
     **dict.fromkeys(("gamma_x", "gamma_z", "gamma_1", "gamma_2", "delta", "t_f"), _rate),
     **dict.fromkeys(("gradient_tolerance", "objective_tolerance"), _positive),
     "dt": lambda value, path: None if value is None else _positive(value, path),
@@ -241,7 +241,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if raw.get("sweep") is not None:
         sweep_raw = _object(raw, "sweep")
         mode = _require(sweep_raw, "mode", "sweep")
-        if mode not in SWEEP_FIELDS:
+        if not isinstance(mode, str) or mode not in SWEEP_FIELDS:
             raise ConfigError(f"sweep.mode must be 'delta' or 'tf', got {mode!r}")
         sweep = _read_section(SweepSpec, sweep_raw, "sweep", SWEEP_FIELDS[mode], mode=mode)
         if mode == "tf" and "delta" in model_raw and model.delta != sweep.delta:
@@ -323,6 +323,8 @@ def load_encoding(path) -> tuple[UnitaryParams, tuple[int, int]]:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"encoding file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("encoding file root must be a JSON object")
     for key in ("dim", "n1", "n2", "phases", "angles"):
         if key not in raw:
             raise ConfigError(f"encoding file is missing field '{key}'")

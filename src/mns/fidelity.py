@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import as_isometry, dagger
 from .noise import LindbladModel, lindblad_to_kraus
-from .parametrization import UnitaryParams, polar, realize
+from .parametrization import UnitaryParams, pack_complex, polar, realize, tangent
 from .search import SearchConfig, _lockstep, find_mns
 
 __all__ = [
@@ -200,19 +200,21 @@ def _descent_minimum(gmat: np.ndarray, n1: int) -> float:
     the starts run as lanes of one ``_lockstep`` descent.
     f = v^H S v / 2 with v = vec(z z^dag) and S = G + G^H; at a unit z its
     gradient is 2 K z with K = unvec(S v), and the normalization z/|z| is the
-    m = 1 case of ``polar``.  ``fg`` returns no retraction, so BFGS moves z
-    itself, off the unit sphere.  BFGS stops on saddles, and the starts are
-    saddles of every map that commutes with diagonal phases, so the best
-    point leaves along negative curvature until there is none or it lowers f
-    no further."""
+    m = 1 case of ``polar``: ``fg`` returns it as each point's retraction,
+    with the tangent projection of 2 K z there, so the lanes move on the
+    unit sphere as the search's move on the isometries.  BFGS stops on
+    saddles, and the starts are saddles of every map that commutes with
+    diagonal phases, so the best point leaves along negative curvature until
+    there is none or it lowers f no further."""
     s = gmat + dagger(gmat)
 
-    def fg(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v, pullback = polar(xs, 1)
+    def fg(xs: np.ndarray) -> tuple[np.ndarray, ...]:
+        v = polar(xs, 1)
         z = v[:, 0, :, None]  # (R, n1, 1)
         zz = (z * dagger(z)).reshape(-1, n1 * n1, 1)
         kz = (s @ zz).reshape(-1, n1, n1) @ z
-        return 0.5 * (dagger(z) @ kz)[:, 0, 0].real, pullback(2.0 * kz.swapaxes(1, 2))
+        f = 0.5 * (dagger(z) @ kz)[:, 0, 0].real
+        return f, tangent(v, 2.0 * kz.swapaxes(1, 2)), pack_complex(v), np.abs(f)
 
     def descend(starts) -> list[tuple[float, np.ndarray]]:
         runs = _lockstep(fg, starts, 200, 1e-12, 0.0)

@@ -37,9 +37,10 @@ exact channel and O(dt^2) for a first-order one; each channel caches it
 rows V alone, as every encoding is held here, and returns 1 minus that value.
 
 The gradient has one implementation, ``value_and_gradient``: at V it returns
-1 - J, the matrix G with d(1 - J) = Re tr(G^dag dV), which the search
-pulls back through its polar map (``parametrization.polar``), and the sum
-of squares alone, by which the search judges a step's gain.
+1 - J, the matrix G with d(1 - J) = Re tr(G^dag dV), whose projection onto
+the isometries' tangent space at V (``parametrization.tangent``) is the
+search's gradient, and the sum of squares alone, by which the search judges
+a step's gain.
 ``gradient_analytic`` contracts -G with the chart partials of
 ``realize_with_partials``; the tests check both against central
 differences.

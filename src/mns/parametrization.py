@@ -21,17 +21,17 @@ off a unitary one column at a time; given an encoding's rows V, it charts
 their completion to a unitary.
 
 The search does not move through the chart.  J and the commutation residual
-depend on U only through its first m rows, an isometry V, which it reaches as
-the polar factor V = (X X^dag)^(-1/2) X of an unconstrained m x N matrix X
-(``polar``), and from which it goes on after each step, with the gradient
-there from ``tangent``.  ``realize_with_partials`` builds every dU/dx_p explicitly, in
-the order [diagonal phases | pair phases (lex) | angles (lex)], for the
-gradient in chart coordinates.
+depend on U only through its first m rows, an isometry V.  A search step
+moves an unconstrained m x N matrix X, which the polar factor
+V = (X X^dag)^(-1/2) X retracts onto the isometries (``polar``), and the
+gradient at V is the tangent projection of the gradient in V (``tangent``).
+``realize_with_partials`` builds every dU/dx_p explicitly, in the order
+[diagonal phases | pair phases (lex) | angles (lex)], for the gradient in
+chart coordinates.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -228,35 +228,17 @@ def chart_of(u: np.ndarray) -> UnitaryParams:
     return UnitaryParams(n, np.concatenate([diag, shifted + diag[jj] - diag[ii]]), angles)
 
 
-def polar(x: np.ndarray, m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+def polar(x: np.ndarray, m: int) -> np.ndarray:
     """The isometry V = (X X^dag)^(-1/2) X of the m x N matrix X packed as
-    x = [Re X | Im X] (row-major), and its pullback; for x of shape (..., 2mN)
-    one V of shape (..., m, N) per leading index, a single x being a stack of
-    one.  Each point's result is the same to the bit whatever shares its stack.
-
-    ``pullback(g)`` takes the gradient G of a real f(V), df = Re tr(G^dag dV),
-    to the gradient of f(V(x)) in x.  With X X^dag = Q diag(lam) Q^dag and
-    F = (X X^dag)^(-1/2), dF = Q((Q^dag dH Q) o K)Q^dag for dH = d(X X^dag),
-    where K_ij = -1/(s_i s_j (s_i + s_j)), s = sqrt(lam), divides differences
-    of lam^(-1/2).  So the pullback is F G + (M + M^dag) X with M =
-    Q((Q^dag X G^dag Q) o K)Q^dag.  At orthonormal X = V it is the tangent
-    projection G - (G V^dag + V G^dag) V / 2 (``tangent``): the gradient of
-    f(V(x)) at the packing of V comes from G at any X with the polar factor V.
-    """
+    x = [Re X | Im X] (row-major); for x of shape (..., 2mN) one V of shape
+    (..., m, N) per leading index, a single x being a stack of one.  Each
+    point's V is the same to the bit whatever shares its stack.  It is the
+    retraction of a step X onto the isometries; the gradient that goes with
+    it is ``tangent``'s at V."""
     half = x.shape[-1] // 2
     xm = (x[..., :half] + 1j * x[..., half:]).reshape(*x.shape[:-1], m, -1)
     lam, q = np.linalg.eigh(xm @ dagger(xm))
-    row = np.sqrt(lam)[..., None, :]
-    col = row.swapaxes(-1, -2)
-    qd = dagger(q)
-    f = (q / row) @ qd
-    kern = -1.0 / (col * row * (col + row))
-
-    def pullback(g: np.ndarray) -> np.ndarray:
-        mm = q @ ((qd @ xm @ dagger(g) @ q) * kern) @ qd
-        return pack_complex(f @ g + (mm + dagger(mm)) @ xm)
-
-    return f @ xm, pullback
+    return ((q / np.sqrt(lam)[..., None, :]) @ dagger(q)) @ xm
 
 
 def pack_complex(v: np.ndarray) -> np.ndarray:
@@ -269,8 +251,9 @@ def pack_complex(v: np.ndarray) -> np.ndarray:
 def tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     """G - (G V^dag + V G^dag) V / 2, packed: the projection of the gradient
     G of f(V) onto the tangent space of the isometries at V, which is the
-    gradient of f(V(x)) at x = ``pack_complex``(V) (see ``polar``).  V G^dag
-    is (G V^dag)^dag, so one m x m product serves both."""
+    gradient of f(``polar``(x)) at x = ``pack_complex``(V) (Absil, Mahony &
+    Sepulchre 2008, sec. 3.6).  V G^dag is (G V^dag)^dag, so one m x m
+    product serves both."""
     a = g @ dagger(v)
     return pack_complex(g - (0.5 * (a + dagger(a))) @ v)
 

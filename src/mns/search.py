@@ -7,19 +7,13 @@ through its first m = n1*n2 rows V, so BFGS moves an unconstrained m x N
 matrix X and evaluates J at V = ``polar``(X); results are reported in chart
 coordinates (``chart_of``).
 
-Each restart is Riemannian BFGS on the isometries, with the polar factor as
-its retraction: after a line search accepts a trial X, the restart goes on
-from V = ``polar``(X), where f is the same and the gradient is the tangent
-projection of the same evaluation's gradient in V (``tangent``).  X left
-free would drift from the isometries (its singular values grow from 1 to
-2-5 over a restart), and the curvature BFGS learns would drift with it.
-The first inverse Hessian is scaled by s^T y / y^T y.  A step that gains
-less than sqrt(eps)*|f| keeps the trial X, because there f is at its
-rounding floor and the stall rule needs f at the point the next trials
-start from to the bit.  A restart whose slope along its next direction is
-no more than 4 eps |f| (``FLOOR_SLOPE``) stops on "stall" before that
-line search: no step could lower f by an amount its evaluation resolves
-(``_bfgs_minimize``).
+Each restart is Riemannian BFGS on the isometries with the polar factor as
+its retraction (``_bfgs_minimize``): every point X is evaluated at
+V = ``polar``(X), with one gradient, the tangent projection at V of the
+gradient in V (``tangent``), and after an accepted step the restart goes on
+from V.  X left free would drift from the isometries (its singular values
+grow from 1 to 2-5 over a restart), and the curvature BFGS learns would
+drift with it.
 
 ``find_mns`` makes one ``bfgs_maximize`` call per dimension pair, and that
 call runs the pair's restarts in lockstep (``_lockstep``): each is a lane
@@ -88,6 +82,8 @@ class SearchConfig:
             raise ValidationError("max_iterations must be >= 1")
         if self.num_restarts < 1:
             raise ValidationError("num_restarts must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.gradient_tolerance <= 0 or self.objective_tolerance <= 0:
             raise ValidationError("tolerances must be positive")
         dims = tuple((int(a), int(b)) for a, b in self.candidate_dims)
@@ -157,15 +153,11 @@ def bfgs_maximize(
     true for the first two.  A failed line search ends the ascent at the
     best point found so far with ``degraded=True`` instead of raising.  X
     starts at the first m = n1*n2 rows of ``realize(initial)``.  The ascents
-    run as lanes of one ``_lockstep`` run: f and its gradient come from one
-    stacked ``polar`` and ``value_and_gradient`` call per round of the
-    lanes' points, which also gives each point's polar factor V, the
-    gradient there (the tangent projection) and R/dt.  A lane goes on from
-    V after each accepted step that gains more than sqrt(eps)*|f|, so it
-    stays on the isometries without another evaluation; below that gain f
-    is at its rounding floor and the lane keeps X, where its f was
-    evaluated.  The inverse Hessian starts as (s^T y / y^T y) I (see
-    ``_bfgs_minimize``).
+    run as lanes of one ``_lockstep`` run: one stacked ``polar`` and
+    ``value_and_gradient`` call per round of the lanes' points gives each
+    point's f, its polar factor V (the lane's retraction), the gradient at V
+    (the tangent projection) and R/dt; ``_bfgs_minimize`` says when a lane
+    moves to V.
     No initial points, no ascents: an empty dict gives an empty list.
     """
     n1, n2 = dims
@@ -180,15 +172,9 @@ def bfgs_maximize(
     scale = channel.dt or 1.0
 
     def fg(xs: np.ndarray) -> tuple[np.ndarray, ...]:
-        v, pullback = polar(xs, m)
+        v = polar(xs, m)
         values, gradients, residuals = value_and_gradient(channel, v, n1, n2)
-        return (
-            values / scale,
-            pullback(gradients) / scale,
-            pack_complex(v),
-            tangent(v, gradients) / scale,
-            residuals / scale,
-        )
+        return values / scale, tangent(v, gradients) / scale, pack_complex(v), residuals / scale
 
     runs = _lockstep(
         fg,
@@ -197,7 +183,7 @@ def bfgs_maximize(
         config.gradient_tolerance,
         config.objective_tolerance,
     )
-    finals = polar(np.array([run.x for run in runs]), m)[0]
+    finals = polar(np.array([run.x for run in runs]), m)
     records = []
     for index, (seed, run, v) in enumerate(zip(initials, runs, finals)):
         trace = tuple(1.0 - scale * f for f in run.trace)
@@ -241,10 +227,10 @@ def _lockstep(
     """One ``_bfgs_minimize`` descent from each start point, all run
     together: ``fg`` takes an (L, n) stack of points to the L values of f
     and the (L, n) gradients, and for a descent on a manifold also to each
-    point's retraction onto it, the gradient there and the part of f that
-    the stall rule measures gains against (R/dt, as ``bfgs_maximize``'s
-    ``fg`` returns); without them each point is its own retraction and the
-    stall rule measures against |f|.
+    point's retraction onto it and the part of f that the stall rule
+    measures gains against (R/dt, as ``bfgs_maximize``'s ``fg`` returns),
+    the gradients then being those at the retractions; without them each
+    point is its own retraction and the stall rule measures against |f|.
 
     Every round stacks the point each unfinished lane waits on, makes one
     ``fg`` call and sends each lane its row; a lane that finishes leaves the
@@ -261,8 +247,8 @@ def _lockstep(
         active = list(waiting)
         xs = np.array([waiting[i] for i in active])
         values, gradients, *retracted = fg(xs)
-        points, tangents, residuals = retracted or (xs, gradients, np.abs(values))
-        rows = zip(values.tolist(), gradients, points, tangents, residuals.tolist())
+        points, residuals = retracted or (xs, np.abs(values))
+        rows = zip(values.tolist(), gradients, points, residuals.tolist())
         for i, row in zip(active, rows):
             try:
                 waiting[i] = lanes[i].send(row)
@@ -287,13 +273,13 @@ def _bfgs_minimize(
     max_iterations: int,
     gradient_tolerance: float,
     objective_tolerance: float,
-) -> Generator[np.ndarray, tuple[float, np.ndarray, np.ndarray, np.ndarray, float], Descent]:
+) -> Generator[np.ndarray, tuple[float, np.ndarray, np.ndarray, float], Descent]:
     """BFGS descent of f from ``x``, as a generator: it yields each point
-    where it needs f, is sent (f, grad f, r, grad f(r), f_R) back, where r is
-    the point's retraction (its polar factor in ``bfgs_maximize``, so f(r)
-    is f) and f_R the part of f the stall rule measures gains against (R/dt
-    in ``bfgs_maximize``), and returns the ``Descent``.  ``_lockstep`` runs
-    it.
+    where it needs f, is sent (f, g, r, f_R) back, where r is the point's
+    retraction (its polar factor in ``bfgs_maximize``, so f(r) is f), g the
+    gradient of f at r and f_R the part of f the stall rule measures gains
+    against (R/dt in ``bfgs_maximize``), and returns the ``Descent``.
+    ``_lockstep`` runs it.
 
     Each iteration backtracks along the quasi-Newton direction p on
     phi(alpha) = f(x + alpha p) from alpha = 1 until the Armijo condition
@@ -329,10 +315,10 @@ def _bfgs_minimize(
     H starts as (s^T y / y^T y) I at the first update (Nocedal & Wright,
     2nd ed., eq. 6.20), and again after a reset.  A step that lowered f by
     no more than ``RETRACT_GAIN`` (sqrt of the machine epsilon) times |f|
-    keeps the trial point itself: there f is at its rounding floor, f at the
-    retraction is f only up to rounding, and the Armijo condition and the
-    stall rule compare the next trials with phi(0) exactly, so phi(0) must
-    be f evaluated at the point the trials start from.
+    keeps the trial point itself, with the gradient at its retraction: f
+    there is at its rounding floor and f at the retraction equals it only
+    up to rounding, while the Armijo condition and the stall rule need
+    phi(0) to be f at the point the trials start from.
     """
     fx, gx, *_ = yield x
     n = x.size
@@ -358,7 +344,7 @@ def _bfgs_minimize(
         alpha = 1.0
         while alpha >= MIN_STEP:
             x_new = x + alpha * p
-            f_new, g_new, retraction, g_retraction, f_residual = yield x_new
+            f_new, g_new, retraction, f_residual = yield x_new
             evaluations += 1
             if f_new <= fx + ARMIJO_C1 * alpha * slope:
                 break
@@ -370,7 +356,7 @@ def _bfgs_minimize(
             break
         improvement = fx - f_new
         if improvement > RETRACT_GAIN * abs(f_new):
-            x_new, g_new = retraction, g_retraction
+            x_new = retraction
         s = x_new - x
         y = g_new - gx
         sy = s @ y
@@ -401,6 +387,7 @@ def _norm(x: np.ndarray) -> float:
     """``np.linalg.norm`` of a 1-D real array to the bit (it computes
     sqrt(x.dot(x)) too), without the dispatch the loop pays per call."""
     return math.sqrt(x.dot(x))
+
 
 def _initial_point(dim: int, rng: np.random.Generator) -> UnitaryParams:
     phases = rng.uniform(0.0, 2.0 * np.pi, size=num_phases(dim))

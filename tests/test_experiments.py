@@ -246,6 +246,18 @@ def _mutated(mutate):
         ),
         (_mutated(lambda r: r["sweep"].update(mode="time")), "sweep.mode must be"),
         (
+            _mutated(lambda r: r["sweep"].update(mode=["tf"])),
+            r"sweep.mode must be 'delta' or 'tf', got \['tf'\]",
+        ),
+        (
+            _mutated(lambda r: r["search"].update(seed=-1)),
+            "field 'search.seed' must be >= 0, got -1",
+        ),
+        (
+            _mutated(lambda r: r["model"].update(perturbation_seed=-3)),
+            "field 'model.perturbation_seed' must be >= 0, got -3",
+        ),
+        (
             _mutated(lambda r: r["sweep"].update(grid=[])),
             r"sweep.grid must be a list of values or \{start, stop, num\}",
         ),
@@ -496,6 +508,16 @@ def test_cli_verify_dfs_bad_encoding_exits_1(tmp_path, capsys):
         enc = _encoding_file(tmp_path, **fields)
         assert main(["verify-dfs", "--config", str(cfg), "--encoding", str(enc)]) == 1
         assert "field 'encoding." in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("root", ["null", "5", "[]"])
+def test_cli_verify_dfs_refuses_an_encoding_root_that_is_not_an_object(tmp_path, capsys, root):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(SMALL_COLLECTIVE_TEXT)
+    enc = tmp_path / "enc.json"
+    enc.write_text(root)
+    assert main(["verify-dfs", "--config", str(cfg), "--encoding", str(enc)]) == 1
+    assert "encoding file root must be a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threshold", ["inf", "nan", "-1"])
@@ -866,6 +888,28 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
 
     assert main(["fidelity-sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
     assert "no 'sweep' section" in capsys.readouterr().err
+
+
+def test_cli_refuses_negative_seeds(tmp_path, capsys):
+    # each negative seed is refused as the config is read, before anything
+    # runs: left to the search, SeedSequence would raise (exit 2), and a
+    # sweep would write a row of NaN per point (exit 0)
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cases = (
+        (["find-mns"], SMALL_COLLECTIVE_TEXT.replace('"seed": 1', '"seed": -1'), "'search.seed'"),
+        (["find-mns", "--seed", "-2"], SMALL_COLLECTIVE_TEXT, "seed must be >= 0, got -2"),
+        (
+            ["fidelity-sweep"],
+            FULL_CONFIG_TEXT.replace('"perturbation_seed": 4', '"perturbation_seed": -3'),
+            "'model.perturbation_seed'",
+        ),
+    )
+    for argv, text, message in cases:
+        cfg.write_text(text)
+        assert main([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_find_mns_and_show_result_exit_0(tmp_path, capsys):

@@ -23,7 +23,7 @@ from mns.noise import (
     perturbed_collective,
     random_perturbation_unitary,
 )
-from mns.search import SearchConfig
+from mns.search import RETRACT_GAIN, SearchConfig
 from oracles import (
     basis_state_encoding,
     choi_matrix,
@@ -499,6 +499,33 @@ def test_worst_case_fidelity_four_level_below_state_sample():
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     sampled = min(_fidelities(chunk, u, (4, 1), ev).min() for chunk in np.split(psis, 10))
     assert fi <= sampled - 1e-3
+
+
+def test_descent_minimum_lanes_retract_onto_the_unit_sphere(monkeypatch):
+    # every descent of a four-level map, cut after each of its iterations: a
+    # step that gained more than RETRACT_GAIN |f| leaves the lane at the
+    # accepted trial's normalization, as the search's lanes stay on the
+    # isometries
+    captured = []
+    lockstep = mns.fidelity._lockstep
+    monkeypatch.setattr(
+        mns.fidelity,
+        "_lockstep",
+        lambda fg, starts, *rules: captured.append((fg, starts, rules)) or lockstep(fg, starts, *rules),
+    )
+    u = haar_random_unitary(8, 300)[:4]
+    [[gmat]] = _logical_maps(collective_xz(3, 0.3, 0.2), [0.5], [u], 4, 1)
+    mns.fidelity._descent_minimum(gmat, 4)
+    retracted = 0
+    for fg, starts, (max_iterations, *rules) in captured:
+        for start, run in zip(starts, lockstep(fg, starts, max_iterations, *rules)):
+            for k in range(1, run.iterations + 1):
+                (cut,) = lockstep(fg, [start], k, *rules)
+                f = cut.trace[-1]
+                if cut.trace[-2] - f > RETRACT_GAIN * abs(f):
+                    assert abs(np.linalg.norm(cut.x) - 1.0) <= 1e-14
+                    retracted += 1
+    assert retracted > 0
 
 
 def test_worst_case_below_sampled_fidelities():

@@ -16,7 +16,15 @@ from mns.noise import (
     random_perturbation_unitary,
 )
 from mns.objective import gradient_analytic, objective_of_unitary, value_and_gradient
-from mns.parametrization import UnitaryParams, num_angles, num_phases, polar, realize
+from mns.parametrization import (
+    UnitaryParams,
+    num_angles,
+    num_phases,
+    pack_complex,
+    polar,
+    realize,
+    tangent,
+)
 from oracles import (
     candidate,
     coefficients,
@@ -289,10 +297,11 @@ def test_one_minus_objective_is_residual_sum_of_squares(dims):
 
 
 def test_value_and_gradient_matches_finite_differences():
-    # the gradient in V, pulled back through the polar map, against central
-    # differences over the flat X coordinates the search moves; the
-    # first-order channel at a long step makes the completeness term
-    # (2/m) V (I - S) large enough to show in the comparison
+    # the tangent projection of the gradient in V against central
+    # differences of f(polar(x)) over the flat X coordinates the search
+    # moves, at the packing of V = polar(x0); the first-order channel at a
+    # long step makes the completeness term (2/m) V (I - S) large enough to
+    # show in the comparison
     rng = np.random.default_rng(20)
     exact = random_kraus_channel(8, 4, rng)
     coarse = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), 0.2)
@@ -300,13 +309,13 @@ def test_value_and_gradient_matches_finite_differences():
     for ch in (exact, coarse):
         for seed, dims in ((21, (2, 2)), (22, (2, 3)), (23, (3, 1)), (29, (1, 3)), (30, (2, 4))):
             m = dims[0] * dims[1]
-            x0 = np.random.default_rng(seed).standard_normal(2 * m * 8)
+            v = polar(np.random.default_rng(seed).standard_normal(2 * m * 8), m)
+            x0 = pack_complex(v)
 
             def f_of(x):
-                return value_and_gradient(ch, polar(x, m)[0], *dims)[0]
+                return value_and_gradient(ch, polar(x, m), *dims)[0]
 
-            v, pullback = polar(x0, m)
-            ga = pullback(value_and_gradient(ch, v, *dims)[1])
+            ga = tangent(v, value_and_gradient(ch, v, *dims)[1])
             h = 1e-6
             gf = np.array([(f_of(x0 + h * e) - f_of(x0 - h * e)) / (2 * h) for e in np.eye(x0.size)])
             assert np.linalg.norm(ga - gf) <= 1e-6 * max(1.0, np.linalg.norm(gf))

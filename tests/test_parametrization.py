@@ -189,44 +189,39 @@ def test_realize_matches_factor_by_factor_product():
 
 
 @pytest.mark.parametrize("m,dim", [(1, 1), (1, 3), (2, 8), (4, 8), (3, 16)])
-def test_polar_is_an_isometry_with_exact_pullback(m, dim):
+def test_polar_is_an_isometry_and_tangent_is_its_gradient(m, dim):
     rng = np.random.default_rng(10 + m + dim)
-    x = rng.standard_normal(2 * m * dim)
-    a = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
-    b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
 
-    def f(x):  # Re tr(A^dag V) + Re tr(V B V^dag)
-        v = polar(x, m)[0]
-        return np.real(np.vdot(a, v) + np.trace(v @ b @ dagger(v)))
+    def f(x):  # Re tr(G^dag polar(x))
+        return np.real(np.vdot(g, polar(x, m)))
 
-    v, pullback = polar(x, m)
+    v = polar(rng.standard_normal(2 * m * dim), m)
     assert np.abs(v @ dagger(v) - np.eye(m)).max() <= 1e-14
-    grad = pullback(a + v @ dagger(b) + v @ b)
+    x = pack_complex(v)
+    assert np.array_equal(x, np.concatenate([v.real.ravel(), v.imag.ravel()]))
+    # at the packing of V, tangent(V, G) is the gradient of f
     h = 1e-6
     fd = np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(x.size)])
-    assert np.abs(grad - fd).max() <= 1e-7
-    # at an orthonormal X the pullback is the tangent projection
-    g = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
-    v0, pullback0 = polar(np.concatenate([v.real.ravel(), v.imag.ravel()]), m)
-    proj = g - 0.5 * (g @ dagger(v0) + v0 @ dagger(g)) @ v0
+    assert np.abs(tangent(v, g) - fd).max() <= 1e-7
+    # and it is the projection G - (G V^dag + V G^dag) V / 2
+    proj = g - 0.5 * (g @ dagger(v) + v @ dagger(g)) @ v
     flat_proj = np.concatenate([proj.real.ravel(), proj.imag.ravel()])
-    assert np.abs(pullback0(g) - flat_proj).max() <= 1e-13
-    # which tangent computes from V, without polar's pullback at its packing
     assert np.abs(tangent(v, g) - flat_proj).max() <= 1e-13
-    assert np.array_equal(pack_complex(v), np.concatenate([v.real.ravel(), v.imag.ravel()]))
 
 
 @pytest.mark.parametrize("m,dim", [(1, 3), (2, 8), (3, 8), (4, 16)])
 def test_polar_rows_of_a_stack_are_bitwise_stacks_of_one(m, dim):
     # the search evaluates every restart's point in one call: each row's
-    # isometry and pullback must not depend on which rows share the stack
+    # isometry and tangent gradient must not depend on which rows share the
+    # stack
     rng = np.random.default_rng(m * dim)
     xs = rng.standard_normal((7, 2 * m * dim))
     gs = rng.standard_normal((7, m, dim)) + 1j * rng.standard_normal((7, m, dim))
     for lo, hi in ((0, 7), (2, 5), (3, 4)):
-        v, pullback = polar(xs[lo:hi], m)
-        pulled = pullback(gs[lo:hi])
+        v = polar(xs[lo:hi], m)
+        projected = tangent(v, gs[lo:hi])
         for row in range(hi - lo):
-            v1, pullback1 = polar(xs[lo + row], m)
+            v1 = polar(xs[lo + row], m)
             assert np.array_equal(v[row], v1)
-            assert np.array_equal(pulled[row], pullback1(gs[lo + row]))
+            assert np.array_equal(projected[row], tangent(v1, gs[lo + row]))

@@ -55,6 +55,8 @@ def test_search_config_validation():
         SearchConfig(gradient_tolerance=0.0)
     with pytest.raises(ValidationError):
         SearchConfig(candidate_dims=((0, 2),))
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        SearchConfig(seed=-1)
 
 
 def test_default_candidate_dims():
@@ -281,12 +283,12 @@ def _trial_steps(phi) -> tuple[list[float], Descent]:
     and the descent it returns."""
     run = _bfgs_minimize(np.zeros(1), 1, 0.0, 0.0)
     x = next(run)
-    x = run.send((1.0, np.ones(1), x, np.ones(1), 1.0))
+    x = run.send((1.0, np.ones(1), x, 1.0))
     steps = []
     while True:
         steps.append(-x[0])
         try:
-            x = run.send((phi(steps[-1]), np.zeros(1), x, np.zeros(1), 1.0))
+            x = run.send((phi(steps[-1]), np.zeros(1), x, 1.0))
         except StopIteration as stop:
             return steps, stop.value
 
@@ -328,7 +330,7 @@ def test_stall_rule_measures_gains_against_the_residual_part():
     # f = c + R with R = x^T A x / 2 and c = 1e3, as at a decoherence-free
     # point where the completeness term is all that is left of f.  Measured
     # against |f|, a gain of 1e-2 |f| or less stops the lane while R still
-    # falls; an fg that returns R as the fifth entry of its rows has the
+    # falls; an fg that returns R as the fourth entry of its rows has the
     # gains measured against R, and the same descent goes on from there
     a = np.diag([1.0, 100.0])
     c, tol = 1e3, 1e-2
@@ -338,7 +340,7 @@ def test_stall_rule_measures_gains_against_the_residual_part():
         residuals = 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs)
         values, gradients = c + residuals, xs @ a
         residual_at.update(zip(values.tolist(), residuals.tolist()))
-        return values, gradients, xs, gradients, residuals
+        return values, gradients, xs, residuals
 
     def fg(xs):
         return fg_with_residual(xs)[:2]
