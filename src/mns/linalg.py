@@ -54,8 +54,14 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor on the slow (row-major) index."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+    """Kronecker product with the first factor on the slow (row-major) index,
+    or one per matrix of a stack a of shape (..., p, q).  It forms the products
+    a[i, j] * b[k, l] that ``np.kron`` forms, in complex128, so it is
+    ``np.kron`` to the bit, signed zeros included, without its wrapper."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    out = a[..., :, None, :, None] * b[:, None, :]
+    return out.reshape(*a.shape[:-2], a.shape[-2] * b.shape[0], a.shape[-1] * b.shape[1])
 
 
 def random_density_matrix(dim: int, seed=None) -> np.ndarray:

@@ -35,7 +35,7 @@ diag(3, 1, 1, -1, 1, -1, -1, -3) in the computational basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -307,6 +307,16 @@ def default_dt(model: LindbladModel) -> float:
     return 1e-3 / top if top > 0 else 1e-3
 
 
+@lru_cache(maxsize=None)
+def _logical_states(n1: int, n2: int) -> np.ndarray:
+    """The states rho_1 (x) I/n2 that ``dfs_check`` encodes, for six random
+    logical density matrices rho_1 drawn from seed 0, as one read-only
+    (6, n1*n2, n1*n2) stack, built once per (n1, n2)."""
+    rng = np.random.default_rng(0)
+    rho1 = np.array([random_density_matrix(n1, rng) for _ in range(6)])
+    return _read_only(tensor(rho1, np.eye(n2) / n2))
+
+
 def dfs_check(
     channel: KrausChannel,
     v: np.ndarray,
@@ -322,17 +332,15 @@ def dfs_check(
     coupling out of the block.  For Hermitian Kraus sets, which covers every
     bundled model, the two agree; for other sets this one is stricter.
 
-    Draws six random logical density matrices rho_1 from a fixed seed (0),
-    so the verdict on given encoded rows V (``as_isometry``) is
-    reproducible, encodes each as rho = V^dag (rho_1 (x) I/n2) V, and
-    returns (defect <= threshold, defect, per_operator): per_operator[k] is
-    the largest Frobenius norm of [E_k, rho] over the states, and defect the
-    largest of those.  Every commutator comes from one stacked product.
+    Encodes six random logical density matrices rho_1, drawn from a fixed
+    seed (0) so the verdict on given encoded rows V (``as_isometry``) is
+    reproducible, as rho = V^dag (rho_1 (x) I/n2) V (``_logical_states``),
+    and returns (defect <= threshold, defect, per_operator): per_operator[k]
+    is the largest Frobenius norm of [E_k, rho] over the states, and defect
+    the largest of those.  Every commutator comes from one stacked product.
     """
     v = as_isometry(v, n1, n2, channel.dim)
-    rng = np.random.default_rng(0)
-    rho1 = np.array([random_density_matrix(n1, rng) for _ in range(6)])
-    states = dagger(v) @ np.kron(rho1, np.eye(n2) / n2) @ v  # (S, N, N)
+    states = dagger(v) @ _logical_states(n1, n2) @ v  # (S, N, N)
     ops = channel.stack[:, None]  # (K, 1, N, N)
     norms = np.linalg.norm(ops @ states - states @ ops, axis=(2, 3))  # (K, S)
     per_operator = norms.max(axis=1, initial=0.0).tolist()

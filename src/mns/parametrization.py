@@ -15,10 +15,14 @@ right to left (the last pair acts on a vector first).  Parameter counts are
 N(N+1)/2 phases (N diagonal + one per pair) and N(N-1)/2 angles, N**2 real
 numbers in total.  All parameters live on the real line; the chart is smooth
 and periodic, and ``realize`` of the all-zero vector is exactly the identity.
+``realize`` takes one chart point or a stack of them (the search realizes
+every restart's start in one call); each unitary of a stack is to the bit
+the one its point gives alone.
 
 ``chart_of`` is the exact inverse of ``realize``: it peels the Givens factors
-off a unitary one column at a time; given an encoding's rows V, it charts
-their completion to a unitary.
+off a unitary one column at a time, each column's group with one recurrence
+on its pivot row; given an encoding's rows V, it charts their completion to
+a unitary.
 
 The search does not move through the chart.  J and the commutation residual
 depend on U only through its first m rows, an isometry V.  A search step
@@ -32,6 +36,7 @@ chart coordinates.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -166,29 +171,42 @@ def _antidiagonals(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[
     return order, ii, jj, edges
 
 
-def realize(params: UnitaryParams) -> np.ndarray:
-    """Evaluate the chart: return the N x N unitary for these coordinates.
+def realize(params: UnitaryParams | Iterable[UnitaryParams]) -> np.ndarray:
+    """Evaluate the chart: return the N x N unitary for these coordinates, or
+    for a sequence of L chart points of one dim their (L, N, N) stack, one
+    point being a stack of one.
 
     realize at all-zero coordinates is exactly the identity (entries 0 and 1, no
     rounding); in general ||U^dag U - I||_F stays at the 1e-14 level.  The
     Givens factors act one anti-diagonal layer (``_antidiagonals``) at a time,
-    with the same arithmetic per row as one factor at a time, so U is the
-    factor-by-factor product to the bit.
+    on every point of the stack at once: the stack is held as an (N, L, N)
+    array, row r of every U side by side, so each layer gathers whole rows
+    of all L unitaries.  The arithmetic per row is that of one factor at a
+    time, so each U is the factor-by-factor product to the bit, whatever
+    shares its stack.
     """
-    n = params.dim
-    u = np.eye(n, dtype=np.complex128)
+    stack = (params,) if isinstance(params, UnitaryParams) else tuple(params)
+    if not stack or any(p.dim != stack[0].dim for p in stack):
+        raise ValidationError("realize needs one or more chart points of one dim")
+    n, lanes = stack[0].dim, len(stack)
+    phases = np.array([p.phases for p in stack])
     order, ii, jj, edges = _antidiagonals(n)
-    th = params.angles[order]
-    c, s = np.cos(th)[:, None], np.sin(th)[:, None]
-    e = np.exp(1j * params.phases[n:][order])[:, None]
+    th = np.array([p.angles for p in stack])[:, order]
+    c, s = np.cos(th).T, np.sin(th).T  # (K, L) in layer order
+    e = np.exp(1j * phases[:, n:][:, order]).T
     es, ecs = e * s, np.conj(e) * s
+    # each point's coefficient repeated over its N columns of a row
+    c, es, ecs = (np.repeat(a, n, axis=1) for a in (c, es, ecs))
+    u = np.repeat(np.eye(n, dtype=np.complex128)[:, None], lanes, axis=1).reshape(n, lanes * n)
     # Right to left: the anti-diagonal of the lexicographically last factor first.
     for lo, hi in zip(edges[:-1], edges[1:]):
         i, j = ii[lo:hi], jj[lo:hi]
         ri, rj = u[i], u[j]
         u[i] = c[lo:hi] * ri - es[lo:hi] * rj
         u[j] = ecs[lo:hi] * ri + c[lo:hi] * rj
-    return np.exp(1j * params.phases[:n])[:, None] * u
+    u = u.reshape(n, lanes, n).swapaxes(0, 1)
+    out = np.multiply(np.exp(1j * phases[:, :n])[..., None], u, order="C")
+    return out[0] if isinstance(params, UnitaryParams) else out
 
 
 def chart_of(u: np.ndarray) -> UnitaryParams:
@@ -204,6 +222,13 @@ def chart_of(u: np.ndarray) -> UnitaryParams:
     atan2(|c_j|, ||c_{<j}||) and each shifted phase is -arg c_j.  The group is
     peeled off before the next column is read, and the shifts are undone at
     the end.  realize(chart_of(u)) reproduces u to rounding.
+
+    Peeling G_(i,j)^dag, leftmost first, changes row j once, from row j and
+    the pivot row i as the factors before it left it, and changes the pivot
+    row.  So one recurrence gives the pivot row before each factor, and one
+    stacked update moves every row below it, with the arithmetic of one
+    factor at a time.  Only columns right of i are updated: no later column
+    reads the others.
     """
     w = np.array(u, dtype=np.complex128)
     if w.ndim != 2 or not 1 <= len(w) <= w.shape[1]:
@@ -216,13 +241,21 @@ def chart_of(u: np.ndarray) -> UnitaryParams:
     q = 0
     for i in range(n):
         diag[i] = np.angle(w[i, i])
+        if i == n - 1:
+            break
         col = w[i:, i] * np.exp(-1j * diag[i])
-        group = range(q, q + n - 1 - i)
+        group = slice(q, q + n - 1 - i)
         angles[group] = np.arctan2(np.abs(col[1:]), np.sqrt(np.cumsum(np.abs(col[:-1]) ** 2)))
         shifted[group] = -np.angle(col[1:])
-        c, s, e = np.cos(angles[group]), np.sin(angles[group]), np.exp(1j * shifted[group])
-        for t, j in enumerate(range(i + 1, n)):  # w <- G^dag w = G(-theta) w, leftmost first
-            _rotate(w, i, j, c[t], -s[t], e[t])
+        # w <- G^dag w = G(-theta) w, so s is sin(-theta)
+        c, s, e = np.cos(angles[group]), -np.sin(angles[group]), np.exp(1j * shifted[group])
+        es, ecs = e * s, np.conj(e) * s
+        below = w[i + 1 :, i + 1 :]
+        pivots = np.empty_like(below)
+        pivots[0] = w[i, i + 1 :]
+        for t in range(len(below) - 1):
+            pivots[t + 1] = c[t] * pivots[t] - es[t] * below[t]
+        below[...] = ecs[:, None] * pivots + c[:, None] * below
         q += n - 1 - i
     ii, jj = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     return UnitaryParams(n, np.concatenate([diag, shifted + diag[jj] - diag[ii]]), angles)

@@ -152,7 +152,8 @@ def bfgs_maximize(
     ``stop_reason`` says which (see ``_bfgs_minimize``) and ``converged`` is
     true for the first two.  A failed line search ends the ascent at the
     best point found so far with ``degraded=True`` instead of raising.  X
-    starts at the first m = n1*n2 rows of ``realize(initial)``.  The ascents
+    starts at the first m = n1*n2 rows of ``realize(initial)``, one stacked
+    ``realize`` call giving every restart's start.  The ascents
     run as lanes of one ``_lockstep`` run: one stacked ``polar`` and
     ``value_and_gradient`` call per round of the lanes' points gives each
     point's f, its polar factor V (the lane's retraction), the gradient at V
@@ -178,7 +179,7 @@ def bfgs_maximize(
 
     runs = _lockstep(
         fg,
-        [pack_complex(realize(initial)[:m]) for initial in initials.values()],
+        pack_complex(realize(initials.values())[:, :m]),
         config.max_iterations,
         config.gradient_tolerance,
         config.objective_tolerance,
@@ -331,7 +332,11 @@ def _bfgs_minimize(
     for it in range(1, max_iterations + 1):
         if _norm(gx) <= gradient_tolerance:
             break
-        p = -gx if h is None else -(h @ gx)
+        if h is None:
+            p = -gx
+        else:
+            p = h @ gx
+            np.negative(p, out=p)
         slope = p @ gx
         if slope >= 0:  # not a descent direction; reset the approximation
             h = None
@@ -343,7 +348,7 @@ def _bfgs_minimize(
         iterations = it
         alpha = 1.0
         while alpha >= MIN_STEP:
-            x_new = x + alpha * p
+            x_new = x + p if alpha == 1.0 else x + alpha * p
             f_new, g_new, retraction, f_residual = yield x_new
             evaluations += 1
             if f_new <= fx + ARMIJO_C1 * alpha * slope:
@@ -364,13 +369,12 @@ def _bfgs_minimize(
             if h is None:
                 h = np.eye(n) * (sy / (y @ y))
             # H += w s^T + s w^T, the BFGS inverse update with
-            # w = rho ((rho y^T H y + 1)/2 s - H y)
+            # w = rho ((rho y^T H y + 1)/2 s - H y); s w^T is (w s^T)^T
             rho = 1.0 / sy
             hy = h @ y
             w = rho * ((0.5 * (rho * (y @ hy) + 1.0)) * s - hy)
-            update = w[:, None] * s
-            update += update.T
-            h += update
+            ws = np.multiply.outer(w, s)
+            h += ws + ws.T
         x, fx, gx = x_new, f_new, g_new
         trace.append(fx)
         if improvement <= objective_tolerance * f_residual:

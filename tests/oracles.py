@@ -13,7 +13,8 @@ faster way, or builds inputs and diagnostics the tests need:
 * J through its coefficient tensor over an orthonormal Hermitian operator
   basis (``coefficients``), and dJ/dx by central differences in chart
   coordinates (``gradient``);
-* the chart's unitary factor by factor (``realize_by_factors``);
+* the chart's unitary factor by factor (``realize_by_factors``), and its
+  inverse one Givens rotation at a time (``chart_of_by_rotations``);
 * commutators and direct-sum embeddings, random unitaries, states and
   channels, explicit subspace encodings and projector distances.
 
@@ -197,6 +198,35 @@ def realize_by_factors(params: UnitaryParams) -> np.ndarray:
         u[i] = c * ri - e * s * rj
         u[j] = np.conj(e) * s * ri + c * rj
     return np.exp(1j * params.phases[:n])[:, None] * u
+
+
+def chart_of_by_rotations(u: np.ndarray) -> UnitaryParams:
+    """Chart coordinates of the completion of the rows ``u``, with each
+    column's Givens group peeled one rotation at a time, each acting on
+    whole rows from a copy of the pivot row: the reference for
+    ``chart_of``, which peels a group with one recurrence on the pivot row
+    and one stacked update of the rows below it."""
+    w = np.array(u, dtype=np.complex128)
+    m, n = w.shape
+    basis = np.linalg.qr(dagger(w), mode="complete")[0]
+    w = np.vstack([w, dagger(basis[:, m:])])
+    pairs = plane_pairs(n)
+    diag, angles, shifted = np.zeros(n), np.zeros(len(pairs)), np.zeros(len(pairs))
+    q = 0
+    for i in range(n):
+        diag[i] = np.angle(w[i, i])
+        col = w[i:, i] * np.exp(-1j * diag[i])
+        group = range(q, q + n - 1 - i)
+        angles[group] = np.arctan2(np.abs(col[1:]), np.sqrt(np.cumsum(np.abs(col[:-1]) ** 2)))
+        shifted[group] = -np.angle(col[1:])
+        c, s, e = np.cos(angles[group]), np.sin(angles[group]), np.exp(1j * shifted[group])
+        for t, j in enumerate(range(i + 1, n)):  # w <- G(-theta) w, leftmost first
+            ri, rj = w[i].copy(), w[j]
+            w[i] = c[t] * ri - e[t] * -s[t] * rj
+            w[j] = np.conj(e[t]) * -s[t] * ri + c[t] * rj
+        q += n - 1 - i
+    ii, jj = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return UnitaryParams(n, np.concatenate([diag, shifted + diag[jj] - diag[ii]]), angles)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,35 @@ def test_tensor_basics():
     assert np.allclose(tensor(a, b) @ tensor(c, d), tensor(a @ c, b @ d), atol=1e-13)
 
 
+def _with_negative_zeros(rng, shape, complex_entries: bool) -> np.ndarray:
+    """Normal draws with about a third of the real (and imaginary) parts -0.0."""
+    def part():
+        return np.where(rng.random(shape) < 0.3, -0.0, rng.standard_normal(shape))
+
+    return part() + 1j * part() if complex_entries else part()
+
+
+def _kron_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The bit patterns of np.kron of the complex128 factors."""
+    return np.kron(a.astype(np.complex128), b.astype(np.complex128)).view(np.uint64)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_tensor_is_bitwise_np_kron(complex_entries):
+    # tensor forms np.kron's products without its wrapper: every bit agrees,
+    # the sign of every zero included, for one matrix or a stack of them
+    rng = np.random.default_rng(28)
+    sizes = (1, 2, 3, 8, 64)
+    for p, q in ((p, q) for p in sizes for q in sizes):
+        a = _with_negative_zeros(rng, (p, q), complex_entries)
+        for shape in ((1, 1), (2, 3), (8, 8)):
+            b = _with_negative_zeros(rng, shape, complex_entries)
+            assert np.array_equal(tensor(a, b).view(np.uint64), _kron_bits(a, b))
+            assert np.array_equal(tensor(b, a).view(np.uint64), _kron_bits(b, a))
+    stack = _with_negative_zeros(rng, (6, 3, 3), complex_entries)
+    assert np.array_equal(tensor(stack, np.eye(4) / 4).view(np.uint64), _kron_bits(stack, np.eye(4) / 4))
+
+
 def test_tensor_associativity_on_integer_matrices():
     a = np.array([[1, 2], [3, 4]])
     b = np.array([[0, 1], [1, 0]])

@@ -8,6 +8,7 @@ from mns.noise import (
     PAULI_Z,
     KrausChannel,
     LindbladModel,
+    _logical_states,
     collective_dfs_encoding,
     collective_operator,
     collective_xz,
@@ -230,6 +231,24 @@ def test_dfs_check_exact_encoding_passes():
     ok, defect, _ = dfs_check(ch, collective_dfs_encoding(), 2, 2)
     assert ok
     assert defect <= 1e-12
+
+
+def test_dfs_check_states_are_drawn_once_and_give_the_defect_of_a_fresh_draw():
+    # the six fixed-seed logical states are a cached read-only stack; the
+    # defect is the float that drawing them afresh on every call gave
+    ch = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), 1e-3)
+    for n1, n2 in ((2, 2), (2, 3), (3, 1)):
+        v = haar_random_unitary(8, 7)[: n1 * n2]
+        rng = np.random.default_rng(0)
+        rho1 = np.array([random_density_matrix(n1, rng) for _ in range(6)])
+        states = dagger(v) @ np.kron(rho1, np.eye(n2) / n2) @ v
+        ops = ch.stack[:, None]
+        expected = np.linalg.norm(ops @ states - states @ ops, axis=(2, 3)).max(axis=1).tolist()
+        for _ in range(2):
+            ok, defect, per_operator = dfs_check(ch, v, n1, n2)
+            assert per_operator == expected and defect == max(expected)
+        block = _logical_states(n1, n2)
+        assert block is _logical_states(n1, n2) and not block.flags.writeable
 
 
 def test_dfs_check_random_encoding_fails():

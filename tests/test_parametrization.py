@@ -16,7 +16,14 @@ from mns.parametrization import (
     realize,
     realize_with_partials,
 )
-from oracles import haar_random_unitary, pack, realize_by_factors, unpack, zero_params
+from oracles import (
+    chart_of_by_rotations,
+    haar_random_unitary,
+    pack,
+    realize_by_factors,
+    unpack,
+    zero_params,
+)
 
 
 @pytest.mark.parametrize("dim,np_,na", [(1, 1, 0), (2, 3, 1), (3, 6, 3), (4, 10, 6), (8, 36, 28)])
@@ -186,6 +193,52 @@ def test_realize_matches_factor_by_factor_product():
                     scale * rng.uniform(-7, 7, num_angles(dim)),
                 )
                 assert np.array_equal(realize(params), realize_by_factors(params))
+
+
+def _draw(rng, dim: int, scale: float) -> UnitaryParams:
+    return UnitaryParams(
+        dim,
+        scale * rng.uniform(-7, 7, num_phases(dim)),
+        scale * rng.uniform(-7, 7, num_angles(dim)),
+    )
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The bit patterns of a float array, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_stacked_realize_is_bitwise_the_points_realized_alone(dim):
+    # the search realizes every restart's start in one call: each unitary of
+    # the stack is the one realize gives its point alone, whatever shares it
+    rng = np.random.default_rng(100 + dim)
+    for size in (1, 2, 9):
+        for scale in (1.0, 1e-3):
+            points = [_draw(rng, dim, scale) for _ in range(size)]
+            stack = realize(points)
+            assert stack.shape == (size, dim, dim) and stack.flags.c_contiguous
+            for point, u in zip(points, stack):
+                assert np.array_equal(_bits(u), _bits(realize(point)))
+    with pytest.raises(ValidationError):
+        realize([])
+    with pytest.raises(ValidationError):
+        realize([zero_params(dim), zero_params(dim + 1)])
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_chart_of_is_bitwise_the_rotation_by_rotation_peel(dim):
+    # chart_of peels a column's Givens group with one recurrence on the
+    # pivot row and one stacked update below it, with the arithmetic of one
+    # rotation at a time, for the completion of every number of rows
+    rng = np.random.default_rng(200 + dim)
+    for scale in (1.0, 1e-3):
+        for _ in range(10):
+            u = realize(_draw(rng, dim, scale))
+            for m in range(1, dim + 1):
+                got, ref = chart_of(u[:m]), chart_of_by_rotations(u[:m])
+                assert np.array_equal(_bits(got.phases), _bits(ref.phases))
+                assert np.array_equal(_bits(got.angles), _bits(ref.angles))
 
 
 @pytest.mark.parametrize("m,dim", [(1, 1), (1, 3), (2, 8), (4, 8), (3, 16)])

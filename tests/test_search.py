@@ -231,6 +231,37 @@ def test_first_update_scales_the_inverse_hessian():
     assert np.abs(trial - step(np.eye(3))).max() > 1e-2
 
 
+def test_inverse_hessian_update_is_the_textbook_one():
+    # on a random strictly convex quadratic, each update takes H to
+    # (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1/(s^T y),
+    # H being (s^T y / y^T y) I before the first
+    rng = np.random.default_rng(28)
+    n = 6
+    q = rng.standard_normal((n, n))
+    a, b = q @ q.T + np.eye(n), rng.standard_normal(n)
+    run = _bfgs_minimize(rng.standard_normal(n), 30, 1e-10, 0.0)
+    x = next(run)
+    h = x_at = g_at = None
+    updates = 0
+    try:
+        while True:
+            x = run.send((0.5 * x @ a @ x - b @ x, a @ x - b, x, 1.0))
+            state = run.gi_frame.f_locals
+            if g_at is not None and not np.array_equal(state["x"], x_at):
+                s, y = state["x"] - x_at, state["gx"] - g_at
+                rho = 1.0 / (s @ y)
+                before = (s @ y) / (y @ y) * np.eye(n) if h is None else h
+                e = np.eye(n) - rho * np.outer(s, y)
+                expected = e @ before @ e.T + rho * np.outer(s, s)
+                assert np.linalg.norm(state["h"] - expected) <= 1e-12 * np.linalg.norm(expected)
+                updates += 1
+            h = None if state["h"] is None else state["h"].copy()
+            x_at, g_at = state["x"], state["gx"]
+    except StopIteration:
+        pass
+    assert updates >= 10
+
+
 def test_bfgs_minimize_reports_each_stop_reason():
     # f = x^T A x / 2 on an ill-conditioned quadratic, from f(x0) = 25
     a = np.diag([1.0, 100.0])
@@ -619,11 +650,17 @@ def test_find_mns_realizes_only_the_start_points(name, monkeypatch):
     # winner's dfs_check runs on the isometry its chart point comes from,
     # and gives the verdict that the chart point realized again gets
     realized = []
-    monkeypatch.setattr(mns.search, "realize", lambda p: realized.append(1) or realize(p))
+
+    def counting(params):
+        out = realize(params)
+        realized.append(1 if out.ndim == 2 else len(out))  # a stack counts its rows
+        return out
+
+    monkeypatch.setattr(mns.search, "realize", counting)
     config = load_config(CONFIG_DIR / f"{name}.json")
     channel = build_channel(config)
     results = find_mns(channel, config.search)
-    assert len(realized) == config.search.num_restarts * len(results)
+    assert sum(realized) == config.search.num_restarts * len(results)
     assert {dims: result.is_dfs for dims, result in results.items()} == BUNDLED_IS_DFS[name]
     for (n1, n2), result in results.items():
         assert dfs_check(channel, realize(result.best_params)[: n1 * n2], n1, n2)[0] == result.is_dfs
