@@ -160,12 +160,12 @@ def _dims(value, path: str) -> tuple[tuple[int, int], ...]:
 def _grid(value, path: str) -> tuple[float, ...]:
     if isinstance(value, dict):
         _reject_unknown(value, ("num", "start", "stop"), repr(path))
-        start = _number(_require(value, "start", path), f"{path}.start")
-        stop = _number(_require(value, "stop", path), f"{path}.stop")
+        start = _rate(_require(value, "start", path), f"{path}.start")
+        stop = _rate(_require(value, "stop", path), f"{path}.stop")
         num = _integer(_require(value, "num", path), f"{path}.num", 2)
         return tuple(np.linspace(start, stop, num).tolist())
     if isinstance(value, list) and value:
-        return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(_rate(v, f"{path}[{i}]") for i, v in enumerate(value))
     raise ConfigError(f"{path} must be a list of values or {{start, stop, num}}")
 
 

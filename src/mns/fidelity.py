@@ -106,92 +106,51 @@ def _sphere_minimum(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     y_i = -beta_i / (2 (lam_i - mu)) and mu < lam_0 is the root of |y| = 1, or
     mu = lam_0 in the hard case (beta_0 = 0 and |y(lam_0)| <= 1).  y_0 comes
     from |y| = 1, which stays accurate where mu sits next to lam_0.  One
-    stacked ``eigh`` serves the stack; each root is found on Python floats."""
+    stacked ``eigh`` serves the stack; each root is found on Python floats
+    (``_boundary_y``)."""
     lam, v = np.linalg.eigh(c)
     beta = np.einsum("kji,kj->ki", v, b)
-    sizes = np.linalg.norm(b, axis=1)
-    ys = [_boundary_y(*args) for args in zip(lam.tolist(), beta.tolist(), sizes.tolist())]
+    ys = [_boundary_y(*args) for args in zip(lam.tolist(), beta.tolist())]
     r = np.einsum("kij,kj->ki", v, ys)
     return r / np.linalg.norm(r, axis=1, keepdims=True)
 
 
-def _boundary_y(lam: list[float], beta: list[float], size_b: float) -> list[float]:
-    """y = V^T r of ``_sphere_minimum`` for one problem.  A pole lam_i = mu
-    with beta_i != 0 makes |y| infinite; in the returned y it is a flat
-    direction and gets 0 (mu can round onto a degenerate lam_i)."""
+def _boundary_y(lam: list[float], beta: list[float]) -> list[float]:
+    """y = V^T r of ``_sphere_minimum`` for one problem.  The root of
+    |y(mu)| = 1 comes from Newton's method on 1/|y| = 1 (More & Sorensen;
+    Nocedal & Wright, 2nd ed., Alg. 4.3).  Left of the first pole (the least
+    lam_i with beta_i != 0), 1/|y| is concave and decreasing in mu, so from
+    a start where |y| >= 1 each step lowers mu and none passes the root; the
+    iteration ends when a step no longer lowers mu.  It starts where one
+    |y_i| is 1 and none exceeds it: the least lam_i - |beta_i|/2, taken below
+    lam_i where |beta_i| is too small to move it."""
     terms = [(lam_i, beta_i) for lam_i, beta_i in zip(lam, beta) if beta_i != 0.0]
 
-    def size(mu: float) -> float:  # |y(mu)|
-        squares = 0.0
+    def moments(mu: float) -> tuple[float, float]:  # |y|^2 and d|y|^2/dmu / 2
+        squares = slope = 0.0
         for lam_i, beta_i in terms:
-            if lam_i == mu:
-                return math.inf
             y_i = beta_i / (2.0 * (lam_i - mu))
             squares += y_i * y_i  # overflows to inf, where ** would raise
-        return math.sqrt(squares)
-
-    def secular(mu) -> float:
-        s = size(float(mu))
-        return 1.0 / s - 1.0 if s else math.inf
+            slope += y_i * y_i / (lam_i - mu)
+        return squares, slope
 
     mu = lam[0]
-    if size(mu) > 1.0:  # |y| <= 1/2 at lam_0 - |b|; nextafter keeps that below lam_0
-        low = np.nextafter(np.float64(mu) - size_b, -np.inf)
-        mu = float(_brent_root(secular, low, np.float64(mu), 1e-300))
+    if terms and (terms[0][0] == mu or moments(mu)[0] > 1.0):  # not the hard case
+        mu = min(
+            min(lam_i - abs(beta_i) / 2.0, math.nextafter(lam_i, -math.inf)) for lam_i, beta_i in terms
+        )
+        while True:
+            squares, slope = moments(mu)
+            step = mu - (math.sqrt(squares) - 1.0) * squares / slope
+            if not step < mu:
+                break
+            mu = step
     rest = [
-        0.0 if beta_i == 0.0 or lam_i == mu else -beta_i / (2.0 * (lam_i - mu))
+        0.0 if beta_i == 0.0 else -beta_i / (2.0 * (lam_i - mu))
         for lam_i, beta_i in zip(lam[1:], beta[1:])
     ]
     y0 = math.sqrt(max(0.0, 1.0 - (rest[0] * rest[0] + rest[1] * rest[1])))
     return [-math.copysign(y0, beta[0]), *rest]
-
-
-def _brent_root(f, xa, xb, xtol: float) -> float:
-    """Root of f between xa and xb, where f changes sign: SciPy 1.17.1's
-    ``brentq`` (``Zeros/brentq.c``) with rtol = 4 eps and at most 100
-    iterations, step for step, so the points tried and the root are SciPy's
-    to the bit.  f returns NumPy floats, so the arithmetic runs on NumPy
-    scalars and a zero denominator gives inf or nan as in C, which sends the
-    step to bisection."""
-    rtol = 4 * np.finfo(float).eps
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(100):
-            if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-                xblk, fblk = xpre, fpre
-                spre = scur = xcur - xpre
-            if abs(fblk) < abs(fcur):  # keep xcur the better end of the bracket
-                xpre, xcur, xblk = xcur, xblk, xcur
-                fpre, fcur, fblk = fcur, fblk, fcur
-            delta = (xtol + rtol * abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            if fcur == 0 or abs(sbis) < delta:
-                return xcur
-            if abs(spre) > delta and abs(fcur) < abs(fpre):
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # short enough: take it
-                    spre, scur = scur, stry
-                else:
-                    spre = scur = sbis
-            else:
-                spre = scur = sbis
-            xpre, fpre = xcur, fcur
-            xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-            fcur = f(xcur)
-    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def _descent_minimum(gmat: np.ndarray, n1: int) -> float:

@@ -89,6 +89,8 @@ class SearchConfig:
         dims = tuple((int(a), int(b)) for a, b in self.candidate_dims)
         if any(a < 1 or b < 1 for a, b in dims):
             raise ValidationError(f"candidate dims must be positive, got {dims}")
+        if len(set(dims)) < len(dims):  # the result keeps one search per pair
+            raise ValidationError(f"candidate dims must not repeat a pair, got {dims}")
         object.__setattr__(self, "candidate_dims", dims)
 
 
@@ -226,12 +228,11 @@ def _lockstep(
     objective_tolerance: float,
 ) -> list[Descent]:
     """One ``_bfgs_minimize`` descent from each start point, all run
-    together: ``fg`` takes an (L, n) stack of points to the L values of f
-    and the (L, n) gradients, and for a descent on a manifold also to each
-    point's retraction onto it and the part of f that the stall rule
-    measures gains against (R/dt, as ``bfgs_maximize``'s ``fg`` returns),
-    the gradients then being those at the retractions; without them each
-    point is its own retraction and the stall rule measures against |f|.
+    together: ``fg`` takes an (L, n) stack of points to four stacks, each
+    point's f, the gradient at its retraction, the retraction itself and the
+    part of f that the stall rule measures gains against (R/dt in
+    ``bfgs_maximize``).  A descent in flat space returns the points as their
+    own retractions and |f| as that part.
 
     Every round stacks the point each unfinished lane waits on, makes one
     ``fg`` call and sends each lane its row; a lane that finishes leaves the
@@ -247,8 +248,7 @@ def _lockstep(
     while waiting:
         active = list(waiting)
         xs = np.array([waiting[i] for i in active])
-        values, gradients, *retracted = fg(xs)
-        points, residuals = retracted or (xs, np.abs(values))
+        values, gradients, points, residuals = fg(xs)
         rows = zip(values.tolist(), gradients, points, residuals.tolist())
         for i, row in zip(active, rows):
             try:

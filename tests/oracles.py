@@ -10,6 +10,8 @@ faster way, or builds inputs and diagnostics the tests need:
 * the logical map of a dense N^2 x N^2 superoperator (``logical_map``) and
   its worst-case fidelity (``dense_worst_case``), the references for the
   maps ``fidelity.worst_case_fidelity`` forms from a model's spectrum;
+* the qubit worst case's boundary point with its secular root bracketed and
+  found by SciPy's ``brentq`` (``sphere_minimum_by_brentq``);
 * J through its coefficient tensor over an orthonormal Hermitian operator
   basis (``coefficients``), and dJ/dx by central differences in chart
   coordinates (``gradient``);
@@ -29,6 +31,7 @@ from functools import partial
 from itertools import combinations
 
 import numpy as np
+import scipy.optimize
 
 from mns.errors import ValidationError
 from mns.fidelity import _minima, _traced
@@ -401,6 +404,31 @@ def dense_worst_case(v: np.ndarray, dims: tuple[int, int], superoperator: np.nda
     n1, n2 = dims
     v = as_isometry(v, n1, n2, math.isqrt(len(superoperator)))
     return float(_minima(logical_map(superoperator, v, n1, n2)[None], n1)[0])
+
+
+def sphere_minimum_by_brentq(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Unit r minimizing b.r + r^T c r for one 3-vector b and symmetric 3x3
+    c, as ``fidelity._sphere_minimum`` defines it, with the root mu of
+    |y(mu)| = 1 bracketed in [lam_0 - |b|, lam_0], where |y| <= 1/2 at the
+    left end, and found by ``scipy.optimize.brentq`` at xtol = 1e-300."""
+    lam, v = np.linalg.eigh(c)
+    beta = v.T @ b
+
+    def y_at(mu: float) -> np.ndarray:  # a pole lam_i = mu with beta_i != 0 gives inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(beta == 0.0, 0.0, -beta / (2.0 * (lam - mu)))
+
+    def secular(mu: float) -> float:
+        return 1.0 / np.linalg.norm(y_at(mu)) - 1.0
+
+    mu = lam[0]
+    if secular(mu) < 0.0:
+        low = np.nextafter(mu - np.linalg.norm(b), -np.inf)
+        mu = scipy.optimize.brentq(secular, low, mu, xtol=1e-300)
+    y = y_at(mu)
+    y[0] = -math.copysign(math.sqrt(max(0.0, 1.0 - y[1:] @ y[1:])), beta[0])
+    r = v @ y
+    return r / np.linalg.norm(r)
 
 
 # ---------------------------------------------------------------------------

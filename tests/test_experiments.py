@@ -275,6 +275,19 @@ def _mutated(mutate):
             r"unknown field\(s\) in 'sweep.grid': 'endpoint'; it reads 'num', 'start', 'stop'$",
         ),
         (_mutated(lambda r: r["sweep"].update(t_f=-1.0)), "field 'sweep.t_f' must be >= 0"),
+        # grid values are amplitudes (delta mode) or times (tf mode)
+        (
+            _mutated(lambda r: r["sweep"].update(grid=[-0.05, 0.0])),
+            r"field 'sweep.grid\[0\]' must be >= 0.0, got -0.05",
+        ),
+        (
+            _mutated(
+                lambda r: r.update(
+                    sweep={"mode": "tf", "grid": {"start": -0.1, "stop": 0.1, "num": 3}}
+                )
+            ),
+            "field 'sweep.grid.start' must be >= 0.0, got -0.1",
+        ),
         # a sweep key the mode does not read, and a tf-mode amplitude written twice
         (
             _mutated(lambda r: r["sweep"].update(delta=0.07)),

@@ -4,14 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.optimize
 
 import mns.fidelity
 import mns.noise
 from mns.errors import ValidationError
 from mns.experiments import build_model, load_config
 from mns.fidelity import evolve, fidelity_sweep, worst_case_fidelity
-from mns.fidelity import _BLOCH, _brent_root, _logical_maps, _minima, _sphere_minimum
+from mns.fidelity import _BLOCH, _logical_maps, _minima, _sphere_minimum
 from mns.linalg import dagger, random_density_matrix, tensor
 from mns.noise import (
     LindbladModel,
@@ -36,6 +35,7 @@ from oracles import (
     kraus_apply,
     logical_map,
     random_kraus_channel,
+    sphere_minimum_by_brentq,
 )
 
 LOCAL_RATES = (0.33, 0.47, 0.85)
@@ -365,43 +365,29 @@ def test_worst_case_fidelity_qubit_matches_dense_bloch_grid():
             assert abs(fi - grid) <= 1e-9
 
 
-def test_brent_root_is_scipy_brentq():
-    # the secular equations |y(mu)| = 1 of random 3x3 problems, bracketed as
-    # _sphere_minimum brackets them, with |b| from 1e-8 to 10: the port must
-    # try SciPy's points and land on its root, to the bit; the textbook roots
-    # after them also send it through rejected interpolation steps
+def test_sphere_minimum_matches_the_brentq_root():
+    # random 3x3 problems with |b| from 1e-8 to 10, near-hard ones (beta_0/|b|
+    # of 1e-6, 1e-10 and 1e-14 while the rest of y(lam_0) lies inside the
+    # ball, so mu sits next to lam_0) and a degenerate lam_0 = lam_1 with b on
+    # both, exact and rotated: Newton's root gives the minimum of SciPy's
+    # brentq root on the same bracket, to rounding, and a unit r
     rng = np.random.default_rng(15)
-    cases = []
+    problems = []
     for _ in range(300):
         c = rng.normal(size=(3, 3))
-        c = c + c.T
         b = rng.normal(size=3)
-        b *= 10.0 ** rng.uniform(-8, 1) / np.linalg.norm(b)
-        lam, v = np.linalg.eigh(c)
-        beta = v.T @ b
-
-        def secular(mu, beta=beta, lam=lam):
-            with np.errstate(divide="ignore"):
-                return 1.0 / np.linalg.norm(-beta / (2.0 * (lam - mu))) - 1.0
-
-        cases.append((secular, np.nextafter(lam[0] - np.linalg.norm(b), -np.inf), lam[0]))
-    cases += [
-        (lambda x: np.exp(x) - 1e4, -5.0, 20.0),
-        (lambda x: np.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
-        (lambda x: np.cbrt(x - 1.0 / 3.0), -2.0, 5.0),
-        (lambda x: (x - 0.7) ** 5 + 1e-3 * (x - 0.7), -1.0, 3.0),
-    ]
-    for f, low, high in cases:
-        tried = []
-
-        def logged(x, f=f):
-            tried.append(x)
-            return f(np.float64(x))
-
-        expected = scipy.optimize.brentq(logged, low, high, xtol=1e-300)
-        expected_tries, tried[:] = tried[:], []
-        assert _brent_root(logged, np.float64(low), np.float64(high), 1e-300) == expected
-        assert tried == expected_tries
+        problems.append((b * 10.0 ** rng.uniform(-8, 1) / np.linalg.norm(b), c + c.T))
+    for v in (np.eye(3), np.linalg.qr(rng.normal(size=(3, 3)))[0]):
+        for ratio in (1e-6, 1e-10, 1e-14):
+            beta = np.array([ratio, 0.6, 0.8])
+            problems.append((v @ beta, v @ np.diag([-1.0, 0.5, 2.0]) @ v.T))
+        problems.append((v @ [0.3, 0.4, 0.0], v @ np.diag([-1.0, -1.0, 1.0]) @ v.T))
+    b, c = np.array([b for b, _ in problems]), np.array([c for _, c in problems])
+    for bk, ck, r in zip(b, c, _sphere_minimum(b, c)):
+        expected = sphere_minimum_by_brentq(bk, ck)
+        f, f_brent = bk @ r + r @ ck @ r, bk @ expected + expected @ ck @ expected
+        assert abs(f - f_brent) <= 2e-15 * max(1.0, abs(f_brent))
+        assert abs(np.linalg.norm(r) - 1.0) <= 1e-15
 
 
 def test_sphere_minimum_hard_case():
@@ -434,9 +420,9 @@ def _bloch_form_map(a, b, c):
 def test_stacked_worst_cases_match_one_map_at_a_time():
     # a 21-time sweep of two encodings scored in one stack against
     # dense_worst_case at each time, plus Bloch-form problems with known
-    # minima: a pole (beta_0 != 0, so |y(lam_0)| is infinite and the secular
-    # function meets it at the bracket's end), a pole on a degenerate lowest
-    # eigenvalue, and the hard case (beta_0 = 0, mu = lam_0)
+    # minima: a pole (beta_0 != 0, so |y(lam_0)| is infinite and the root
+    # lies left of it), a pole on a degenerate lowest eigenvalue, and the
+    # hard case (beta_0 = 0, mu = lam_0)
     model = _perturbed(0.1)
     times = [0.0, *np.sort(np.random.default_rng(18).uniform(0.0, 1.0, 19)), 1.0]
     encodings = [collective_dfs_encoding(), haar_random_unitary(8, 18)[:4]]

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,9 @@ def test_search_config_validation():
         SearchConfig(gradient_tolerance=0.0)
     with pytest.raises(ValidationError):
         SearchConfig(candidate_dims=((0, 2),))
+    # a repeated pair would run twice, and the result keeps only one search
+    with pytest.raises(ValidationError, match=r"not repeat a pair, got \(\(2, 1\), \(2, 1\)\)"):
+        SearchConfig(candidate_dims=((2, 1), (2, 1)))
     with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
         SearchConfig(seed=-1)
 
@@ -207,7 +211,8 @@ def test_first_update_scales_the_inverse_hessian():
     x0 = np.ones(3)
 
     def fg(xs):
-        return 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs), xs @ a
+        f = 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs)
+        return f, xs @ a, xs, np.abs(f)
 
     seen = []
 
@@ -267,8 +272,13 @@ def test_bfgs_minimize_reports_each_stop_reason():
     a = np.diag([1.0, 100.0])
     x0 = np.array([1.0, 0.7])
 
-    def fg(xs):
-        return 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs), xs @ a
+    def fg(xs, offset=0.0):
+        f = offset + 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs)
+        return f, xs @ a, xs, np.abs(f)
+
+    def uphill(xs):
+        f = 0.5 * np.einsum("ri,ri->r", xs, xs)
+        return f, -xs, xs, np.abs(f)
 
     cases = [
         ("gradient", (fg, x0, 100, 1e-8, 0.0), lambda run: run.gradient_norm <= 1e-8),
@@ -287,14 +297,14 @@ def test_bfgs_minimize_reports_each_stop_reason():
         # counted step lowered f
         (
             "stall",
-            (lambda xs: (1e6 + fg(xs)[0], fg(xs)[1]), x0, 100, 1e-300, 1e-18),
+            (partial(fg, offset=1e6), x0, 100, 1e-300, 1e-18),
             lambda run: run.trace[-2] > run.trace[-1] and len(run.trace) == run.iterations + 1,
         ),
         ("max_iterations", (fg, x0, 1, 1e-30, 0.0), lambda run: run.iterations == 1),
         # a gradient of the wrong sign: no step along -grad lowers f
         (
             "line_search",
-            (lambda xs: (0.5 * np.einsum("ri,ri->r", xs, xs), -xs), x0, 100, 1e-30, 0.0),
+            (uphill, x0, 100, 1e-30, 0.0),
             lambda run: run.iterations == 1 and run.trace == [0.5 * x0 @ x0],
         ),
     ]
@@ -361,8 +371,9 @@ def test_stall_rule_measures_gains_against_the_residual_part():
     # f = c + R with R = x^T A x / 2 and c = 1e3, as at a decoherence-free
     # point where the completeness term is all that is left of f.  Measured
     # against |f|, a gain of 1e-2 |f| or less stops the lane while R still
-    # falls; an fg that returns R as the fourth entry of its rows has the
-    # gains measured against R, and the same descent goes on from there
+    # falls; an fg that returns R instead of |f| as the fourth entry of its
+    # rows has the gains measured against R, and the same descent goes on
+    # from there
     a = np.diag([1.0, 100.0])
     c, tol = 1e3, 1e-2
     residual_at = {}
@@ -374,7 +385,8 @@ def test_stall_rule_measures_gains_against_the_residual_part():
         return values, gradients, xs, residuals
 
     def fg(xs):
-        return fg_with_residual(xs)[:2]
+        values, gradients, _, _ = fg_with_residual(xs)
+        return values, gradients, xs, np.abs(values)
 
     start = np.array([1.0, 0.7])
     (whole,) = _lockstep(fg, [start], 100, 1e-300, tol)
@@ -401,7 +413,8 @@ def test_floor_slope_stops_a_lane_before_its_line_search():
     a = np.diag([1.0, 100.0])
 
     def fg(xs):
-        return 1e6 + 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs), xs @ a
+        f = 1e6 + 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs)
+        return f, xs @ a, xs, np.abs(f)
 
     (run,) = _lockstep(fg, [np.array([1.0, 0.7])], 100, 1e-300, 1e-18)
     assert run.stop_reason == "stall"
@@ -419,7 +432,8 @@ def test_lockstep_lanes_match_lanes_run_alone():
     a = np.diag([1.0, 100.0, 3.0])
 
     def fg(xs):
-        return 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs) + np.sum(xs**4, axis=1), xs @ a + 4 * xs**3
+        f = 0.5 * np.einsum("ri,ij,rj->r", xs, a, xs) + np.sum(xs**4, axis=1)
+        return f, xs @ a + 4 * xs**3, xs, np.abs(f)
 
     starts = np.random.default_rng(5).normal(size=(4, 3))
     together = _lockstep(fg, starts, 30, 1e-10, 1e-12)
