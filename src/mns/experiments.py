@@ -10,9 +10,11 @@ A config is a JSON document with two or three sections::
     }
 
 Model kinds: ``collective_xz``, ``collective_z_local_dephasing``,
-``perturbed_collective_global``, ``perturbed_collective_local``.  The sweep
-section is only consumed by ``fidelity-sweep``.  ``MODEL_FIELDS`` and
-``SWEEP_FIELDS`` list the fields each model kind and sweep mode reads, the
+``perturbed_collective_global``, ``perturbed_collective_local``; the last is
+a local deformation of the collective S_x arm (the paper's symmetry-breaking
+collective noise, not added local noise; ``noise.random_perturbation_unitary``).
+The sweep section is only consumed by ``fidelity-sweep``.  ``MODEL_FIELDS``
+and ``SWEEP_FIELDS`` list the fields each model kind and sweep mode reads, the
 dataclasses hold each field's default and ``READERS`` its type and bound.
 Identical config + seed reproduces results bit for bit; the CSV emitted for
 sweeps is byte-stable.
@@ -24,7 +26,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -216,15 +218,28 @@ def _read_section(cls, raw: dict, section: str, names, label=None, **given):
     return cls(**given, **read)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON config; errors name the offending field."""
+def _read(path, what: str) -> str:
+    """The text of the file at ``path``; ``what`` names it in the error."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"{what} not found: {p}")
+    return p.read_text()
+
+
+def _json_object(text: str, what: str) -> dict:
+    """The JSON object ``text`` holds; ``what`` names it in the errors."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ConfigError(f"{what} root must be a JSON object")
+    return raw
 
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate a JSON config; errors name the offending field."""
+    raw = _json_object(text, "config")
     model_raw = _object(raw, "model")
     kind = _require(model_raw, "kind", "model")
     if kind not in MODEL_KINDS:
@@ -253,10 +268,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text())
+    return parse_config(_read(path, "config file"))
 
 
 def _plain(value):
@@ -285,16 +297,15 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def build_model(spec: ModelSpec, delta_override: float | None = None) -> LindbladModel:
-    delta = spec.delta if delta_override is None else float(delta_override)
+def build_model(spec: ModelSpec) -> LindbladModel:
     if spec.kind == "collective_xz":
         return collective_xz(spec.n_qubits, spec.gamma_x, spec.gamma_z)
     if spec.kind == "collective_z_local_dephasing":
         return collective_z_with_local_dephasing(
-            spec.n_qubits, spec.gamma_z, delta, spec.local_rates
+            spec.n_qubits, spec.gamma_z, spec.delta, spec.local_rates
         )
     mode = "global" if spec.kind == "perturbed_collective_global" else "local-tensor"
-    v = random_perturbation_unitary(2**spec.n_qubits, delta, mode, spec.perturbation_seed)
+    v = random_perturbation_unitary(2**spec.n_qubits, spec.delta, mode, spec.perturbation_seed)
     return perturbed_collective(spec.n_qubits, spec.gamma_1, spec.gamma_2, v)
 
 
@@ -316,15 +327,7 @@ def _params_dict(params: UnitaryParams) -> dict:
 
 
 def load_encoding(path) -> tuple[UnitaryParams, tuple[int, int]]:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"encoding file not found: {p}")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"encoding file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("encoding file root must be a JSON object")
+    raw = _json_object(_read(path, "encoding file"), "encoding file")
     for key in ("dim", "n1", "n2", "phases", "angles"):
         if key not in raw:
             raise ConfigError(f"encoding file is missing field '{key}'")
@@ -381,12 +384,21 @@ def _point_entry(pt: FidelityPoint) -> dict:
     }
 
 
-def _write_result(out_dir: Path, payload: dict) -> Path:
+def _write_result(out_dir: Path, command: str, config: ExperimentConfig, started, **body) -> dict:
+    """Write and return result.json: the header of every command, then ``body``."""
+    payload = {
+        "command": command,
+        "tool_version": __version__,
+        "config": config_to_dict(config),
+        "config_hash": config_hash(config),
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "duration_seconds": round(time.monotonic() - started, 3),
+        **body,
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "result.json"
     # no indent: only then does json.dumps take its C encoder
-    path.write_text(json.dumps(payload) + "\n")
-    return path
+    (out_dir / "result.json").write_text(json.dumps(payload) + "\n")
+    return payload
 
 
 def cmd_find_mns(config: ExperimentConfig, out_dir) -> dict:
@@ -397,27 +409,14 @@ def cmd_find_mns(config: ExperimentConfig, out_dir) -> dict:
     channel = build_channel(config)
     results = find_mns(channel, config.search)
     entries = [_result_entry(dims, res) for dims, res in results.items()]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for dims, res in results.items():
-        enc = _params_dict(res.best_params)
-        enc.update(n1=dims[0], n2=dims[1])
-        (out_dir / f"encoding_{dims[0]}x{dims[1]}.json").write_text(
-            json.dumps(enc, indent=2) + "\n"
-        )
-    payload = {
-        "command": "find-mns",
-        "tool_version": __version__,
-        "config": config_to_dict(config),
-        "config_hash": config_hash(config),
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "duration_seconds": round(time.monotonic() - started, 3),
-        "dt": channel.dt,
-        "results": entries,
-    }
-    _write_result(out_dir, payload)
+    payload = _write_result(out_dir, "find-mns", config, started, dt=channel.dt, results=entries)
     for entry in entries:
+        n1, n2 = entry["n1"], entry["n2"]
+        (out_dir / f"encoding_{n1}x{n2}.json").write_text(
+            json.dumps({**entry["params"], "n1": n1, "n2": n2}, indent=2) + "\n"
+        )
         print(
-            f"dims ({entry['n1']},{entry['n2']}): J_opt={format_float(entry['j_opt'])} "
+            f"dims ({n1},{n2}): J_opt={format_float(entry['j_opt'])} "
             f"is_dfs={str(entry['is_dfs']).lower()} "
             f"agreement={entry['agreement_fraction']:.2f}"
         )
@@ -472,7 +471,7 @@ def cmd_fidelity_sweep(config: ExperimentConfig, out_dir) -> dict:
     sweep = config.sweep
     v_dfs = collective_dfs_encoding()
     model_for = lambda value: build_model(
-        config.model, value if sweep.mode == "delta" else sweep.delta
+        replace(config.model, delta=value if sweep.mode == "delta" else sweep.delta)
     )
     points = fidelity_sweep(
         model_for, sweep.grid, sweep.mode, v_dfs, dims, config.search, t_f=sweep.t_f
@@ -495,17 +494,10 @@ def cmd_fidelity_sweep(config: ExperimentConfig, out_dir) -> dict:
         )
     csv_path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
-    payload = {
-        "command": "fidelity-sweep",
-        "tool_version": __version__,
-        "config": config_to_dict(config),
-        "config_hash": config_hash(config),
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "duration_seconds": round(time.monotonic() - started, 3),
-        "csv": csv_path.name,
-        "points": [_point_entry(pt) for pt in points],
-    }
-    _write_result(out_dir, payload)
+    entries = [_point_entry(pt) for pt in points]
+    payload = _write_result(
+        out_dir, "fidelity-sweep", config, started, csv=csv_path.name, points=entries
+    )
     print(f"sweep written to {csv_path}")
     return payload
 
@@ -539,15 +531,7 @@ def _shown(entry: dict, key: str, path: str, spec: str = ".14e") -> str:
 
 
 def cmd_show_result(path) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"result file not found: {p}")
-    try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"result file is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError("result file root must be a JSON object")
+    payload = _json_object(_read(path, "result file"), "result file")
     print(f"command:      {payload.get('command', '?')}")
     print(f"tool version: {payload.get('tool_version', '?')}")
     print(f"config hash:  {payload.get('config_hash', '?')}")

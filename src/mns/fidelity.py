@@ -259,6 +259,8 @@ def fidelity_sweep(
     grid = [float(v) for v in grid]
     if not grid:
         raise ValidationError("sweep grid is empty")
+    for t in grid if mode == "tf" else [t_f]:
+        _check_time(t)
     v_dfs = as_isometry(v_dfs, *dims, np.atleast_2d(v_dfs).shape[1])
     points: list[FidelityPoint] = []
 

@@ -66,7 +66,7 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def random_density_matrix(dim: int, seed=None) -> np.ndarray:
     """Random full-rank density matrix, Wishart-normalized."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real

@@ -8,8 +8,9 @@ n qubits; ``lindblad_to_kraus`` turns it into the first-order Kraus channel
 with the rates folded into the operators as Vt_i = sqrt(gamma_i) V_i.  The
 set is complete up to O(dt^2) and is deliberately not renormalized; the
 completeness defect scales as c*dt^2 with a model-dependent constant
-c = ||(sum_i gamma_i V_i^dag V_i)^2||_F / 4.  Each channel keeps the gap
-I - sum_k E_k^dag E_k, which the objective's sum-of-squares form needs.
+c = ||(sum_i gamma_i V_i^dag V_i)^2||_F / 4.  A channel is its operators,
+one read-only (K, N, N) array, and keeps the gap I - sum_k E_k^dag E_k,
+which the objective's sum-of-squares form needs.
 
 The exact dynamics is generated by the Liouvillian.  With row-major
 vectorization (vec(rho) = rho.reshape(-1), so vec(A rho B) =
@@ -154,16 +155,14 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
 class KrausChannel:
     """A channel given by a finite set of Kraus operators.
 
-    ``dt`` records the conversion step for channels built from a Lindblad
-    model and is None for exact (completeness defect <= 1e-12) channels.
-
-    What the objective needs of the operators alone is built once, on first
-    use, and kept as read-only arrays: the (K, N, N) ``stack`` and
-    I - sum_k E_k^dag E_k (``completeness_gap``).
+    ``operators``, any sequence of N x N matrices, each checked, is kept as one
+    read-only (K, N, N) array; I - sum_k E_k^dag E_k (``completeness_gap``) is
+    built once, on first use.  ``dt`` records the conversion step for channels
+    built from a Lindblad model and is None for exact (defect <= 1e-12) ones.
     """
 
     dim: int
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     dt: float | None = None
 
     def __post_init__(self):
@@ -177,7 +176,7 @@ class KrausChannel:
                     f"Kraus operator shape {op.shape} does not match dim {self.dim}"
                 )
             ops.append(op)
-        object.__setattr__(self, "operators", tuple(ops))
+        object.__setattr__(self, "operators", _read_only(np.stack(ops)))
         if self.dt is not None and not self.dt > 0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.dt is None and self.completeness_defect() > 1e-12:
@@ -190,15 +189,10 @@ class KrausChannel:
         return float(np.linalg.norm(self.completeness_gap))
 
     @cached_property
-    def stack(self) -> np.ndarray:
-        """The operators as one read-only (K, N, N) array, built once."""
-        return _read_only(np.stack(self.operators))
-
-    @cached_property
     def completeness_gap(self) -> np.ndarray:
         """I - sum_k E_k^dag E_k as one read-only N x N array: zero for an
         exact channel, O(dt^2) for a first-order one."""
-        column = self.stack.reshape(-1, self.dim)  # [E_0; E_1; ..]
+        column = self.operators.reshape(-1, self.dim)  # [E_0; E_1; ..]
         return _read_only(np.eye(self.dim) - column.conj().T @ column)
 
 
@@ -246,7 +240,8 @@ def perturbed_collective(
     """Collective noise with the S_x arm conjugated by a perturbation unitary.
 
     gamma_1 D[V S_x V^dag] + gamma_2 D[S_z].  ``v_eps`` must be unitary to
-    1e-10.
+    1e-10.  It deforms a collective operator (the paper's symmetry-breaking
+    collective noise) and adds no noise on single qubits.
     """
     dim = 2**n_qubits
     v = as_matrix(v_eps, "perturbation unitary")
@@ -263,9 +258,11 @@ def random_perturbation_unitary(dim: int, delta: float, mode: str = "global", se
     """Random perturbation unitary with angle-vector norm ``delta`` and zero phases.
 
     mode "global": one chart point on U(dim) with ||angles|| = delta.
-    mode "local-tensor": a tensor product of per-qubit 2x2 unitaries, each
-    with angle norm delta (dim must be a power of two).  delta=0 returns the
-    identity exactly in both modes.
+    mode "local-tensor": u_1 (x) ... (x) u_n (dim a power of two), so that
+    V S_x V^dag = sum_k u_k sigma_x^(k) u_k^dag, each u_k a 2x2 chart point
+    whose one angle is +delta or -delta: only 2**n draws exist, and seed 0 on
+    3 qubits draws +delta on each, a collective rotation the DFS absorbs.
+    delta=0 returns the identity exactly in both modes.
     """
     if delta < 0:
         raise ValidationError(f"delta must be >= 0, got {delta}")
@@ -341,7 +338,7 @@ def dfs_check(
     """
     v = as_isometry(v, n1, n2, channel.dim)
     states = dagger(v) @ _logical_states(n1, n2) @ v  # (S, N, N)
-    ops = channel.stack[:, None]  # (K, 1, N, N)
+    ops = channel.operators[:, None]  # (K, 1, N, N)
     norms = np.linalg.norm(ops @ states - states @ ops, axis=(2, 3))  # (K, S)
     per_operator = norms.max(axis=1, initial=0.0).tolist()
     defect = max(per_operator)

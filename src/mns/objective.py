@@ -84,7 +84,7 @@ def _residuals(
     R = (1/m) sum_k ||r_k||^2 and I - S the channel's ``completeness_gap``.
     Every sum runs through ``matmul``, one BLAS call per lane.
     """
-    m, dim, ops = n1 * n2, channel.dim, channel.stack
+    m, dim, ops = n1 * n2, channel.dim, channel.operators
     lanes, k = len(v), len(ops)
     vd = v.conj().swapaxes(1, 2)
     ev = (ops.reshape(k * dim, dim) @ vd).reshape(lanes, k, dim * n1, n2)
@@ -129,7 +129,7 @@ def value_and_gradient(
     v = np.ascontiguousarray(v, dtype=np.complex128)
     if v.shape[-2:] != (m, dim):
         raise ValidationError(f"encoded rows must have shape (..., {m}, {dim}), got {v.shape}")
-    ops, lead = channel.stack, v.shape[:-2]
+    ops, lead = channel.operators, v.shape[:-2]
     v = v.reshape(-1, m, dim)
     lanes, k = len(v), len(ops)
     value, residual, r, mk, v_gap = _residuals(channel, v, n1, n2)

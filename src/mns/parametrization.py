@@ -31,7 +31,7 @@ V = (X X^dag)^(-1/2) X retracts onto the isometries (``polar``), and the
 gradient at V is the tangent projection of the gradient in V (``tangent``).
 ``realize_with_partials`` builds every dU/dx_p explicitly, in the order
 [diagonal phases | pair phases (lex) | angles (lex)], for the gradient in
-chart coordinates.
+chart coordinates, from two stacked ``realize`` calls.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def random_params(
     """
     if angle_norm < 0 or phase_norm < 0:
         raise ValidationError("norms must be non-negative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     def sphere(n: int, radius: float) -> np.ndarray:
         if n == 0 or radius == 0.0:
@@ -142,13 +142,6 @@ def random_params(
         return v * (radius / np.linalg.norm(v))
 
     return UnitaryParams(dim, sphere(num_phases(dim), phase_norm), sphere(num_angles(dim), angle_norm))
-
-
-def _rotate(w: np.ndarray, i: int, j: int, c: float, s: float, e: complex):
-    """Apply [[c, -e s], [conj(e) s, c]] to rows i and j of ``w`` in place."""
-    ri, rj = w[i].copy(), w[j]
-    w[i] = c * ri - e * s * rj
-    w[j] = np.conj(e) * s * ri + c * rj
 
 
 @lru_cache(maxsize=None)
@@ -291,37 +284,25 @@ def tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return pack_complex(g - (0.5 * (a + dagger(a))) @ v)
 
 
-def _factor_matrices(params: UnitaryParams) -> list[np.ndarray]:
-    """D, then every Givens factor as a dense N x N matrix, in chart order."""
-    n = params.dim
-    mats = [np.diag(np.exp(1j * params.phases[:n]))]
-    for idx, (i, j) in enumerate(plane_pairs(n)):
-        g = np.eye(n, dtype=np.complex128)
-        th = params.angles[idx]
-        _rotate(g, i, j, np.cos(th), np.sin(th), np.exp(1j * params.phases[n + idx]))
-        mats.append(g)
-    return mats
-
-
 def realize_with_partials(params: UnitaryParams) -> tuple[np.ndarray, np.ndarray]:
     """Return (U, dU) with dU[k] = dU/dx_k, x = [phases | angles].
 
-    The partials are exact per-factor derivatives assembled from dense
-    prefix/suffix products of the chart factors, an (N^2, N, N) tensor the
-    search itself never builds.
+    The partials are exact per-factor derivatives between the prefixes
+    D F_0 ... F_{q-1} and the suffixes F_{q+1} ... F_{K-1} of the chart
+    factors, an (N^2, N, N) tensor the search itself never builds.  Each set
+    is one stacked ``realize`` at the chart point with the other angles 0
+    (and D = I for the suffixes): a factor at angle 0 is the identity to the
+    bit, so U, the last prefix, is ``realize(params)`` to the bit.
     """
     n = params.dim
     pairs = plane_pairs(n)
     k = len(pairs)
-    factors = _factor_matrices(params)
-    # prefix[q] = D F_0 ... F_{q-1} and suffix[q] = F_{q+1} ... F_{K-1}
-    prefix = [factors[0]]
-    for f in factors[1:]:
-        prefix.append(prefix[-1] @ f)
-    suffix = [np.eye(n, dtype=np.complex128)]
-    for f in factors[:1:-1]:
-        suffix.insert(0, f @ suffix[0])
-    u = prefix[-1]
+    below = np.tri(k + 1, k, -1, dtype=bool)  # row q: the angles before q
+    prefix = realize(UnitaryParams(n, params.phases, np.where(r, params.angles, 0.0)) for r in below)
+    phases = np.concatenate([np.zeros(n), params.phases[n:]])  # D = I
+    # row q + 1 gives suffix q; row 0 keeps the stack non-empty at dim 1
+    suffix = realize(UnitaryParams(n, phases, np.where(r, 0.0, params.angles)) for r in below)[1:]
+    u = prefix[k]
     out = np.empty((n * n, n, n), dtype=np.complex128)
     out[:n] = 1j * np.eye(n)[:, :, None] * u  # dU/dphi_d = i E_dd U
     for q, (i, j) in enumerate(pairs):

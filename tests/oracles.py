@@ -498,7 +498,7 @@ def coefficients(channel: KrausChannel, cand: EncodingCandidate) -> np.ndarray:
     m = n1 * n2
     rows = cand.unitary[:m]
     blocks = np.einsum(
-        "in,knm,jm->kij", rows, channel.stack, rows.conj(), optimize=True
+        "in,knm,jm->kij", rows, channel.operators, rows.conj(), optimize=True
     )
     b1 = pauli_basis(n1).stack()
     b2 = pauli_basis(n2).stack()

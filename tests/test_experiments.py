@@ -436,7 +436,7 @@ def test_build_model_delta_override():
     config = parse_config(FULL_CONFIG_TEXT)
     v = random_perturbation_unitary(8, 0.02, "global", 4)
     direct = perturbed_collective(3, 0.8, 1.2, v)
-    model = build_model(config.model, delta_override=0.02)
+    model = build_model(dataclasses.replace(config.model, delta=0.02))
     np.testing.assert_allclose(model.terms[0][1], direct.terms[0][1], atol=1e-14)
 
 
@@ -732,10 +732,10 @@ def test_cmd_fidelity_sweep_csv_contract_and_determinism(tmp_path):
 def test_cmd_fidelity_sweep_writes_null_for_a_failed_point(tmp_path, monkeypatch, capsys):
     build = build_model
 
-    def failing_build(spec, delta_override=None):
-        if delta_override == 0.05:
+    def failing_build(spec):
+        if spec.delta == 0.05:
             raise ValueError("no model for 0.05")
-        return build(spec, delta_override)
+        return build(spec)
 
     monkeypatch.setattr("mns.experiments.build_model", failing_build)
     cmd_fidelity_sweep(parse_config(SMALL_SWEEP_TEXT), tmp_path)

@@ -658,3 +658,19 @@ def test_fidelity_sweep_validation():
         fidelity_sweep(_perturbed, [], "delta", np.eye(4, 8), (2, 2), config)
     with pytest.raises(ValidationError, match="encoded rows"):  # a full unitary, not V
         fidelity_sweep(_perturbed, [0.0], "delta", np.eye(8), (2, 2), config)
+
+
+def test_fidelity_sweep_checks_times_before_searching(monkeypatch):
+    # a bad t_f (delta mode) or grid time (tf mode) is refused before any
+    # search, as a ValidationError rather than a flagged NaN point
+    searches = []
+    monkeypatch.setattr(mns.fidelity, "find_mns", lambda *args: searches.append(args))
+    config = SearchConfig(num_restarts=1, candidate_dims=((2, 2),))
+    v_dfs = collective_dfs_encoding()
+    for t_f in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="t_f must be finite and >= 0"):
+            fidelity_sweep(_perturbed, [0.0, 0.05], "delta", v_dfs, (2, 2), config, t_f=t_f)
+    for times in ([0.0, -0.5], [np.nan], [1.0, np.inf]):
+        with pytest.raises(ValidationError, match="t_f must be finite and >= 0"):
+            fidelity_sweep(lambda _v: _perturbed(0.05), times, "tf", v_dfs, (2, 2), config)
+    assert searches == []

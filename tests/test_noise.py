@@ -242,7 +242,7 @@ def test_dfs_check_states_are_drawn_once_and_give_the_defect_of_a_fresh_draw():
         rng = np.random.default_rng(0)
         rho1 = np.array([random_density_matrix(n1, rng) for _ in range(6)])
         states = dagger(v) @ np.kron(rho1, np.eye(n2) / n2) @ v
-        ops = ch.stack[:, None]
+        ops = ch.operators[:, None]
         expected = np.linalg.norm(ops @ states - states @ ops, axis=(2, 3)).max(axis=1).tolist()
         for _ in range(2):
             ok, defect, per_operator = dfs_check(ch, v, n1, n2)

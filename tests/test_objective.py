@@ -6,6 +6,7 @@ import pytest
 from mns.errors import ValidationError
 from mns.linalg import dagger, random_density_matrix, tensor
 from mns.noise import (
+    KrausChannel,
     LindbladModel,
     PAULI_Z,
     collective_dfs_encoding,
@@ -347,16 +348,17 @@ def test_value_and_gradient_rows_of_a_stack_are_bitwise_stacks_of_one(collective
 
 
 def test_channel_arrays_are_cached_read_only():
-    # the stack and I - sum_k E_k^dag E_k are built once per channel and
-    # cannot be written through; repeated evaluations give identical results
+    # the operator array and I - sum_k E_k^dag E_k are built once per channel
+    # and cannot be written through; repeated evaluations give identical results
     channel = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), DT)
-    cached = (channel.stack, channel.completeness_gap)
+    cached = (channel.operators, channel.completeness_gap)
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
-    assert channel.stack is cached[0] and channel.completeness_gap is cached[1]
-    assert np.array_equal(cached[0], np.stack(channel.operators))
+    assert channel.operators is cached[0] and channel.completeness_gap is cached[1]
+    given = [np.array(e) for e in cached[0]]
+    assert np.array_equal(KrausChannel(8, tuple(given), DT).operators, np.stack(given))
     gap = np.eye(8) - sum(dagger(e) @ e for e in channel.operators)
     assert np.abs(cached[1] - gap).max() <= 1e-15
     assert channel.completeness_defect() == np.linalg.norm(cached[1])

@@ -154,16 +154,20 @@ def test_chart_of_encoded_rows_charts_their_qr_completion(dim):
 
 
 def test_realize_with_partials_matches_realize():
+    # U is the realize unitary to the bit, signed zeros included
     rng = np.random.default_rng(4)
-    params = UnitaryParams(3, rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 3))
-    u, du = realize_with_partials(params)
-    assert np.abs(u - realize(params)).max() <= 1e-14
-    assert du.shape == (9, 3, 3)
+    for dim in range(1, 9):
+        params = UnitaryParams(
+            dim, rng.uniform(-1, 1, num_phases(dim)), rng.uniform(-1, 1, num_angles(dim))
+        )
+        u, du = realize_with_partials(params)
+        assert u.tobytes() == realize(params).tobytes()
+        assert du.shape == (dim * dim, dim, dim)
 
 
 def test_realize_with_partials_matches_finite_differences():
     rng = np.random.default_rng(5)
-    for dim in (2, 3, 4):
+    for dim in range(1, 7):
         params = UnitaryParams(
             dim,
             rng.uniform(-np.pi, np.pi, num_phases(dim)),

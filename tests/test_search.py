@@ -782,7 +782,7 @@ def test_find_mns_local_dephasing_resolves_double_excitation_pair():
 def test_find_mns_perturbed_restarts_agree_on_optimum():
     # delta = 0.1 of configs/perturbed_global_delta_sweep.json
     config = load_config(CONFIG_DIR / "perturbed_global_delta_sweep.json")
-    channel = lindblad_to_kraus(build_model(config.model, delta_override=0.1), config.search.dt)
+    channel = lindblad_to_kraus(build_model(replace(config.model, delta=0.1)), config.search.dt)
     result = find_mns(channel, config.search)[(2, 2)]
     assert len(result.per_restart) == 10
     finals = [rec.final_j for rec in result.per_restart]
