@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-dfs", help="check the decoherence-free condition")
     p.add_argument("--config", required=True, help="path to a JSON experiment config")
     p.add_argument("--encoding", required=True, help="encoding JSON written by find-mns")
-    p.add_argument("--threshold", type=float, default=DFS_THRESHOLD, help="defect threshold")
+    p.add_argument("--threshold", type=float, default=DFS_THRESHOLD,
+                   help="largest residual ||r_k|| + ||r~_k|| of E_k and E_k^dag that passes")
 
     p = sub.add_parser("fidelity-sweep", help="sweep worst-case fidelity over a grid")
     _add_search(p)

@@ -425,8 +425,8 @@ def cmd_find_mns(config: ExperimentConfig, out_dir) -> dict:
 
 
 def cmd_verify_dfs(config: ExperimentConfig, encoding_path, threshold: float = DFS_THRESHOLD) -> dict:
-    """Check the decoherence-free condition for the first n1*n2 rows of a
-    stored encoding's chart point, at a finite threshold >= 0."""
+    """Check the decoherence-free condition (``dfs_check``) for the first
+    n1*n2 rows of a stored encoding's chart point, at a finite threshold >= 0."""
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ConfigError(f"--threshold must be a finite number >= 0, got {threshold}")
     params, (n1, n2) = load_encoding(encoding_path)
@@ -437,7 +437,7 @@ def cmd_verify_dfs(config: ExperimentConfig, encoding_path, threshold: float = D
         )
     ok, defect, per_op = dfs_check(channel, realize(params)[: n1 * n2], n1, n2, threshold=threshold)
     for k, op_defect in enumerate(per_op):
-        print(f"E[{k}]: commutation defect {op_defect:.3e}")
+        print(f"E[{k}]: residual defect {op_defect:.3e}")
     verdict = "PASS" if ok else "FAIL"
     print(f"max defect {defect:.3e} vs threshold {threshold:.1e}: {verdict}")
     return {

@@ -3,8 +3,7 @@
 All operators in this package are plain ``numpy.ndarray``s of dtype
 ``complex128``.  This module collects the small set of structural helpers the
 rest of the code is built on: conjugate transposes, tensor (Kronecker)
-products and random density matrices, and the one check of an encoding
-(``as_isometry``).
+products, and the one check of an encoding (``as_isometry``).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ __all__ = [
     "as_isometry",
     "dagger",
     "tensor",
-    "random_density_matrix",
 ]
 
 
@@ -62,11 +60,3 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.complex128)
     out = a[..., :, None, :, None] * b[:, None, :]
     return out.reshape(*a.shape[:-2], a.shape[-2] * b.shape[0], a.shape[-1] * b.shape[1])
-
-
-def random_density_matrix(dim: int, seed=None) -> np.ndarray:
-    """Random full-rank density matrix, Wishart-normalized."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real

@@ -25,8 +25,10 @@ is a Hermitian matrix, so L is Hermitian whenever every V_i is, as in every
 model built here.  Each model keeps one eigendecomposition of L
 (``LindbladModel.spectrum``).
 
-``dfs_check`` is the one test of protection: [E_k, rho] = 0 for states
-rho encoded by the encoding's rows V.  The search's ``is_dfs`` is its verdict.
+``residuals`` r_k = E_k V^dag - V^dag (I (x) M_k) measure how far each E_k is
+from acting as I (x) M_k on the block encoded by rows V; the objective and
+``dfs_check``, the one test of protection and the search's ``is_dfs``, share
+them (Knill, Laflamme and Viola, PRL 84, 2525, 2000).
 
 Qubit ordering: qubit 1 is the leftmost tensor factor, and |0> is the +1
 eigenvector of Z, so the collective S_z on three qubits is
@@ -36,12 +38,12 @@ diag(3, 1, 1, -1, 1, -1, -1, -3) in the computational basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_isometry, as_matrix, dagger, random_density_matrix, tensor
+from .linalg import as_isometry, as_matrix, dagger, tensor
 from .parametrization import realize, random_params
 
 __all__ = [
@@ -58,12 +60,13 @@ __all__ = [
     "random_perturbation_unitary",
     "lindblad_to_kraus",
     "default_dt",
+    "residuals",
     "DFS_THRESHOLD",
     "dfs_check",
     "collective_dfs_encoding",
 ]
 
-# the largest commutator defect ``dfs_check`` certifies as decoherence-free
+# the largest defect ``dfs_check`` certifies as decoherence-free
 DFS_THRESHOLD = 1e-8
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -87,7 +90,7 @@ def collective_operator(op: np.ndarray, n_qubits: int) -> np.ndarray:
     return sum(qubit_operator(op, k, n_qubits) for k in range(1, n_qubits + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladModel:
     """Dissipative model d(rho)/dt = sum_i gamma_i D[V_i] rho on n qubits.
 
@@ -151,7 +154,7 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     return ll
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A channel given by a finite set of Kraus operators.
 
@@ -159,6 +162,7 @@ class KrausChannel:
     read-only (K, N, N) array; I - sum_k E_k^dag E_k (``completeness_gap``) is
     built once, on first use.  ``dt`` records the conversion step for channels
     built from a Lindblad model and is None for exact (defect <= 1e-12) ones.
+    Channels, like models, compare and hash by identity.
     """
 
     dim: int
@@ -304,14 +308,23 @@ def default_dt(model: LindbladModel) -> float:
     return 1e-3 / top if top > 0 else 1e-3
 
 
-@lru_cache(maxsize=None)
-def _logical_states(n1: int, n2: int) -> np.ndarray:
-    """The states rho_1 (x) I/n2 that ``dfs_check`` encodes, for six random
-    logical density matrices rho_1 drawn from seed 0, as one read-only
-    (6, n1*n2, n1*n2) stack, built once per (n1, n2)."""
-    rng = np.random.default_rng(0)
-    rho1 = np.array([random_density_matrix(n1, rng) for _ in range(6)])
-    return _read_only(tensor(rho1, np.eye(n2) / n2))
+def residuals(
+    operators: np.ndarray, v: np.ndarray, n1: int, n2: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """r_k = E_k V^dag - V^dag (I (x) M_k) and M_k = Tr_H1(V E_k V^dag)/n1, the
+    least-squares M, for a (K, N, N) array of E_k at each orthonormal block V
+    of a (lanes, m, N) stack: r[lane, k, n*n1 + i, a] with (i, a) the
+    H1 (x) H2 index of column i*n2 + a, and mk[lane, k] of shape (n2, n2).
+    """
+    dim, lanes, k = v.shape[-1], len(v), len(operators)
+    vd = v.conj().swapaxes(1, 2)
+    ev = (operators.reshape(k * dim, dim) @ vd).reshape(lanes, k, dim * n1, n2)
+    # M_k = sum_i V_i E_k V_i^dag / n1 with V_i the rows of H1 index i: one
+    # product contracting (i, n)
+    rows = v.reshape(lanes, 1, n1, n2, dim).transpose(0, 1, 3, 2, 4).reshape(lanes, 1, n2, n1 * dim)
+    cols = ev.reshape(lanes, k, dim, n1, n2).transpose(0, 1, 3, 2, 4).reshape(lanes, k, n1 * dim, n2)
+    mk = (rows @ cols) / n1
+    return ev - vd.reshape(lanes, 1, dim * n1, n2) @ mk, mk
 
 
 def dfs_check(
@@ -321,26 +334,27 @@ def dfs_check(
     n2: int,
     threshold: float = DFS_THRESHOLD,
 ) -> tuple[bool, float, list[float]]:
-    """Test the decoherence-free condition [E_k, rho] = 0 for encoded states.
+    """Test the decoherence-free condition at encoded rows V (``as_isometry``).
 
-    This decides ``find_mns``'s ``is_dfs``.  It asks that every E_k act as
-    I (x) M_k on the encoded block and couple it to the rest in neither
-    direction; the search's E_k V^dag = V^dag (I (x) M_k) rules out only
-    coupling out of the block.  For Hermitian Kraus sets, which covers every
-    bundled model, the two agree; for other sets this one is stricter.
-
-    Encodes six random logical density matrices rho_1, drawn from a fixed
-    seed (0) so the verdict on given encoded rows V (``as_isometry``) is
-    reproducible, as rho = V^dag (rho_1 (x) I/n2) V (``_logical_states``),
-    and returns (defect <= threshold, defect, per_operator): per_operator[k]
-    is the largest Frobenius norm of [E_k, rho] over the states, and defect
-    the largest of those.  Every commutator comes from one stacked product.
+    This decides ``find_mns``'s ``is_dfs``: every E_k must act as I (x) M_k
+    on the encoded block and couple it to the rest in neither direction, so
+    r_k = 0 (``residuals``, which the search drives toward) and r~_k = 0, the
+    residual of E_k^dag.  As [E_k, V^dag (X (x) I) V] =
+    r_k (X (x) I) V - V^dag (X (x) I) r~_k^dag for every logical X, both
+    vanish exactly when every encoded state commutes with the noise, and
+    ||[E_k, rho]||_F <= ||r_k||_F + ||r~_k||_F for rho = V^dag (rho_1 (x) I/n2) V.
+    Returns (defect <= threshold, defect, per_operator), per_operator[k]
+    being ||r_k||_F + ||r~_k||_F and defect the largest; at (A (x) B) V the
+    residual is r_k (A (x) B)^dag, so no basis of the factors changes it.
+    Each E_k enters without its scalar part (tr E_k / N) I, whose residual at
+    an isometry is zero, so the identity channel reads exactly 0.
     """
     v = as_isometry(v, n1, n2, channel.dim)
-    states = dagger(v) @ _logical_states(n1, n2) @ v  # (S, N, N)
-    ops = channel.operators[:, None]  # (K, 1, N, N)
-    norms = np.linalg.norm(ops @ states - states @ ops, axis=(2, 3))  # (K, S)
-    per_operator = norms.max(axis=1, initial=0.0).tolist()
+    ops = channel.operators
+    ops = ops - np.trace(ops, axis1=1, axis2=2)[:, None, None] / channel.dim * np.eye(channel.dim)
+    r = residuals(np.concatenate((ops, dagger(ops))), v[None], n1, n2)[0][0]
+    norms = np.linalg.norm(r, axis=(1, 2))
+    per_operator = (norms[: len(ops)] + norms[len(ops) :]).tolist()
     defect = max(per_operator)
     return defect <= threshold, defect, per_operator
 

@@ -33,8 +33,10 @@ I (x) M_k, the first-order noiseless-subsystem condition (Shabani and Lidar,
 PRA 72, 042303, 2005), so they keep full relative precision near a
 decoherence-free encoding where J itself rounds at 1.  I - S is zero for an
 exact channel and O(dt^2) for a first-order one; each channel caches it
-(``KrausChannel.completeness_gap``).  ``objective_of_unitary`` takes the
-rows V alone, as every encoding is held here, and returns 1 minus that value.
+(``KrausChannel.completeness_gap``).  The residuals come from
+``noise.residuals``, which ``noise.dfs_check`` reads too.
+``objective_of_unitary`` takes the rows V alone, as every encoding is held
+here, and returns 1 minus that value.
 
 The gradient has one implementation, ``value_and_gradient``: at V it returns
 1 - J, the matrix G with d(1 - J) = Re tr(G^dag dV), whose projection onto
@@ -52,7 +54,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import as_isometry
-from .noise import KrausChannel
+from .noise import KrausChannel, residuals
 from .parametrization import UnitaryParams, realize_with_partials
 
 __all__ = [
@@ -71,41 +73,11 @@ def _lane_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dots.reshape(lanes)
 
 
-def _residuals(
-    channel: KrausChannel, v: np.ndarray, n1: int, n2: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """1 - J at each orthonormal encoded row block V of a stack v of shape
-    (lanes, m, N), with the pieces it is built from: R, the residuals r, the
-    blocks M and V (I - S).
-
-    M_k = Tr_H1(V E_k V^dag)/n1 and r_k = E_k V^dag - V^dag (I (x) M_k),
-    stacked as r[lane, k, n*n1 + i, a] with (i, a) the H1 (x) H2 index of
-    column i*n2 + a.  1 - J = R + (1/m) tr(V (I - S) V^dag) with
-    R = (1/m) sum_k ||r_k||^2 and I - S the channel's ``completeness_gap``.
-    Every sum runs through ``matmul``, one BLAS call per lane.
-    """
-    m, dim, ops = n1 * n2, channel.dim, channel.operators
-    lanes, k = len(v), len(ops)
-    vd = v.conj().swapaxes(1, 2)
-    ev = (ops.reshape(k * dim, dim) @ vd).reshape(lanes, k, dim * n1, n2)
-    # M_k = sum_i V_i E_k V_i^dag / n1 with V_i the rows of H1 index i: one
-    # product contracting (i, n)
-    rows = v.reshape(lanes, 1, n1, n2, dim).transpose(0, 1, 3, 2, 4).reshape(lanes, 1, n2, n1 * dim)
-    cols = ev.reshape(lanes, k, dim, n1, n2).transpose(0, 1, 3, 2, 4).reshape(lanes, k, n1 * dim, n2)
-    mk = (rows @ cols) / n1
-    r = ev - vd.reshape(lanes, 1, dim * n1, n2) @ mk
-    v_gap = v @ channel.completeness_gap
-    squares = _lane_dots(r, r)
-    value = (squares + _lane_dots(v, v_gap)) / m
-    return value, squares / m, r, mk, v_gap
-
-
 def objective_of_unitary(channel: KrausChannel, v: np.ndarray, n1: int, n2: int) -> float:
     """J for the orthonormal encoded rows V of an encoding (``as_isometry``):
     1 minus ``value_and_gradient``'s value.  The identity for 1 - J holds
     only for orthonormal rows, so V is checked first."""
-    v = as_isometry(v, n1, n2, channel.dim)
-    return float(1.0 - _residuals(channel, v[None], n1, n2)[0][0])
+    return float(1.0 - value_and_gradient(channel, as_isometry(v, n1, n2, channel.dim), n1, n2)[0])
 
 
 def value_and_gradient(
@@ -117,10 +89,12 @@ def value_and_gradient(
     (m, N) being a stack of one.  Each block's result is the same to the bit
     whatever shares its stack.
 
-    1 - J = R + (1/m) tr(V (I - S) V^dag) with R = (1/m) sum_k ||r_k||^2 (see
-    ``_residuals``).  M_k is the least-squares choice of M in
+    1 - J = R + (1/m) tr(V (I - S) V^dag) with R = (1/m) sum_k ||r_k||^2, the
+    residuals r_k and blocks M_k of ``noise.residuals``, and I - S the
+    channel's ``completeness_gap``.  M_k is the least-squares choice of M in
     ||E_k V^dag - V^dag (I (x) M)||, so dM_k drops out of dR and
     G = (2/m) sum_k (r_k^dag E_k - (I (x) M_k) r_k^dag) + (2/m) V (I - S).
+    Every sum runs through ``matmul``, one BLAS call per lane.
     """
     dim = channel.dim
     if n1 < 1 or n2 < 1 or n1 * n2 > dim:
@@ -132,7 +106,10 @@ def value_and_gradient(
     ops, lead = channel.operators, v.shape[:-2]
     v = v.reshape(-1, m, dim)
     lanes, k = len(v), len(ops)
-    value, residual, r, mk, v_gap = _residuals(channel, v, n1, n2)
+    r, mk = residuals(ops, v, n1, n2)
+    v_gap = v @ channel.completeness_gap
+    squares = _lane_dots(r, r)
+    value = (squares + _lane_dots(v, v_gap)) / m
     rc = r.conj()
     g = rc.reshape(lanes, k * dim, m).swapaxes(1, 2) @ ops.reshape(k * dim, dim)
     # sum_k (I (x) M_k) r_k^dag as one product contracting (k, b)
@@ -143,7 +120,7 @@ def value_and_gradient(
     return (
         value.reshape(lead)[()],
         ((2.0 / m) * g).reshape(*lead, m, dim),
-        residual.reshape(lead)[()],
+        (squares / m).reshape(lead)[()],
     )
 
 

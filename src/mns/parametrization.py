@@ -24,7 +24,7 @@ off a unitary one column at a time, each column's group with one recurrence
 on its pivot row; given an encoding's rows V, it charts their completion to
 a unitary.
 
-The search does not move through the chart.  J and the commutation residual
+The search does not move through the chart.  J and the protection residuals
 depend on U only through its first m rows, an isometry V.  A search step
 moves an unconstrained m x N matrix X, which the polar factor
 V = (X X^dag)^(-1/2) X retracts onto the isometries (``polar``), and the

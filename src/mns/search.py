@@ -27,7 +27,8 @@ Each restart is one descent of (1 - J)/dt, written as a sum of squares R
 plus an O(dt^2) completeness term (``objective.value_and_gradient``).  R
 vanishes exactly where the noise acts as I (x) M_k on the encoded block,
 the first-order noiseless-subsystem condition, so this one stage resolves a
-decoherence-free winner to the precision ``dfs_check`` asks for.  The stall
+decoherence-free winner to the precision ``dfs_check`` asks for, which
+reads the same residuals (``noise.residuals``) of E_k and E_k^dag.  The stall
 rule measures a step's gain against R/dt, not against f, whose
 completeness term is all that is left of it at a decoherence-free point.
 """
@@ -414,9 +415,10 @@ def find_mns(
     wins, ties by lowest restart index, and is reported as found.  The
     winner's isometry gives both ``best_params`` (``chart_of``, which
     completes it to a unitary) and ``is_dfs``: ``dfs_check``'s verdict on
-    it, which tests [E_k, rho] = 0 for encoded states rho.  For Hermitian
-    Kraus sets, which covers every bundled model, that is the condition
-    R = 0 the descent drives toward; for other sets it is stricter.
+    it, whether R's residuals vanish for each E_k and E_k^dag, which is
+    [E_k, rho] = 0 for every encoded state rho.  For Hermitian Kraus sets,
+    which covers every bundled model, that is the condition R = 0 the descent
+    drives toward; for other sets it is stricter.
     """
     dims_list = config.candidate_dims or default_candidate_dims(channel.dim)
     results: dict[tuple[int, int], SearchResult] = {}

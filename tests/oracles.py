@@ -159,6 +159,14 @@ def haar_random_unitary(dim: int, seed=None) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def random_density_matrix(dim: int, seed=None) -> np.ndarray:
+    """Random full-rank density matrix, Wishart-normalized."""
+    rng = _as_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def random_pure_state(dim: int, seed=None) -> np.ndarray:
     rng = _as_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

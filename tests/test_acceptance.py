@@ -18,7 +18,6 @@ import numpy as np
 from conftest import ACCEPTANCE_LINES, P_ONE_EXCITED, P_TWO_EXCITED, TIGHT
 from mns.experiments import cmd_fidelity_sweep, cmd_find_mns, cmd_verify_dfs, load_config
 from mns.fidelity import evolve
-from mns.linalg import random_density_matrix
 from mns.noise import (
     KrausChannel,
     LindbladModel,
@@ -39,6 +38,7 @@ from oracles import (
     gradient,
     haar_random_unitary,
     projector_distance,
+    random_density_matrix,
     reduced_channel_of_unitary,
     subspace_projector,
 )
@@ -57,7 +57,7 @@ def _record(num, name, passed, detail):
 
 def test_acceptance_1_collective_noise_exact_recovery(tmp_path):
     """20-restart search on the 3-qubit collective x+z model recovers an
-    exactly protected encoding, verified by the commutation check."""
+    exactly protected encoding, verified by the protection check."""
     started = time.monotonic()
     config = load_config(CONFIG_DIR / "collective_xz_n3.json")
     payload = cmd_find_mns(config, tmp_path)

@@ -11,7 +11,7 @@ from mns.errors import ValidationError
 from mns.experiments import build_model, load_config
 from mns.fidelity import evolve, fidelity_sweep, worst_case_fidelity
 from mns.fidelity import _BLOCH, _logical_maps, _minima, _sphere_minimum
-from mns.linalg import dagger, random_density_matrix, tensor
+from mns.linalg import dagger, tensor
 from mns.noise import (
     LindbladModel,
     PAULI_Z,
@@ -34,6 +34,7 @@ from oracles import (
     haar_random_unitary,
     kraus_apply,
     logical_map,
+    random_density_matrix,
     random_kraus_channel,
     sphere_minimum_by_brentq,
 )

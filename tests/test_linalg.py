@@ -5,7 +5,7 @@ import pytest
 
 from mns.errors import ValidationError
 from mns.fidelity import worst_case_fidelity
-from mns.linalg import as_isometry, as_matrix, dagger, random_density_matrix, tensor
+from mns.linalg import as_isometry, as_matrix, dagger, tensor
 from mns.noise import collective_xz, dfs_check, lindblad_to_kraus
 from mns.objective import objective_of_unitary
 from oracles import (
@@ -16,6 +16,7 @@ from oracles import (
     partial_trace_1,
     partial_trace_2,
     pauli_basis,
+    random_density_matrix,
     random_pure_state,
 )
 

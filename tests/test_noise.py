@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from mns.errors import ValidationError
-from mns.linalg import dagger, random_density_matrix
+from mns.linalg import dagger, tensor
 from mns.noise import (
     PAULI_X,
     PAULI_Z,
     KrausChannel,
     LindbladModel,
-    _logical_states,
     collective_dfs_encoding,
     collective_operator,
     collective_xz,
@@ -19,13 +18,17 @@ from mns.noise import (
     perturbed_collective,
     qubit_operator,
     random_perturbation_unitary,
+    residuals,
 )
 from oracles import (
     basis_state_encoding,
+    commutator,
     excitation_subspace,
     haar_random_unitary,
     identity_channel,
     kraus_apply,
+    partial_trace_1,
+    random_density_matrix,
     random_kraus_channel,
 )
 
@@ -198,6 +201,14 @@ def test_completeness_defect_exact_value_and_dt_scaling():
     assert 3.5 <= ratio <= 4.5
 
 
+def test_models_and_channels_compare_and_hash_by_identity():
+    # their fields are arrays, so value equality has no single truth value
+    for build in (lambda: collective_xz(3), lambda: lindblad_to_kraus(collective_xz(3))):
+        a, b = build(), build()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_kraus_channel_validation():
     with pytest.raises(ValidationError):
         KrausChannel(dim=2, operators=())
@@ -233,22 +244,65 @@ def test_dfs_check_exact_encoding_passes():
     assert defect <= 1e-12
 
 
-def test_dfs_check_states_are_drawn_once_and_give_the_defect_of_a_fresh_draw():
-    # the six fixed-seed logical states are a cached read-only stack; the
-    # defect is the float that drawing them afresh on every call gave
-    ch = lindblad_to_kraus(collective_xz(3, 1.0, 1.0), 1e-3)
-    for n1, n2 in ((2, 2), (2, 3), (3, 1)):
-        v = haar_random_unitary(8, 7)[: n1 * n2]
-        rng = np.random.default_rng(0)
-        rho1 = np.array([random_density_matrix(n1, rng) for _ in range(6)])
-        states = dagger(v) @ np.kron(rho1, np.eye(n2) / n2) @ v
-        ops = ch.operators[:, None]
-        expected = np.linalg.norm(ops @ states - states @ ops, axis=(2, 3)).max(axis=1).tolist()
-        for _ in range(2):
+DFS_DIMS = ((2, 2), (2, 3), (3, 1))
+
+
+def _channels():
+    # a Hermitian first-order set and a non-Hermitian exact one
+    return lindblad_to_kraus(collective_xz(3, 1.0, 1.0), 1e-3), random_kraus_channel(8, 3, seed=11)
+
+
+def test_dfs_check_residuals_give_every_encoded_commutator():
+    # [E_k, V^dag (X (x) I) V] = r_k (X (x) I) V - V^dag (X (x) I) r~_k^dag,
+    # with r~_k the residual of E_k^dag, against explicit commutators
+    rng = np.random.default_rng(5)
+    for ch in _channels():
+        ops = ch.operators
+        for n1, n2 in DFS_DIMS:
+            v = haar_random_unitary(8, rng)[: n1 * n2]
+            explicit = {}
+            for name, stack in (("r", ops), ("r~", dagger(ops))):
+                blocks = [partial_trace_1(v @ e @ dagger(v), n1, n2) / n1 for e in stack]
+                explicit[name] = np.array(
+                    [e @ dagger(v) - dagger(v) @ tensor(np.eye(n1), mk) for e, mk in zip(stack, blocks)]
+                )
+                r = residuals(stack, v[None], n1, n2)[0][0]
+                assert np.allclose(r.reshape(len(ops), 8, n1 * n2), explicit[name], atol=1e-14)
+            x = tensor(rng.standard_normal((n1, n1)) + 1j * rng.standard_normal((n1, n1)), np.eye(n2))
+            for e, r, rt in zip(ops, explicit["r"], explicit["r~"]):
+                lhs = commutator(e, dagger(v) @ x @ v)
+                assert np.allclose(lhs, r @ x @ v - dagger(v) @ x @ dagger(rt), atol=1e-14)
+            norms = [np.linalg.norm(r) + np.linalg.norm(rt) for r, rt in zip(explicit["r"], explicit["r~"])]
             ok, defect, per_operator = dfs_check(ch, v, n1, n2)
-            assert per_operator == expected and defect == max(expected)
-        block = _logical_states(n1, n2)
-        assert block is _logical_states(n1, n2) and not block.flags.writeable
+            assert np.allclose(per_operator, norms, rtol=1e-13, atol=0)
+            assert defect == max(per_operator)
+
+
+def test_dfs_check_defect_does_not_depend_on_the_factor_bases():
+    # r_k at (A (x) B) V is r_k (A (x) B)^dag: the same Frobenius norm
+    for seed, ch in enumerate(_channels()):
+        for n1, n2 in DFS_DIMS:
+            v = haar_random_unitary(8, seed)[: n1 * n2]
+            a, b = haar_random_unitary(n1, seed + 1), haar_random_unitary(n2, seed + 2)
+            defect = dfs_check(ch, v, n1, n2)[1]
+            assert defect > 1e-2
+            assert abs(dfs_check(ch, tensor(a, b) @ v, n1, n2)[1] - defect) <= 1e-15 * defect
+
+
+def test_dfs_check_bounds_the_commutators_of_random_encoded_states():
+    # ||[E_k, V^dag (rho_1 (x) I/n2) V]|| <= ||r_k|| + ||r~_k||: the defect
+    # of six random logical states never exceeds the two-sided residual
+    rng = np.random.default_rng(0)
+    for ch in _channels():
+        ops = ch.operators[:, None]
+        for n1, n2 in DFS_DIMS:
+            for _ in range(4):
+                v = haar_random_unitary(8, rng)[: n1 * n2]
+                rho1 = np.array([random_density_matrix(n1, rng) for _ in range(6)])
+                states = dagger(v) @ tensor(rho1, np.eye(n2) / n2) @ v
+                sampled = np.linalg.norm(ops @ states - states @ ops, axis=(2, 3)).max(axis=1)
+                per_operator = dfs_check(ch, v, n1, n2)[2]
+                assert np.all(sampled <= per_operator)
 
 
 def test_dfs_check_random_encoding_fails():

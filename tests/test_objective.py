@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mns.errors import ValidationError
-from mns.linalg import dagger, random_density_matrix, tensor
+from mns.linalg import dagger, tensor
 from mns.noise import (
     KrausChannel,
     LindbladModel,
@@ -37,6 +37,7 @@ from oracles import (
     objective,
     partial_trace_2,
     pauli_basis,
+    random_density_matrix,
     random_kraus_channel,
     reduced_channel,
     reduced_channel_of_unitary,
